@@ -7,9 +7,17 @@ kernel of two units acts on the algebra as
 
     b  |->  conj(zeta(s)) * b(s + 1) * zeta'(s) + (conj(beta(s)) + beta'(s)) * b(s),
 
-which on coordinate vectors (samples..., tail) is a banded matrix: the
-shift-by-one term plus a diagonal term. Kernels are materialized as dense
-matrices so exponentials, norms and differences are plain linear algebra.
+which on coordinate vectors (samples..., tail) couples sample k only to
+itself and to sample k+m (the unit shift), or to the tail once k+m is past
+the grid. The coordinates therefore split into m residue chains
+r, r+m, r+2m, ... that all end in the shared tail, a sink that feeds only
+itself. Kernels, multiplication operators, and their sums, products and
+exponentials map each chain into itself and the tail, so a
+:class:`KernelOperator` stores one (S+2) x (S+2) block per chain instead
+of a dense dim x dim matrix. Chain 0 has S+1 samples and the others S, so
+each of those carries one pad slot whose row and column stay exactly zero.
+Block-wise arithmetic is exact, and the exponential is one batched
+scaling-and-squaring over the m blocks.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +46,7 @@ __all__ = [
     "kernel",
     "matrix_exponential",
     "semigroup",
+    "semigroup_law_residual",
     "apply",
     "operator_norm",
     "gram_matrix",
@@ -122,32 +132,82 @@ def unit_component(u: FockUnit, n: int) -> NParticleVector:
     return NParticleVector(int(n), value)
 
 
+def _block_shape(grid: GridSpec) -> tuple[int, int, int]:
+    chain = grid.domain_end + 2
+    return (grid.step_denominator, chain, chain)
+
+
+@lru_cache(maxsize=32)
+def _chain_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Block and slot of every sample index k: block k mod m, slot ceil(k/m)."""
+    k = np.arange(grid.size)
+    m = grid.step_denominator
+    block, slot = k % m, -(-k // m)
+    block.setflags(write=False)
+    slot.setflags(write=False)
+    return block, slot
+
+
+def _clear_pads(blocks: np.ndarray) -> np.ndarray:
+    """Zero the pad diagonal (slot 0 of the chains r >= 1) in place."""
+    blocks[1:, 0, 0] = 0.0
+    return blocks
+
+
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """A bounded operator on the discretized algebra, stored as a dense
-    matrix acting on coordinate vectors (samples..., tail)."""
+    """A bounded operator on the discretized algebra that maps every residue
+    chain into itself and the tail, stored as m chain blocks.
+
+    ``blocks`` has shape (m, S+2, S+2). Block r acts on the chain of sample
+    indices r, r+m, r+2m, ... followed by the tail: sample k sits in block
+    k mod m at slot ceil(k/m), and slot S+1 of every block is the shared
+    tail, a sink whose row holds only its own diagonal entry, the same in
+    every block. Chain 0 fills slots 0..S. Chains r >= 1 have S samples in
+    slots 1..S, so their slot 0 is a pad whose row and column are exactly
+    zero, in every stored operator. Kernels, multiplication operators, and
+    their sums, products and exponentials all have this form, so the
+    block-wise arithmetic is exact. Arrays passed in are checked, copied
+    and frozen.
+    """
 
     grid: GridSpec
-    matrix: np.ndarray
+    blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=complex)
-        if matrix.shape != (self.grid.dim, self.grid.dim):
-            raise ValueError(f"expected a {self.grid.dim}x{self.grid.dim} matrix, got shape {matrix.shape}")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        blocks = np.array(self.blocks, dtype=complex)
+        shape = _block_shape(self.grid)
+        if blocks.shape != shape:
+            raise ValueError(f"expected chain blocks of shape {shape}, got {blocks.shape}")
+        if np.any(blocks[1:, 0, :]) or np.any(blocks[1:, :, 0]):
+            raise ValueError("pad rows and columns (slot 0 of blocks 1..m-1) must be zero")
+        tail_rows = blocks[:, -1, :]
+        if np.any(tail_rows[:, :-1]) or np.any(tail_rows[:, -1] != tail_rows[0, -1]):
+            raise ValueError("tail rows must hold only the tail entry, equal in every block")
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def _wrap(cls, grid: GridSpec, blocks: np.ndarray) -> "KernelOperator":
+        """An operator over blocks this module has just computed: frozen,
+        neither checked nor copied."""
+        blocks.setflags(write=False)
+        operator = object.__new__(cls)
+        object.__setattr__(operator, "grid", grid)
+        object.__setattr__(operator, "blocks", blocks)
+        return operator
 
     def __repr__(self) -> str:
         return f"KernelOperator(m={self.grid.step_denominator}, S={self.grid.domain_end}, norm={self.operator_norm():.6g})"
 
     @classmethod
     def identity(cls, grid: GridSpec) -> "KernelOperator":
-        return cls(grid, np.eye(grid.dim, dtype=complex))
+        m, chain, _ = _block_shape(grid)
+        return cls._wrap(grid, _clear_pads(np.tile(np.eye(chain, dtype=complex), (m, 1, 1))))
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "KernelOperator":
-        return cls(grid, np.zeros((grid.dim, grid.dim), dtype=complex))
+        return cls._wrap(grid, np.zeros(_block_shape(grid), dtype=complex))
 
     def _check(self, other: "KernelOperator") -> None:
         if self.grid != other.grid:
@@ -155,101 +215,153 @@ class KernelOperator:
 
     def __add__(self, other: "KernelOperator") -> "KernelOperator":
         self._check(other)
-        return KernelOperator(self.grid, self.matrix + other.matrix)
+        return KernelOperator._wrap(self.grid, self.blocks + other.blocks)
 
     def __sub__(self, other: "KernelOperator") -> "KernelOperator":
         self._check(other)
-        return KernelOperator(self.grid, self.matrix - other.matrix)
+        return KernelOperator._wrap(self.grid, self.blocks - other.blocks)
 
     def __neg__(self) -> "KernelOperator":
-        return KernelOperator(self.grid, -self.matrix)
+        return KernelOperator._wrap(self.grid, -self.blocks)
 
     def __mul__(self, scalar) -> "KernelOperator":
-        return KernelOperator(self.grid, self.matrix * complex(scalar))
+        return KernelOperator._wrap(self.grid, self.blocks * complex(scalar))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "KernelOperator") -> "KernelOperator":
         self._check(other)
-        return KernelOperator(self.grid, self.matrix @ other.matrix)
+        return KernelOperator._wrap(self.grid, np.matmul(self.blocks, other.blocks))
 
     def apply(self, b: AlgebraElement) -> AlgebraElement:
         if b.grid != self.grid:
             raise GridMismatchError("operand lives on a different grid")
-        return AlgebraElement.from_coordinates(self.grid, self.matrix @ b.coordinates)
+        block, slot = _chain_layout(self.grid)
+        x = np.zeros(self.blocks.shape[:2], dtype=complex)
+        x[block, slot] = b.samples
+        x[:, -1] = b.tail
+        y = np.matmul(self.blocks, x[..., None])[..., 0]
+        return AlgebraElement(self.grid, y[block, slot], y[0, -1])
 
     def operator_norm(self) -> float:
         """Induced sup-norm on coordinates: max absolute row sum."""
-        return _inf_norm(self.matrix)
+        return _inf_norm(self.blocks)
+
+    def to_dense(self) -> np.ndarray:
+        """The dim x dim matrix acting on coordinate vectors (samples..., tail)."""
+        grid = self.grid
+        n, m = grid.size, grid.step_denominator
+        _, slot = _chain_layout(grid)
+        dense = np.zeros((grid.dim, grid.dim), dtype=complex)
+        for r in range(m):
+            chain = np.arange(r, n, m)
+            index, slots = np.append(chain, n), np.append(slot[chain], grid.domain_end + 1)
+            dense[np.ix_(index, index)] = self.blocks[r][np.ix_(slots, slots)]
+        return dense
 
 
 def _inf_norm(matrix: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(matrix), axis=1)))
+    """Max absolute row sum, over every matrix of a stack."""
+    return float(np.max(np.sum(np.abs(matrix), axis=-1)))
 
 
 def multiplication_operator(a: AlgebraElement) -> KernelOperator:
     """The operator b |-> a*b (equal to b |-> b*a; the algebra is commutative)."""
-    return KernelOperator(a.grid, np.diag(a.coordinates))
+    grid = a.grid
+    block, slot = _chain_layout(grid)
+    blocks = np.zeros(_block_shape(grid), dtype=complex)
+    blocks[block, slot, slot] = a.samples
+    blocks[:, -1, -1] = a.tail
+    return KernelOperator._wrap(grid, blocks)
 
 
 def kernel(u: FockUnit, v: FockUnit) -> KernelOperator:
     """The generator of the two-unit semigroup:
     (L b)(s) = conj(zeta_u(s)) * b(s+1) * zeta_v(s) + (conj(beta_u(s)) + beta_v(s)) * b(s),
-    with the tail row acting on tails only."""
+    with the tail row acting on tails only. In chain form b(s+1) is the
+    next slot of the same chain, which is the tail after the last sample."""
     if u.grid != v.grid:
         raise GridMismatchError("units live on different grids")
     grid = u.grid
-    n = grid.size
-    m = grid.step_denominator
-    matrix = np.zeros((grid.dim, grid.dim), dtype=complex)
-    weight = np.conj(u.zeta.samples) * v.zeta.samples
-    diagonal = np.conj(u.beta.samples) + v.beta.samples
-    for k in range(n):
-        col = k + m if k + m < n else n
-        matrix[k, col] += weight[k]
-        matrix[k, k] += diagonal[k]
-    matrix[n, n] = np.conj(u.zeta.tail) * v.zeta.tail + np.conj(u.beta.tail) + v.beta.tail
-    return KernelOperator(grid, matrix)
+    block, slot = _chain_layout(grid)
+    blocks = np.zeros(_block_shape(grid), dtype=complex)
+    # Added to zeros rather than assigned, so signed zeros come out as +0.
+    blocks[block, slot, slot + 1] += np.conj(u.zeta.samples) * v.zeta.samples
+    blocks[block, slot, slot] += np.conj(u.beta.samples) + v.beta.samples
+    blocks[:, -1, -1] = np.conj(u.zeta.tail) * v.zeta.tail + np.conj(u.beta.tail) + v.beta.tail
+    return KernelOperator._wrap(grid, blocks)
 
 
 def matrix_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Scaling-and-squaring exponential with a truncated Taylor series.
+    """Scaling-and-squaring exponential with a truncated Taylor series, of
+    one square matrix or of each matrix of a stack of shape (..., d, d).
 
     The input is scaled by a power of two until its row-sum norm is at
     most 1/2, the series is summed until the next term falls below
     ``rel_tol`` relative to the running sum, and the result is squared
-    back up. Deterministic for fixed input.
+    back up. Norms are taken over the whole stack, so the diagonal blocks
+    of a block-diagonal matrix get the scaling and the number of terms the
+    whole matrix would. Deterministic for fixed input. Raises ValueError
+    on non-finite input and when the result overflows.
     """
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    norm = _inf_norm(a)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(math.ceil(math.log2(norm))) + 1
-    scaled = a / (2.0**squarings)
-    dim = a.shape[0]
-    result = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, 64):
-        term = term @ scaled / k
-        result = result + term
-        if _inf_norm(term) <= rel_tol * _inf_norm(result):
-            break
-    else:
-        raise RuntimeError("matrix exponential series did not converge in 64 terms")
-    for _ in range(squarings):
-        result = result @ result
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises ValueError below instead
+        norm = _inf_norm(a)
+        if not math.isfinite(norm):
+            raise ValueError(f"cannot exponentiate a matrix with non-finite entries or row sums (row-sum norm {norm})")
+        squarings = 0
+        if norm > 0.5:
+            squarings = int(math.ceil(math.log2(norm))) + 1
+        scaled = a * math.ldexp(1.0, -squarings)
+        identity = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+        result = identity.copy()
+        term = identity
+        for k in range(1, 64):
+            term = term @ scaled / k
+            result = result + term
+            if _inf_norm(term) <= rel_tol * _inf_norm(result):
+                break
+        else:
+            raise RuntimeError("matrix exponential series did not converge in 64 terms")
+        for _ in range(squarings):
+            result = result @ result
+            if not np.all(np.isfinite(result)):
+                raise ValueError(f"matrix exponential overflows (row-sum norm of the input {norm:.3g})")
     return result
 
 
 def semigroup(u: FockUnit, v: FockUnit, t: float, rel_tol: float = 1e-12) -> KernelOperator:
-    """exp(t * kernel(u, v)) for t >= 0."""
+    """exp(t * kernel(u, v)) for t >= 0, taken block by block."""
     t = float(t)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     generator = kernel(u, v)
-    return KernelOperator(u.grid, matrix_exponential(t * generator.matrix, rel_tol=rel_tol))
+    with np.errstate(over="ignore", invalid="ignore"):  # matrix_exponential rejects what overflows
+        scaled = t * generator.blocks
+    return KernelOperator._wrap(u.grid, _clear_pads(matrix_exponential(scaled, rel_tol=rel_tol)))
+
+
+def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12) -> tuple[float, dict]:
+    """max over s, t in ``times`` of ||exp((s+t)L) - exp(sL) exp(tL)|| for
+    L = kernel(u, v), and the exponentials it took, keyed by time. Each
+    distinct time is exponentiated once."""
+    times = list(times)
+    exps: dict = {}
+
+    def at(t: float) -> KernelOperator:
+        if t not in exps:
+            exps[t] = semigroup(u, v, t, rel_tol=rel_tol)
+        return exps[t]
+
+    for t in times:
+        at(t)
+    worst = 0.0
+    for s in times:
+        for t in times:
+            worst = max(worst, (at(s + t) - exps[s] @ exps[t]).operator_norm())
+    return worst, exps
 
 
 def apply(operator: KernelOperator, b: AlgebraElement) -> AlgebraElement:
@@ -313,5 +425,5 @@ def kernel_to_csv(operator: KernelOperator, path) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in operator.matrix:
+        for row in operator.to_dense():
             writer.writerow([str(z) for z in row])

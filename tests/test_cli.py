@@ -189,3 +189,27 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads((tmp_path / "out" / "membership_report.json").read_text())
     assert report["in_E"] is True
+
+
+@pytest.mark.parametrize("t", [1e308, 1e300])
+def test_overflowing_semigroup_time_is_a_one_line_error(tmp_path, t):
+    two = {"zeta": {"kind": "constant", "value": 2.0}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_GRID, "u": two, "v": two, "t_values": [t]}), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockindex", "semigroup", "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, fockindex.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -69,7 +69,7 @@ class TestKernel:
         assert operator_norm(kernel(vacuum_unit(GRID), vacuum_unit(GRID))) == 0.0
 
     def test_generator_kernel_is_pure_shift(self):
-        matrix = kernel(generator_unit(GRID), generator_unit(GRID)).matrix
+        matrix = kernel(generator_unit(GRID), generator_unit(GRID)).to_dense()
         n, m = GRID.size, GRID.step_denominator
         expected = np.zeros((GRID.dim, GRID.dim), dtype=complex)
         for k in range(n):
@@ -97,7 +97,7 @@ class TestKernel:
     def test_tail_row_touches_only_tail(self):
         rng = np.random.default_rng(8)
         u, v = random_unit(rng), random_unit(rng)
-        matrix = kernel(u, v).matrix
+        matrix = kernel(u, v).to_dense()
         assert np.all(matrix[-1, :-1] == 0)
 
     def test_apply_to_unit_gives_closed_form(self):
@@ -134,7 +134,7 @@ class TestKernelOperatorAlgebra:
         kernel_to_csv(operator, path)
         with path.open(newline="") as fh:
             rows = [[complex(cell) for cell in row] for row in csv.reader(fh)]
-        assert np.array_equal(np.array(rows), operator.matrix)
+        assert np.array_equal(np.array(rows), operator.to_dense())
 
 
 class TestMatrixExponential:
@@ -152,7 +152,7 @@ class TestMatrixExponential:
     def test_against_scipy_on_kernels(self):
         rng = np.random.default_rng(12)
         u, v = random_unit(rng), random_unit(rng)
-        a = 1.3 * kernel(u, v).matrix
+        a = 1.3 * kernel(u, v).to_dense()
         assert np.max(np.abs(matrix_exponential(a) - scipy.linalg.expm(a))) < 1e-10
 
     def test_rejects_nonsquare(self):
@@ -180,8 +180,8 @@ class TestSemigroup:
         rng = np.random.default_rng(14)
         u, v = random_unit(rng), random_unit(rng)
         for s, t in [(0.3, 0.7), (0.7, 1.0), (1.0, 0.3)]:
-            product = semigroup(u, v, s).matrix @ semigroup(u, v, t).matrix
-            gap = np.max(np.abs(semigroup(u, v, s + t).matrix - product))
+            product = semigroup(u, v, s).to_dense() @ semigroup(u, v, t).to_dense()
+            gap = np.max(np.abs(semigroup(u, v, s + t).to_dense() - product))
             assert gap < 1e-9
 
     def test_vacuum_semigroup_is_identity(self):
@@ -277,7 +277,7 @@ class TestGram:
             for j, v in enumerate([omega, xi]):
                 assert (gram[i][j] - constant(GRID, expected[i][j])).sup_norm() < 1e-12
                 # brute-force matrix exponential route
-                brute = scipy.linalg.expm(kernel(u, v).matrix) @ one.coordinates
+                brute = scipy.linalg.expm(kernel(u, v).to_dense()) @ one.coordinates
                 assert np.max(np.abs(gram[i][j].coordinates - brute)) < 1e-12
         report = gram_psd_check(gram, 1e-10)
         assert report.passed and report.min_eigenvalue > 0
