@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,6 +144,29 @@ _DEFAULT_SECOND_UNIT = {"zeta": {"kind": "constant", "value": 1.0}}
 _DEFAULT_WITNESS_ZETA = {"kind": "piecewise_linear", "knots": [[0.0, 0.5], [1.0, 1.0]]}
 
 
+def _grid_integer(grid_spec: dict, key: str, default: int) -> int:
+    """An integer grid field; an integral float counts, a bool or a fraction does not."""
+    value = grid_spec.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"grid field {key!r} must be an integer, got {value!r}")
+
+
+def _tolerance(key: str, value) -> float:
+    """A tolerance override: a finite number > 0, or a string that parses as one."""
+    if isinstance(value, bool):
+        raise ConfigError(f"tolerance {key!r} must be a number, got {value!r}")
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tolerance {key!r} must be a number, got {value!r}") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tolerance {key!r} must be finite and > 0, got {value!r}")
+    return tol
+
+
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
@@ -150,8 +174,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     if not isinstance(grid_spec, dict):
         raise ConfigError("'grid' must be an object with integer fields m and S")
     try:
-        grid = GridSpec(int(grid_spec.get("m", 4)), int(grid_spec.get("S", 40)))
-    except (TypeError, ValueError) as exc:
+        grid = GridSpec(_grid_integer(grid_spec, "m", 4), _grid_integer(grid_spec, "S", 40))
+    except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
     tolerances = dict(DEFAULT_TOLERANCES)
     overrides = raw.get("tolerances", {})
@@ -160,7 +184,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     for key, value in overrides.items():
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {key!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}")
-        tolerances[key] = float(value)
+        tolerances[key] = _tolerance(key, value)
     config = ExperimentConfig(grid, tolerances, raw, base_dir)
     # parse every element-bearing field now so bad presets fail before any work
     for key in ("zeta", "beta", "b"):
@@ -230,7 +254,7 @@ def cmd_kernel(config: ExperimentConfig, out: Path) -> int:
         ["s", "b_re", "b_im", "Lb_re", "Lb_im"],
         _element_rows(config.grid, [b, applied]),
     )
-    adjoint_gap = float(np.max(np.abs(kernel(v, u).blocks - np.conj(operator.blocks))))
+    adjoint_gap = float(np.max(np.abs(kernel(v, u).bands - np.conj(operator.bands))))
     tol = config.tolerances["hermitian"]
     write_json(
         out / "kernel_report.json",

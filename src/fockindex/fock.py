@@ -11,13 +11,22 @@ which on coordinate vectors (samples..., tail) couples sample k only to
 itself and to sample k+m (the unit shift), or to the tail once k+m is past
 the grid. The coordinates therefore split into m residue chains
 r, r+m, r+2m, ... that all end in the shared tail, a sink that feeds only
-itself. Kernels, multiplication operators, and their sums, products and
-exponentials map each chain into itself and the tail, so a
-:class:`KernelOperator` stores one (S+2) x (S+2) block per chain instead
-of a dense dim x dim matrix. Chain 0 has S+1 samples and the others S, so
-each of those carries one pad slot whose row and column stay exactly zero.
-Block-wise arithmetic is exact, and the exponential is one batched
-scaling-and-squaring over the m blocks.
+itself. Each chain with the tail has S+2 slots; chain 0 has S+1 samples
+and the others S, so each of those carries one pad slot that stays
+exactly zero.
+
+Operators come in two forms over this chain layout:
+
+- :class:`WeightedShift` is D_a + D_w T, a multiplication operator plus a
+  weighted shift to the next slot of the chain, stored as two coefficients
+  per slot. Kernels and multiplication operators have this form, and so do
+  their sums and their products with multiplication operators.
+- :class:`KernelOperator` stores one (S+2) x (S+2) block per chain. It
+  holds everything else: exponentials (one batched scaling-and-squaring
+  over the m blocks), products of two shifts, and whatever is mixed with
+  them. A weighted shift turns into chain blocks when it meets one.
+
+Arithmetic in either form is exact.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
     "FockUnit",
     "NParticleVector",
     "KernelOperator",
+    "WeightedShift",
     "vacuum_unit",
     "generator_unit",
     "left_action",
@@ -137,6 +147,10 @@ def _block_shape(grid: GridSpec) -> tuple[int, int, int]:
     return (grid.step_denominator, chain, chain)
 
 
+def _band_shape(grid: GridSpec) -> tuple[int, int, int]:
+    return (2, grid.step_denominator, grid.domain_end + 2)
+
+
 @lru_cache(maxsize=32)
 def _chain_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Block and slot of every sample index k: block k mod m, slot ceil(k/m)."""
@@ -234,14 +248,8 @@ class KernelOperator:
         return KernelOperator._wrap(self.grid, np.matmul(self.blocks, other.blocks))
 
     def apply(self, b: AlgebraElement) -> AlgebraElement:
-        if b.grid != self.grid:
-            raise GridMismatchError("operand lives on a different grid")
-        block, slot = _chain_layout(self.grid)
-        x = np.zeros(self.blocks.shape[:2], dtype=complex)
-        x[block, slot] = b.samples
-        x[:, -1] = b.tail
-        y = np.matmul(self.blocks, x[..., None])[..., 0]
-        return AlgebraElement(self.grid, y[block, slot], y[0, -1])
+        x = _chain_vectors(self.grid, b)
+        return _from_chain_vectors(self.grid, np.matmul(self.blocks, x[..., None])[..., 0])
 
     def operator_norm(self) -> float:
         """Induced sup-norm on coordinates: max absolute row sum."""
@@ -265,17 +273,159 @@ def _inf_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(matrix), axis=-1)))
 
 
-def multiplication_operator(a: AlgebraElement) -> KernelOperator:
+def _chain_vectors(grid: GridSpec, b: AlgebraElement) -> np.ndarray:
+    """The coordinates of b in chain layout, shape (m, S+2), pads zero."""
+    if b.grid != grid:
+        raise GridMismatchError("operand lives on a different grid")
+    block, slot = _chain_layout(grid)
+    x = np.zeros(_band_shape(grid)[1:], dtype=complex)
+    x[block, slot] = b.samples
+    x[:, -1] = b.tail
+    return x
+
+
+def _from_chain_vectors(grid: GridSpec, y: np.ndarray) -> AlgebraElement:
+    block, slot = _chain_layout(grid)
+    return AlgebraElement(grid, y[block, slot], y[0, -1])
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedShift:
+    """The operator D_a + D_w T on the discretized algebra: multiplication
+    by a plus multiplication by w after the shift T to the next slot of the
+    same residue chain (the tail after a chain's last sample).
+
+    ``bands`` has shape (2, m, S+2) in the chain-slot layout of
+    :class:`KernelOperator`: band 0 slot i is block entry (i, i) and band 1
+    slot i is block entry (i, i+1). Band 1 slot S+1 is zero, because the
+    tail feeds only itself, and the tail entry of band 0 is the same in
+    every chain. The pad slot 0 of chains r >= 1 is zero in both bands.
+    Kernels and multiplication operators have this form, and it is closed
+    under sums, scalar multiples and products with a multiplication
+    operator on either side. A product of two shifts, and anything mixed
+    with a :class:`KernelOperator`, is computed on chain blocks. Arrays
+    passed in are checked, copied and frozen.
+    """
+
+    grid: GridSpec
+    bands: np.ndarray
+
+    def __post_init__(self) -> None:
+        bands = np.array(self.bands, dtype=complex)
+        shape = _band_shape(self.grid)
+        if bands.shape != shape:
+            raise ValueError(f"expected bands of shape {shape}, got {bands.shape}")
+        if np.any(bands[:, 1:, 0]):
+            raise ValueError("pad slots (slot 0 of chains 1..m-1) must be zero")
+        if np.any(bands[1, :, -1]) or np.any(bands[0, :, -1] != bands[0, 0, -1]):
+            raise ValueError("the tail slot must hold only the tail entry, equal in every chain")
+        bands.setflags(write=False)
+        object.__setattr__(self, "bands", bands)
+
+    @classmethod
+    def _wrap(cls, grid: GridSpec, bands: np.ndarray) -> "WeightedShift":
+        """A shift over bands this module has just computed: frozen,
+        neither checked nor copied."""
+        bands.setflags(write=False)
+        operator = object.__new__(cls)
+        object.__setattr__(operator, "grid", grid)
+        object.__setattr__(operator, "bands", bands)
+        return operator
+
+    @classmethod
+    def zero(cls, grid: GridSpec) -> "WeightedShift":
+        return cls._wrap(grid, np.zeros(_band_shape(grid), dtype=complex))
+
+    def __repr__(self) -> str:
+        return f"WeightedShift(m={self.grid.step_denominator}, S={self.grid.domain_end}, norm={self.operator_norm():.6g})"
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The chain blocks of :class:`KernelOperator`, upper bidiagonal."""
+        m, chain = self.bands.shape[1:]
+        i = np.arange(chain)
+        blocks = np.zeros((m, chain, chain), dtype=complex)
+        blocks[:, i, i] = self.bands[0]
+        blocks[:, i[:-1], i[1:]] = self.bands[1, :, :-1]
+        blocks.setflags(write=False)
+        return blocks
+
+    def _chain_operator(self) -> KernelOperator:
+        return KernelOperator._wrap(self.grid, self.blocks)
+
+    _check = KernelOperator._check
+
+    def __add__(self, other):
+        if not isinstance(other, WeightedShift):
+            return self._chain_operator() + other
+        self._check(other)
+        return WeightedShift._wrap(self.grid, self.bands + other.bands)
+
+    def __sub__(self, other):
+        if not isinstance(other, WeightedShift):
+            return self._chain_operator() - other
+        self._check(other)
+        return WeightedShift._wrap(self.grid, self.bands - other.bands)
+
+    def __neg__(self) -> "WeightedShift":
+        return WeightedShift._wrap(self.grid, -self.bands)
+
+    def __mul__(self, scalar) -> "WeightedShift":
+        return WeightedShift._wrap(self.grid, self.bands * complex(scalar))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        """D_a (D_d + D_w T) scales rows: D_{ad} + D_{aw} T. (D_d + D_w T) D_a
+        scales columns: D_{da} + D_{w Ta} T, band 1 taking the next slot's a.
+        Any other product is taken on chain blocks."""
+        if not isinstance(other, WeightedShift):
+            return self._chain_operator() @ other
+        self._check(other)
+        if not np.any(self.bands[1]):
+            return WeightedShift._wrap(self.grid, self.bands[0] * other.bands)
+        if not np.any(other.bands[1]):
+            a = other.bands[0]
+            bands = np.zeros_like(self.bands)
+            bands[0] = self.bands[0] * a
+            bands[1, :, :-1] = self.bands[1, :, :-1] * a[:, 1:]
+            return WeightedShift._wrap(self.grid, bands)
+        return self._chain_operator() @ other._chain_operator()
+
+    def apply(self, b: AlgebraElement) -> AlgebraElement:
+        x = _chain_vectors(self.grid, b)
+        y = self.bands[0] * x
+        y[:, :-1] += self.bands[1, :, :-1] * x[:, 1:]
+        return _from_chain_vectors(self.grid, y)
+
+    def operator_norm(self) -> float:
+        """Induced sup-norm on coordinates: max absolute row sum |a| + |w|."""
+        return float(np.max(np.abs(self.bands[0]) + np.abs(self.bands[1])))
+
+    def to_dense(self) -> np.ndarray:
+        """The dim x dim matrix acting on coordinate vectors (samples..., tail)."""
+        grid = self.grid
+        n = grid.size
+        block, slot = _chain_layout(grid)
+        k = np.arange(n)
+        dense = np.zeros((grid.dim, grid.dim), dtype=complex)
+        dense[k, k] = self.bands[0, block, slot]
+        dense[k, np.minimum(k + grid.step_denominator, n)] = self.bands[1, block, slot]
+        dense[n, n] = self.bands[0, 0, -1]
+        return dense
+
+
+def multiplication_operator(a: AlgebraElement) -> WeightedShift:
     """The operator b |-> a*b (equal to b |-> b*a; the algebra is commutative)."""
     grid = a.grid
     block, slot = _chain_layout(grid)
-    blocks = np.zeros(_block_shape(grid), dtype=complex)
-    blocks[block, slot, slot] = a.samples
-    blocks[:, -1, -1] = a.tail
-    return KernelOperator._wrap(grid, blocks)
+    bands = np.zeros(_band_shape(grid), dtype=complex)
+    bands[0, block, slot] = a.samples
+    bands[0, :, -1] = a.tail
+    return WeightedShift._wrap(grid, bands)
 
 
-def kernel(u: FockUnit, v: FockUnit) -> KernelOperator:
+def kernel(u: FockUnit, v: FockUnit) -> WeightedShift:
     """The generator of the two-unit semigroup:
     (L b)(s) = conj(zeta_u(s)) * b(s+1) * zeta_v(s) + (conj(beta_u(s)) + beta_v(s)) * b(s),
     with the tail row acting on tails only. In chain form b(s+1) is the
@@ -284,12 +434,12 @@ def kernel(u: FockUnit, v: FockUnit) -> KernelOperator:
         raise GridMismatchError("units live on different grids")
     grid = u.grid
     block, slot = _chain_layout(grid)
-    blocks = np.zeros(_block_shape(grid), dtype=complex)
+    bands = np.zeros(_band_shape(grid), dtype=complex)
     # Added to zeros rather than assigned, so signed zeros come out as +0.
-    blocks[block, slot, slot + 1] += np.conj(u.zeta.samples) * v.zeta.samples
-    blocks[block, slot, slot] += np.conj(u.beta.samples) + v.beta.samples
-    blocks[:, -1, -1] = np.conj(u.zeta.tail) * v.zeta.tail + np.conj(u.beta.tail) + v.beta.tail
-    return KernelOperator._wrap(grid, blocks)
+    bands[1, block, slot] += np.conj(u.zeta.samples) * v.zeta.samples
+    bands[0, block, slot] += np.conj(u.beta.samples) + v.beta.samples
+    bands[0, :, -1] = np.conj(u.zeta.tail) * v.zeta.tail + np.conj(u.beta.tail) + v.beta.tail
+    return WeightedShift._wrap(grid, bands)
 
 
 def matrix_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -364,11 +514,11 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-
     return worst, exps
 
 
-def apply(operator: KernelOperator, b: AlgebraElement) -> AlgebraElement:
+def apply(operator: KernelOperator | WeightedShift, b: AlgebraElement) -> AlgebraElement:
     return operator.apply(b)
 
 
-def operator_norm(operator: KernelOperator) -> float:
+def operator_norm(operator: KernelOperator | WeightedShift) -> float:
     return operator.operator_norm()
 
 
@@ -420,7 +570,7 @@ def gram_psd_check(gram, tol: float) -> GramReport:
     return GramReport(bool(minima[worst] >= -tol), float(minima[worst]), labels[worst], entries)
 
 
-def kernel_to_csv(operator: KernelOperator, path) -> None:
+def kernel_to_csv(operator: KernelOperator | WeightedShift, path) -> None:
     """Dense matrix dump for debugging; one complex entry per cell."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraElement, GridSpec
+from .algebra import AlgebraElement, GridSpec, constant
 
 __all__ = [
     "PresetError",
@@ -96,7 +96,7 @@ def from_spec(grid: GridSpec, spec: dict, base_dir: Path | None = None) -> Algeb
     kind = spec["kind"]
     try:
         if kind == "constant":
-            return _constant(grid, spec)
+            return constant(grid, as_complex(spec["value"]))
         if kind == "exp_approach":
             return exp_approach(grid, spec.get("c", 1.0), spec.get("a", 1.0))
         if kind == "exp_decay":
@@ -115,11 +115,6 @@ def from_spec(grid: GridSpec, spec: dict, base_dir: Path | None = None) -> Algeb
     except KeyError as exc:
         raise PresetError(f"preset {kind!r} is missing parameter {exc}") from exc
     raise PresetError(f"unknown preset kind {spec['kind']!r}; known kinds: {', '.join(PRESET_KINDS)}")
-
-
-def _constant(grid: GridSpec, spec: dict) -> AlgebraElement:
-    value = as_complex(spec["value"])
-    return AlgebraElement(grid, np.full(grid.size, value, dtype=complex), value)
 
 
 def _raw(grid: GridSpec, spec: dict) -> AlgebraElement:

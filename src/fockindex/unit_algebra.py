@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, GridSpec, constant
-from .fock import FockUnit, KernelOperator, kernel, multiplication_operator
+from .fock import FockUnit, WeightedShift, kernel, multiplication_operator
 from .presets import exp_approach, exp_decay
 
 __all__ = [
@@ -67,8 +67,8 @@ class ReferencedUnit:
 
     unit: FockUnit
     reference: FockUnit
-    _cross: Callable[[FockUnit], KernelOperator] | None = field(default=None, repr=False, compare=False)
-    _self: Callable[[], KernelOperator] | None = field(default=None, repr=False, compare=False)
+    _cross: Callable[[FockUnit], WeightedShift] | None = field(default=None, repr=False, compare=False)
+    _self: Callable[[], WeightedShift] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.unit.grid != self.reference.grid:
@@ -86,17 +86,17 @@ class ReferencedUnit:
     def beta(self) -> AlgebraElement:
         return self.unit.beta
 
-    def cross_kernel(self, probe: FockUnit) -> KernelOperator:
+    def cross_kernel(self, probe: FockUnit) -> WeightedShift:
         if self._cross is None:
             return kernel(self.unit, probe)
         return self._cross(probe)
 
-    def self_kernel(self) -> KernelOperator:
+    def self_kernel(self) -> WeightedShift:
         if self._self is None:
             return kernel(self.unit, self.unit)
         return self._self()
 
-    def parameter_kernel(self, probe: FockUnit) -> KernelOperator:
+    def parameter_kernel(self, probe: FockUnit) -> WeightedShift:
         return kernel(self.unit, probe)
 
 
@@ -131,10 +131,10 @@ def power_beta(x: ReferencedUnit, beta: AlgebraElement) -> ReferencedUnit:
     mul_conj = multiplication_operator(beta.star())
     mul_plain = multiplication_operator(beta)
 
-    def cross(probe: FockUnit) -> KernelOperator:
+    def cross(probe: FockUnit) -> WeightedShift:
         return kernel(base, probe) + mul_conj
 
-    def diagonal() -> KernelOperator:
+    def diagonal() -> WeightedShift:
         return kernel(base, base) + mul_conj + mul_plain
 
     return ReferencedUnit(candidate, x.reference, cross, diagonal)
@@ -173,14 +173,14 @@ def boxplus_left(
         beta = beta + c * u.beta
     candidate = FockUnit(zeta, beta)
 
-    def cross(probe: FockUnit) -> KernelOperator:
-        total = KernelOperator.zero(grid)
+    def cross(probe: FockUnit) -> WeightedShift:
+        total = WeightedShift.zero(grid)
         for c, u in zip(coefficients, units):
             total = total + multiplication_operator(c.star()) @ kernel(u, probe)
         return total
 
-    def diagonal() -> KernelOperator:
-        total = KernelOperator.zero(grid)
+    def diagonal() -> WeightedShift:
+        total = WeightedShift.zero(grid)
         for ci, ui in zip(coefficients, units):
             for cj, uj in zip(coefficients, units):
                 total = total + multiplication_operator(ci.star() * cj) @ kernel(ui, uj)
@@ -211,14 +211,14 @@ def boxplus_right(
         beta = beta + c * u.beta
     candidate = FockUnit(zeta, beta)
 
-    def cross(probe: FockUnit) -> KernelOperator:
-        total = KernelOperator.zero(grid)
+    def cross(probe: FockUnit) -> WeightedShift:
+        total = WeightedShift.zero(grid)
         for c, u in zip(coefficients, units):
             total = total + kernel(u, probe) @ multiplication_operator(c.star())
         return total
 
-    def diagonal() -> KernelOperator:
-        total = KernelOperator.zero(grid)
+    def diagonal() -> WeightedShift:
+        total = WeightedShift.zero(grid)
         for ci, ui in zip(coefficients, units):
             for cj, uj in zip(coefficients, units):
                 total = total + kernel(ui, uj) @ multiplication_operator(ci.star() * cj)
@@ -235,10 +235,10 @@ def add(x: ReferencedUnit, y: ReferencedUnit) -> ReferencedUnit:
     xu, yu = x.unit, y.unit
     candidate = FockUnit(xu.zeta + yu.zeta - omega.zeta, xu.beta + yu.beta - omega.beta)
 
-    def cross(probe: FockUnit) -> KernelOperator:
+    def cross(probe: FockUnit) -> WeightedShift:
         return kernel(xu, probe) + kernel(yu, probe) - kernel(omega, probe)
 
-    def diagonal() -> KernelOperator:
+    def diagonal() -> WeightedShift:
         return (
             kernel(xu, xu)
             + kernel(xu, yu)
@@ -269,10 +269,10 @@ def left_mul(a: AlgebraElement, x: ReferencedUnit) -> ReferencedUnit:
     mul_a = multiplication_operator(a.star())
     mul_rest = multiplication_operator((one - a).star())
 
-    def cross(probe: FockUnit) -> KernelOperator:
+    def cross(probe: FockUnit) -> WeightedShift:
         return kernel(xu, probe) @ mul_a + kernel(omega, probe) @ mul_rest
 
-    def diagonal() -> KernelOperator:
+    def diagonal() -> WeightedShift:
         return (
             kernel(xu, xu) @ multiplication_operator(a.star() * a)
             + kernel(omega, xu) @ multiplication_operator((one - a).star() * a)
@@ -296,10 +296,10 @@ def right_mul(x: ReferencedUnit, a: AlgebraElement) -> ReferencedUnit:
     mul_a = multiplication_operator(a.star())
     mul_rest = multiplication_operator((one - a).star())
 
-    def cross(probe: FockUnit) -> KernelOperator:
+    def cross(probe: FockUnit) -> WeightedShift:
         return mul_a @ kernel(xu, probe) + mul_rest @ kernel(omega, probe)
 
-    def diagonal() -> KernelOperator:
+    def diagonal() -> WeightedShift:
         return (
             multiplication_operator(a.star() * a) @ kernel(xu, xu)
             + multiplication_operator((one - a).star() * a) @ kernel(omega, xu)

@@ -1,5 +1,6 @@
-"""Chain-block kernel operators against dense matrices built here from the
-unit formulas, and against scipy's expm."""
+"""Chain-block kernel operators and weighted shifts against dense matrices
+built here from the unit formulas, against each other, and against
+scipy's expm."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fockindex.fock as fock
-from fockindex.algebra import AlgebraElement, GridSpec, constant
+from fockindex.algebra import AlgebraElement, GridMismatchError, GridSpec, constant
 from fockindex.fock import (
     FockUnit,
     KernelOperator,
+    WeightedShift,
     kernel,
     matrix_exponential,
     multiplication_operator,
@@ -205,3 +207,102 @@ def test_law_residual_is_bit_identical_and_memoised(monkeypatch, times):
     assert worst == expected
     distinct = set(times) | {s + t for s in times for t in times}
     assert len(calls) == len(distinct) and set(exps) == distinct
+
+
+def chain(operator):
+    """The same operator on the chain-block path, through the checked
+    constructor."""
+    return KernelOperator(operator.grid, operator.blocks)
+
+
+def assert_shift_form(operator):
+    assert isinstance(operator, WeightedShift)
+    assert np.all(operator.bands[:, 1:, 0] == 0), "pad slots"
+    assert np.all(operator.bands[1, :, -1] == 0), "band 1 at the tail slot"
+    assert np.all(operator.bands[0, :, -1] == operator.bands[0, 0, -1]), "tail entry"
+
+
+@on_small_grids
+def test_weighted_shifts_match_dense_and_chain_path(grid, seed):
+    rng = np.random.default_rng(seed)
+    u, v, w = random_unit(rng, grid), random_unit(rng, grid), random_unit(rng, grid)
+    a, c, b = random_element(rng, grid), random_element(rng, grid), random_element(rng, grid)
+    k1, k2 = kernel(u, v), kernel(v, w)
+    ma, mc = multiplication_operator(a), multiplication_operator(c)
+    dk1, dk2 = dense_kernel(u, v), dense_kernel(v, w)
+    da, dc = np.diag(a.coordinates), np.diag(c.coordinates)
+    cases = [
+        (k1, chain(k1), dk1),
+        (ma, chain(ma), da),
+        (k1 + k2, chain(k1) + chain(k2), dk1 + dk2),
+        (k1 - 2.5 * k2, chain(k1) - 2.5 * chain(k2), dk1 - 2.5 * dk2),
+        (-k1, -chain(k1), -dk1),
+        (ma * (1 - 2j), chain(ma) * (1 - 2j), (1 - 2j) * da),
+        (ma @ k1, chain(ma) @ chain(k1), da @ dk1),
+        (k1 @ ma, chain(k1) @ chain(ma), dk1 @ da),
+        (ma @ mc, chain(ma) @ chain(mc), da @ dc),
+        (mc @ k1 @ ma + k2, chain(mc) @ chain(k1) @ chain(ma) + chain(k2), dc @ dk1 @ da + dk2),
+    ]
+    for shift, chained, dense in cases:
+        assert_shift_form(shift)
+        assert gap(shift.to_dense(), dense) <= TOL
+        assert gap(shift.blocks, chained.blocks) <= TOL
+        assert gap(shift.apply(b).coordinates, dense @ b.coordinates) <= TOL
+        assert gap(shift.apply(b).coordinates, chained.apply(b).coordinates) <= TOL
+        assert abs(shift.operator_norm() - chained.operator_norm()) <= TOL
+        assert abs(shift.operator_norm() - np.max(np.sum(np.abs(dense), axis=1))) <= TOL
+
+
+@on_small_grids
+def test_products_of_shifts_and_mixed_operands_promote(grid, seed):
+    rng = np.random.default_rng(seed)
+    u, v, w = random_unit(rng, grid), random_unit(rng, grid), random_unit(rng, grid)
+    t = rng.uniform(0.0, 1.0)
+    k1, k2, exp_t = kernel(u, v), kernel(v, w), semigroup(u, v, t)
+    dk1, dk2, dexp = dense_kernel(u, v), dense_kernel(v, w), exp_t.to_dense()
+    cases = [
+        (k1 @ k2, dk1 @ dk2),
+        (exp_t - k1, dexp - dk1),
+        (k1 - exp_t, dk1 - dexp),
+        (k1 + exp_t, dk1 + dexp),
+        (exp_t @ k1, dexp @ dk1),
+        (k1 @ exp_t, dk1 @ dexp),
+    ]
+    for operator, dense in cases:
+        assert isinstance(operator, KernelOperator)
+        assert gap(operator.to_dense(), dense) <= TOL
+        assert np.all(operator.blocks[1:, 0, :] == 0) and np.all(operator.blocks[1:, :, 0] == 0)
+
+
+class TestWeightedShiftConstruction:
+    GRID = GridSpec(3, 4)
+
+    def test_zero(self):
+        zero = WeightedShift.zero(self.GRID)
+        assert zero.operator_norm() == 0.0
+        assert np.array_equal(zero.to_dense(), np.zeros((self.GRID.dim, self.GRID.dim)))
+
+    def test_constructor_copies_and_checks(self):
+        u = FockUnit(constant(self.GRID, 1.0), constant(self.GRID, 0.5))
+        bands = np.array(kernel(u, u).bands)
+        operator = WeightedShift(self.GRID, bands)
+        bands[0, 0, 0] = 99.0
+        assert operator.bands[0, 0, 0] != 99.0
+        assert not operator.bands.flags.writeable
+        assert not operator.blocks.flags.writeable
+        for band, chain_index, slot in ((0, 1, 0), (1, 2, 0), (1, 0, -1), (0, 2, -1)):
+            bad = np.array(operator.bands)
+            bad[band, chain_index, slot] += 1.0
+            with pytest.raises(ValueError):
+                WeightedShift(self.GRID, bad)
+        with pytest.raises(ValueError):
+            WeightedShift(self.GRID, kernel(u, u).blocks)
+
+    def test_grid_mismatch(self):
+        other = GridSpec(2, 4)
+        a, b = constant(self.GRID, 2.0), constant(other, 2.0)
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y):
+            with pytest.raises(GridMismatchError):
+                op(multiplication_operator(a), multiplication_operator(b))
+        with pytest.raises(GridMismatchError):
+            multiplication_operator(a).apply(b)

@@ -2,14 +2,27 @@
 byte-level determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fockindex
 from fockindex.cli import main
 
 SMALL_GRID = {"grid": {"m": 2, "S": 30}}
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def child_env():
+    """The environment for a child interpreter that must import this
+    checkout's package, installed or not."""
+    source = str(Path(fockindex.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(tmp_path, command, config=None, name="config.json", outdir="out"):
@@ -74,6 +87,60 @@ def test_unknown_preset_rejected_at_parse_time(tmp_path, capsys):
 def test_unknown_tolerance_rejected(tmp_path):
     status, _ = run(tmp_path, "gram", {"tolerances": {"psd": 1e-10, "wrong": 1.0}})
     assert status == 2
+
+
+@pytest.mark.parametrize("grid", [{"m": 4.5}, {"m": True}, {"S": 40.5}, {"S": False}, {"m": "4"}, {"S": None}])
+def test_bad_grid_values_are_config_errors(tmp_path, capsys, grid):
+    status, out = run(tmp_path, "membership", {"grid": grid})
+    assert status == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "membership_report.json").exists()
+
+
+def test_integral_float_grid_values_accepted(tmp_path):
+    status, out = run(tmp_path, "semigroup", {"grid": {"m": 2.0, "S": 30.0}})
+    assert status == 0
+    assert len((out / "semigroup_table.csv").read_text().splitlines()) == 6
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [
+        {"membership": "nan"},
+        {"psd": -1},
+        {"psd": 0},
+        {"psd": "inf"},
+        {"exp": "-1e-12"},
+        {"psd": True},
+        {"psd": [1e-10]},
+        {"psd": "tight"},
+        {"psd": None},
+    ],
+)
+def test_bad_tolerances_are_config_errors(tmp_path, capsys, tolerances):
+    status, out = run(tmp_path, "membership", {"tolerances": tolerances})
+    assert status == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "membership_report.json").exists()
+
+
+def test_tolerance_given_as_a_string_is_parsed(tmp_path):
+    status, out = run(tmp_path, "kernel", {**SMALL_GRID, "tolerances": {"hermitian": "1e-13"}})
+    assert status == 0
+    assert json.loads((out / "kernel_report.json").read_text())["tolerance"] == 1e-13
+
+
+@pytest.mark.parametrize("command", ["kernel", "semigroup", "gram", "inner", "index", "approx", "witness", "membership"])
+def test_default_reports_match_golden_bytes(tmp_path, command):
+    """Default-config reports, byte for byte against reports captured
+    before kernels and multiplication operators were stored as weighted
+    shifts."""
+    expected = GOLDEN / command
+    status, out = run(tmp_path, command)
+    assert status == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in expected.iterdir())
+    for path in expected.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_unreadable_config_rejected(tmp_path):
@@ -185,6 +252,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "fockindex", "membership", "--config", str(config), "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     report = json.loads((tmp_path / "out" / "membership_report.json").read_text())
@@ -201,6 +269,7 @@ def test_overflowing_semigroup_time_is_a_one_line_error(tmp_path, t):
         capture_output=True,
         text=True,
         timeout=60,
+        env=child_env(),
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
@@ -210,6 +279,6 @@ def test_overflowing_semigroup_time_is_a_one_line_error(tmp_path, t):
 
 def test_cli_import_does_not_load_scipy():
     code = "import sys, fockindex.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
