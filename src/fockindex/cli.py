@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import AlgebraElement, GridSpec, constant
 from .fock import (
     FockUnit,
-    gram_matrix,
+    gram_matrices,
     gram_psd_check,
     kernel,
     kernel_to_csv,
@@ -138,20 +138,58 @@ class ExperimentConfig:
             return self.unit_list("probes")
         return default_probe_units(self.grid)
 
+    def times(self, key: str, default):
+        """The time field ``key``: a list of finite numbers >= 0, or one
+        such number where ``default`` is one."""
+        value = self.raw.get(key, default)
+        if not isinstance(default, list):
+            return _time(key, value)
+        if not isinstance(value, list):
+            raise ConfigError(f"{key!r} must be a list of times, got {value!r}")
+        return [_time(key, t) for t in value]
+
+    def integer(self, key: str, default, low: int, high: int | None = None):
+        """The integer field ``key``, in [low, high]: a list of them where
+        ``default`` is a list, else one. An integral float counts, a bool
+        or a fraction does not."""
+        value = self.raw.get(key, default)
+        if isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{key!r} must be a list of integers, got {value!r}")
+            return [_bounded(key, _integer(n, repr(key)), low, high) for n in value]
+        return _bounded(key, _integer(value, repr(key)), low, high)
+
 
 _DEFAULT_UNIT = {"zeta": {"kind": "exp_approach", "c": 1.0, "a": 1.0}}
 _DEFAULT_SECOND_UNIT = {"zeta": {"kind": "constant", "value": 1.0}}
 _DEFAULT_WITNESS_ZETA = {"kind": "piecewise_linear", "knots": [[0.0, 0.5], [1.0, 1.0]]}
 
 
-def _grid_integer(grid_spec: dict, key: str, default: int) -> int:
-    """An integer grid field; an integral float counts, a bool or a fraction does not."""
-    value = grid_spec.get(key, default)
+def _integer(value, name: str) -> int:
+    """An integer field; an integral float counts, a bool or a fraction does not."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ConfigError(f"grid field {key!r} must be an integer, got {value!r}")
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _bounded(key: str, n: int, low: int, high: int | None) -> int:
+    if n < low:
+        raise ConfigError(f"{key!r} must be at least {low}, got {n}")
+    if high is not None and n > high:
+        raise ConfigError(f"{key!r} must be at most {high}, got {n}")
+    return n
+
+
+def _time(key: str, value) -> float:
+    """A time: a finite number >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key!r} needs times that are numbers, got {value!r}")
+    t = float(value)
+    if not (math.isfinite(t) and t >= 0):
+        raise ConfigError(f"{key!r} needs times that are finite and >= 0, got {value!r}")
+    return t
 
 
 def _tolerance(key: str, value) -> float:
@@ -174,7 +212,9 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     if not isinstance(grid_spec, dict):
         raise ConfigError("'grid' must be an object with integer fields m and S")
     try:
-        grid = GridSpec(_grid_integer(grid_spec, "m", 4), _grid_integer(grid_spec, "S", 40))
+        m = _integer(grid_spec.get("m", 4), "grid field 'm'")
+        end = _integer(grid_spec.get("S", 40), "grid field 'S'")
+        grid = GridSpec(m, end)
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
     tolerances = dict(DEFAULT_TOLERANCES)
@@ -272,7 +312,7 @@ def cmd_semigroup(config: ExperimentConfig, out: Path) -> int:
     u = config.unit("u", default=_DEFAULT_UNIT)
     v = config.unit("v", default=_DEFAULT_SECOND_UNIT)
     b = config.element("b", {"kind": "constant", "value": 1.0})
-    t_values = [float(t) for t in config.raw.get("t_values", [0.0, 0.5, 1.0, 1.5, 2.0])]
+    t_values = config.times("t_values", [0.0, 0.5, 1.0, 1.5, 2.0])
     exp_tol = config.tolerances["exp"]
     worst, exps = semigroup_law_residual(u, v, t_values, rel_tol=exp_tol)
     rows = [[t, exps[t].operator_norm(), exps[t].apply(b).sup_norm()] for t in t_values]
@@ -295,12 +335,12 @@ def cmd_gram(config: ExperimentConfig, out: Path) -> int:
         ],
     )
     b = config.element("b", {"kind": "constant", "value": 1.0})
-    t_values = [float(t) for t in config.raw.get("t_values", [0.5, 1.0])]
+    t_values = config.times("t_values", [0.5, 1.0])
     tol = config.tolerances["psd"]
     results = []
     all_passed = True
-    for t in t_values:
-        report = gram_psd_check(gram_matrix(units, t, b), tol)
+    for t, (gram,) in zip(t_values, gram_matrices(units, t_values, [b])):
+        report = gram_psd_check(gram, tol)
         all_passed = all_passed and report.passed
         results.append(
             {
@@ -335,7 +375,8 @@ def cmd_inner(config: ExperimentConfig, out: Path) -> int:
 def cmd_unitalg(config: ExperimentConfig, out: Path) -> int:
     grid = config.grid
     probes = config.probes()
-    seed = int(config.raw.get("seed", DEFAULT_SEED))
+    seed = config.integer("seed", DEFAULT_SEED, 0)
+    cases = config.integer("cases", 3, 1)
     rng = np.random.default_rng(seed)
     from .selftest import _random_element, _random_unit  # deterministic draws shared with the selftest
 
@@ -347,7 +388,7 @@ def cmd_unitalg(config: ExperimentConfig, out: Path) -> int:
     def record(name, built):
         rows.append([name, dual_path_residual(built, probes)])
 
-    for case in range(int(config.raw.get("cases", 3))):
+    for case in range(cases):
         record(f"beta_shift[{case}]", power_beta(wrap(_random_unit(rng, grid), reference), _random_element(rng, grid)))
         if kappa is not None:
             units = [_random_unit(rng, grid) for _ in kappa]
@@ -391,7 +432,7 @@ def cmd_membership(config: ExperimentConfig, out: Path) -> int:
 
 def cmd_witness(config: ExperimentConfig, out: Path) -> int:
     zeta = config.element("zeta", _DEFAULT_WITNESS_ZETA)
-    n = int(config.raw.get("n", 1))
+    n = config.integer("n", 1, 1, config.grid.domain_end)
     delta = float(config.raw.get("delta", 0.1))
     probes = config.probes()
     witness_tol = config.tolerances["witness"]
@@ -400,6 +441,8 @@ def cmd_witness(config: ExperimentConfig, out: Path) -> int:
     passed = True
 
     step1_eligible = bool(np.min(zeta.samples[: n * config.grid.step_denominator].real) > 0)
+    if step1_eligible and 2 * n > config.grid.domain_end:
+        raise ConfigError(f"'n' = {n} needs a grid end S >= 2n for the conjugation witness, got S = {config.grid.domain_end}")
     if step1_eligible:
         witness = witness_step1(zeta, n)
         payload["conjugation"] = {
@@ -433,8 +476,8 @@ def cmd_witness(config: ExperimentConfig, out: Path) -> int:
 
 def cmd_approx(config: ExperimentConfig, out: Path) -> int:
     zeta = config.element("zeta", {"kind": "exp_approach", "c": 1.0, "a": 1.0})
-    ns = [int(n) for n in config.raw.get("ns", [2, 4, 6, 8, 10])]
-    t = float(config.raw.get("t", 1.0))
+    ns = config.integer("ns", [2, 4, 6, 8, 10], 1, config.grid.domain_end)
+    t = config.times("t", 1.0)
     probe = config.unit("probe", default={"zeta": {"kind": "exp_approach", "c": 0.5, "a": 1.0}, "beta": {"kind": "constant", "value": 0.3}})
     report = convergence_report(
         zeta,
@@ -510,7 +553,7 @@ def cmd_index(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_selftest(config: ExperimentConfig, out: Path) -> int:
-    seed = int(config.raw.get("seed", DEFAULT_SEED))
+    seed = config.integer("seed", DEFAULT_SEED, 0)
     results = run_selftest(config.grid, seed)
     for row in results:
         print(f"{'PASS' if row.passed else 'FAIL'}  {row.name}: {row.detail}")

@@ -27,6 +27,17 @@ Operators come in two forms over this chain layout:
   them. A weighted shift turns into chain blocks when it meets one.
 
 Arithmetic in either form is exact.
+
+:func:`semigroups` takes exp(tL) for many times t at once, and
+:func:`semigroup` is its one-time case. The exponential scales tL by
+2^-s(t), with s(t) the least count that brings the row-sum norm to 1/2
+or below, sums a Taylor series of the scaled stack and squares the sum
+s(t) times. Scaling by a power of two is exact, so when h = t/2^k and
+s(h) = s(t) - k, the scaled stacks of hL and tL are usually the same to
+the bit (the code checks that they are), and so are their Taylor sums.
+exp(tL) is then exp(hL) squared k more times: the very float operations
+a fresh exponential of tL would run. The pad entries that exp(hL) has
+cleared meet only zeros in a product, so they change no bit either.
 """
 
 from __future__ import annotations
@@ -56,10 +67,12 @@ __all__ = [
     "kernel",
     "matrix_exponential",
     "semigroup",
+    "semigroups",
     "semigroup_law_residual",
     "apply",
     "operator_norm",
     "gram_matrix",
+    "gram_matrices",
     "GramReport",
     "gram_psd_check",
     "kernel_to_csv",
@@ -442,6 +455,24 @@ def kernel(u: FockUnit, v: FockUnit) -> WeightedShift:
     return WeightedShift._wrap(grid, bands)
 
 
+def _scaling(a: np.ndarray) -> tuple[float, int]:
+    """The row-sum norm of a stack and the number of squarings that
+    bring it to at most 1/2: none up to 1/2, else ceil(log2 norm) + 1."""
+    norm = _inf_norm(a)
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot exponentiate a matrix with non-finite entries or row sums (row-sum norm {norm})")
+    return norm, int(math.ceil(math.log2(norm))) + 1 if norm > 0.5 else 0
+
+
+def _square(result: np.ndarray, norm: float) -> np.ndarray:
+    """One squaring step; ``norm`` is the row-sum norm of the input, for
+    the message when the square overflows."""
+    result = result @ result
+    if not np.all(np.isfinite(result)):
+        raise ValueError(f"matrix exponential overflows (row-sum norm of the input {norm:.3g})")
+    return result
+
+
 def matrix_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     """Scaling-and-squaring exponential with a truncated Taylor series, of
     one square matrix or of each matrix of a stack of shape (..., d, d).
@@ -458,12 +489,7 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises ValueError below instead
-        norm = _inf_norm(a)
-        if not math.isfinite(norm):
-            raise ValueError(f"cannot exponentiate a matrix with non-finite entries or row sums (row-sum norm {norm})")
-        squarings = 0
-        if norm > 0.5:
-            squarings = int(math.ceil(math.log2(norm))) + 1
+        norm, squarings = _scaling(a)
         scaled = a * math.ldexp(1.0, -squarings)
         identity = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
         result = identity.copy()
@@ -476,41 +502,78 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray
         else:
             raise RuntimeError("matrix exponential series did not converge in 64 terms")
         for _ in range(squarings):
-            result = result @ result
-            if not np.all(np.isfinite(result)):
-                raise ValueError(f"matrix exponential overflows (row-sum norm of the input {norm:.3g})")
+            result = _square(result, norm)
     return result
+
+
+def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12) -> dict:
+    """exp(t * kernel(u, v)) for every t >= 0 in ``times``, taken block by
+    block and keyed by float(t); each distinct time is exponentiated once.
+
+    The times are taken in ascending order. When an earlier time h =
+    t / 2^k gets k squarings fewer and a scaled stack (hL) 2^-s(h) equal to
+    the bit to (tL) 2^-s(t), ``matrix_exponential`` would run the same
+    Taylor sum for t as for h, and exp(tL) is exp(hL) squared k more
+    times; otherwise ``matrix_exponential`` runs.
+    """
+    times = sorted({float(t) for t in times})
+    for t in times:
+        if t < 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+    generator = kernel(u, v)
+    exps: dict = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # matrix_exponential rejects what overflows
+        for t in times:
+            a = t * generator.blocks  # the blocks are built for each use, so none stay alive
+            blocks = _square_of_earlier(exps, generator, t, a)
+            if blocks is None:
+                blocks = matrix_exponential(a, rel_tol=rel_tol)
+            exps[t] = KernelOperator._wrap(u.grid, _clear_pads(blocks))
+    return exps
+
+
+def _square_of_earlier(exps: dict, generator: WeightedShift, t: float, a: np.ndarray) -> np.ndarray | None:
+    """exp(a) for a = t * generator.blocks as exps[h] squared k times, for
+    the nearest earlier time h = t / 2^k that ``matrix_exponential`` would
+    scale to the same stack; None when there is none. The pads of exps[h]
+    are cleared, which changes no bit of the other entries of its squares."""
+    norm, squarings = _scaling(a)
+    scaled = None
+    for k in range(1, squarings + 1):
+        h = math.ldexp(t, -k)
+        if h not in exps:
+            continue
+        earlier = h * generator.blocks
+        earlier_squarings = _scaling(earlier)[1]
+        if earlier_squarings != squarings - k:
+            continue
+        if scaled is None:
+            scaled = a * math.ldexp(1.0, -squarings)
+        earlier *= math.ldexp(1.0, -earlier_squarings)
+        if np.array_equal(scaled.view(np.uint64), earlier.view(np.uint64)):  # bit for bit, signed zeros too
+            result = exps[h].blocks
+            for _ in range(k):
+                result = _square(result, norm)
+            return result
+    return None
 
 
 def semigroup(u: FockUnit, v: FockUnit, t: float, rel_tol: float = 1e-12) -> KernelOperator:
     """exp(t * kernel(u, v)) for t >= 0, taken block by block."""
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    generator = kernel(u, v)
-    with np.errstate(over="ignore", invalid="ignore"):  # matrix_exponential rejects what overflows
-        scaled = t * generator.blocks
-    return KernelOperator._wrap(u.grid, _clear_pads(matrix_exponential(scaled, rel_tol=rel_tol)))
+    return semigroups(u, v, [t], rel_tol=rel_tol)[float(t)]
 
 
-def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12) -> tuple[float, dict]:
+def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12, extra_times=()) -> tuple[float, dict]:
     """max over s, t in ``times`` of ||exp((s+t)L) - exp(sL) exp(tL)|| for
-    L = kernel(u, v), and the exponentials it took, keyed by time. Each
-    distinct time is exponentiated once."""
-    times = list(times)
-    exps: dict = {}
-
-    def at(t: float) -> KernelOperator:
-        if t not in exps:
-            exps[t] = semigroup(u, v, t, rel_tol=rel_tol)
-        return exps[t]
-
-    for t in times:
-        at(t)
+    L = kernel(u, v), and the exponentials it took, keyed by time: those
+    at ``times``, at their pairwise sums and at ``extra_times``, each
+    distinct time exponentiated once by :func:`semigroups`."""
+    times = [float(t) for t in times]
+    exps = semigroups(u, v, [*times, *(s + t for s in times for t in times), *extra_times], rel_tol=rel_tol)
     worst = 0.0
     for s in times:
         for t in times:
-            worst = max(worst, (at(s + t) - exps[s] @ exps[t]).operator_norm())
+            worst = max(worst, (exps[s + t] - exps[s] @ exps[t]).operator_norm())
     return worst, exps
 
 
@@ -522,13 +585,29 @@ def operator_norm(operator: KernelOperator | WeightedShift) -> float:
     return operator.operator_norm()
 
 
+def gram_matrices(units, times, bs) -> list:
+    """The Gram matrices of ``units`` at every t in ``times`` and every b in
+    ``bs``: entry [k][l] has (i, j) entry exp(times[k] * kernel(u_i, u_j))
+    applied to bs[l]. Each pair's exponentials come from one
+    :func:`semigroups` call and are applied to every b. Each b must be
+    positive for the positivity check downstream to be meaningful."""
+    units, times, bs = list(units), [float(t) for t in times], list(bs)
+    if not all(b.is_positive() for b in bs):
+        raise ValueError("gram_matrix needs a positive element b")
+    grams = [[[[None] * len(units) for _ in units] for _ in bs] for _ in times]
+    for i, ui in enumerate(units):
+        for j, uj in enumerate(units):
+            exps = semigroups(ui, uj, times)
+            for row, t in zip(grams, times):
+                for gram, b in zip(row, bs):
+                    gram[i][j] = exps[t].apply(b)
+    return grams
+
+
 def gram_matrix(units, t: float, b: AlgebraElement) -> list:
     """The matrix with (i, j) entry exp(t*kernel(u_i, u_j)) applied to b;
     b must be positive for the positivity check downstream to be meaningful."""
-    if not b.is_positive():
-        raise ValueError("gram_matrix needs a positive element b")
-    units = list(units)
-    return [[semigroup(ui, uj, t).apply(b) for uj in units] for ui in units]
+    return gram_matrices(units, [t], [b])[0][0]
 
 
 @dataclass(frozen=True)

@@ -189,24 +189,141 @@ def unmemoised_law_residual(u, v, times):
     return worst
 
 
+def count_exponentials(monkeypatch):
+    calls = []
+    original = fock.matrix_exponential
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "matrix_exponential", counting)
+    return calls
+
+
+def scaled_generator_count(u, v, times):
+    """The number of distinct stacks (tL) 2^-s over ``times``, with s the
+    squaring count of the scaling-and-squaring rule, from the dense kernel."""
+    stacks = set()
+    for t in times:
+        a = t * dense_kernel(u, v)
+        norm = np.max(np.sum(np.abs(a), axis=1))
+        squarings = int(np.ceil(np.log2(norm))) + 1 if norm > 0.5 else 0
+        stacks.add((a * 2.0**-squarings).tobytes())
+    return len(stacks)
+
+
 @pytest.mark.parametrize("times", [(0.5, 1.0), (0.3, 0.7, 1.0), (0.0, 0.25, 2.0)])
 def test_law_residual_is_bit_identical_and_memoised(monkeypatch, times):
     grid = GridSpec(4, 12)
     rng = np.random.default_rng(21)
     u, v = random_unit(rng, grid), random_unit(rng, grid)
     expected = unmemoised_law_residual(u, v, times)
-    calls = []
-    original = fock.semigroup
-
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(fock, "semigroup", counting)
+    calls = count_exponentials(monkeypatch)
     worst, exps = semigroup_law_residual(u, v, times)
     assert worst == expected
     distinct = set(times) | {s + t for s in times for t in times}
-    assert len(calls) == len(distinct) and set(exps) == distinct
+    assert len(calls) == scaled_generator_count(u, v, distinct) and set(exps) == distinct
+
+
+def fresh_exponential(u, v, t):
+    """exp(tL) as one call of matrix_exponential, pads cleared."""
+    blocks = matrix_exponential(t * kernel(u, v).blocks)
+    blocks[1:, 0, 0] = 0.0
+    return blocks
+
+
+DOUBLING = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+@on_small_grids
+def test_semigroups_are_byte_identical_to_fresh_exponentials(grid, seed):
+    rng = np.random.default_rng(seed)
+    u, v = random_unit(rng, grid), random_unit(rng, grid)
+    times = [*DOUBLING, 0.0, 1.0, 0.25, 0.3, 0.6, 1.2, rng.uniform(0.0, 3.0)]
+    exps = fock.semigroups(u, v, times)
+    assert set(exps) == set(times)
+    for t in times:
+        assert exps[t].blocks.tobytes() == fresh_exponential(u, v, t).tobytes(), t
+
+
+def test_doubling_chain_takes_one_exponential(monkeypatch):
+    grid = GridSpec(4, 5)
+    u, v = random_unit(np.random.default_rng(5), grid), random_unit(np.random.default_rng(6), grid)
+    expected = {t: fresh_exponential(u, v, t).tobytes() for t in DOUBLING}
+    calls = count_exponentials(monkeypatch)
+    exps = fock.semigroups(u, v, reversed(DOUBLING))
+    assert len(calls) == scaled_generator_count(u, v, DOUBLING) == 1
+    assert {t: op.blocks.tobytes() for t, op in exps.items()} == expected
+
+
+def test_zero_generator_gives_identities(monkeypatch):
+    grid = GridSpec(3, 4)
+    omega = fock.vacuum_unit(grid)
+    calls = count_exponentials(monkeypatch)
+    exps = fock.semigroups(omega, omega, DOUBLING)
+    identity = KernelOperator.identity(grid).blocks.tobytes()
+    assert all(op.blocks.tobytes() == identity for op in exps.values())
+    assert len(calls) == len(DOUBLING)  # no squarings to share when nothing is scaled
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 1), GridSpec(2, 5), GridSpec(4, 3)])
+def test_small_norms_share_nothing(monkeypatch, grid):
+    rng = np.random.default_rng(9)
+    small = [random_element(rng, grid, radius=0.05) for _ in range(4)]
+    u, v = FockUnit(small[0], small[1]), FockUnit(small[2], small[3])
+    times = (0.25, 0.5, 1.0)
+    assert kernel(u, v).operator_norm() <= 0.25
+    calls = count_exponentials(monkeypatch)
+    exps = fock.semigroups(u, v, times)
+    assert len(calls) == len(times)
+    for t in times:
+        assert exps[t].blocks.tobytes() == fresh_exponential(u, v, t).tobytes()
+
+
+def test_subnormal_entries_that_scale_apart_share_nothing(monkeypatch):
+    """1.5 * 3.5e-323 rounds in the subnormal range, so (1.5 L) / 4 and
+    (3 L) / 8 differ in one entry and exp(3L) may not be a square."""
+    grid = GridSpec(1, 1)
+    zero = constant(grid, 0.0)
+    u = FockUnit(zero, AlgebraElement(grid, np.array([3.5e-323, 0.7]), 0.7))
+    v = FockUnit(zero, zero)
+    calls = count_exponentials(monkeypatch)
+    exps = fock.semigroups(u, v, (1.5, 3.0))
+    assert len(calls) == 2
+    for t in (1.5, 3.0):
+        assert exps[t].blocks.tobytes() == fresh_exponential(u, v, t).tobytes()
+
+
+@pytest.mark.parametrize("times", [(100.0, 200.0), (50.0, 200.0), (1e300,)])
+def test_overflowing_time_raises_the_same_error(monkeypatch, times):
+    grid = GridSpec(2, 5)
+    u = FockUnit(constant(grid, 2.0), constant(grid, 0.0))
+    with pytest.raises(ValueError) as fresh:
+        matrix_exponential(times[-1] * kernel(u, u).blocks)
+    calls = count_exponentials(monkeypatch)
+    with pytest.raises(ValueError) as shared:
+        fock.semigroups(u, u, times)
+    assert str(shared.value) == str(fresh.value) and "overflows" in str(fresh.value)
+    assert len(calls) == 1  # only the first time runs matrix_exponential
+
+
+def test_negative_time_rejected():
+    grid = GridSpec(2, 5)
+    xi = fock.generator_unit(grid)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fock.semigroups(xi, xi, [1.0, -0.5])
+
+
+def test_semigroups_against_scipy_on_large_grid():
+    grid = GridSpec(8, 80)
+    u = FockUnit(exp_approach(grid, complex(0.5, 0.3), 1.2), constant(grid, complex(0.2, -0.1)))
+    v = FockUnit(exp_decay(grid, 0.6, 0.9, complex(0.8, 0.2)), constant(grid, 0.3))
+    generator = dense_kernel(u, v)
+    exps = fock.semigroups(u, v, (0.5, 1.0, 1.5, 2.0, 3.0, 4.0))
+    for t, operator in exps.items():
+        expected = scipy.linalg.expm(t * generator)
+        assert gap(operator.to_dense(), expected) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 def chain(operator):

@@ -124,6 +124,64 @@ def test_bad_tolerances_are_config_errors(tmp_path, capsys, tolerances):
     assert not (out / "membership_report.json").exists()
 
 
+TINY_GRID = {"grid": {"m": 2, "S": 10}}
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("semigroup", {"t_values": 5}),
+        ("semigroup", {"t_values": [-0.5]}),
+        ("semigroup", {"t_values": ["x"]}),
+        ("semigroup", {"t_values": [0.5, True]}),
+        ("semigroup", {"t_values": [float("nan")]}),
+        ("gram", {"t_values": 0.5}),
+        ("gram", {"t_values": [-1]}),
+        ("approx", {"t": -1}),
+        ("approx", {"t": [1.0]}),
+        ("approx", {"t": "1"}),
+        ("selftest", {"seed": 1.5}),
+        ("selftest", {"seed": -1}),
+        ("unitalg", {"seed": 1.5}),
+        ("unitalg", {"seed": "7"}),
+        ("unitalg", {"cases": 1.5}),
+        ("unitalg", {"cases": "x"}),
+        ("unitalg", {"cases": 0}),
+        ("witness", {"n": 1.5}),
+        ("witness", {"n": 0}),
+        ("witness", {"n": 6}),
+        ("witness", {"n": True}),
+        ("approx", {"ns": [12]}),
+        ("approx", {"ns": [2.5]}),
+        ("approx", {"ns": 4}),
+        ("approx", {"ns": [0]}),
+    ],
+)
+def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fields):
+    status, out = run(tmp_path, command, {**TINY_GRID, **fields})
+    assert status == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_infinite_time_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"grid": {"m": 2, "S": 10}, "t_values": [1e400]}', encoding="utf-8")
+    assert main(["semigroup", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_integral_floats_and_integer_times_accepted(tmp_path):
+    status, out = run(tmp_path, "unitalg", {**SMALL_GRID, "seed": 7.0, "cases": 1.0})
+    assert status == 0
+    assert json.loads((out / "unitalg_report.json").read_text())["seed"] == 7
+    status, out = run(tmp_path, "semigroup", {**SMALL_GRID, "t_values": [0, 1, 2]}, outdir="out2")
+    assert status == 0
+    assert json.loads((out / "semigroup_report.json").read_text())["t_values"] == [0.0, 1.0, 2.0]
+    status, out = run(tmp_path, "witness", {**SMALL_GRID, "n": 5.0}, outdir="out3")
+    assert status == 0
+
+
 def test_tolerance_given_as_a_string_is_parsed(tmp_path):
     status, out = run(tmp_path, "kernel", {**SMALL_GRID, "tolerances": {"hermitian": "1e-13"}})
     assert status == 0
