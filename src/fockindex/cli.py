@@ -30,6 +30,7 @@ from .fock import (
 from .presets import PresetError, from_spec
 from .selftest import DEFAULT_SEED, run_selftest
 from .subsystem import (
+    NotAMemberError,
     convergence_report,
     convexify,
     index_representative,
@@ -147,6 +148,13 @@ class ExperimentConfig:
         if not isinstance(value, list):
             raise ConfigError(f"{key!r} must be a list of times, got {value!r}")
         return [_time(key, t) for t in value]
+
+    def fraction(self, key: str, default: float) -> float:
+        """The field ``key``: a number strictly between 0 and 1, not a bool."""
+        value = self.raw.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < 1:
+            raise ConfigError(f"{key!r} must be a number in (0, 1), got {value!r}")
+        return float(value)
 
     def integer(self, key: str, default, low: int, high: int | None = None):
         """The integer field ``key``, in [low, high]: a list of them where
@@ -335,6 +343,8 @@ def cmd_gram(config: ExperimentConfig, out: Path) -> int:
         ],
     )
     b = config.element("b", {"kind": "constant", "value": 1.0})
+    if not b.is_positive():
+        raise ConfigError("'b' must be a positive element for the Gram check")
     t_values = config.times("t_values", [0.5, 1.0])
     tol = config.tolerances["psd"]
     results = []
@@ -433,7 +443,7 @@ def cmd_membership(config: ExperimentConfig, out: Path) -> int:
 def cmd_witness(config: ExperimentConfig, out: Path) -> int:
     zeta = config.element("zeta", _DEFAULT_WITNESS_ZETA)
     n = config.integer("n", 1, 1, config.grid.domain_end)
-    delta = float(config.raw.get("delta", 0.1))
+    delta = config.fraction("delta", 0.1)
     probes = config.probes()
     witness_tol = config.tolerances["witness"]
     theta_tol = config.tolerances["theta"]
@@ -479,14 +489,17 @@ def cmd_approx(config: ExperimentConfig, out: Path) -> int:
     ns = config.integer("ns", [2, 4, 6, 8, 10], 1, config.grid.domain_end)
     t = config.times("t", 1.0)
     probe = config.unit("probe", default={"zeta": {"kind": "exp_approach", "c": 0.5, "a": 1.0}, "beta": {"kind": "constant", "value": 0.3}})
-    report = convergence_report(
-        zeta,
-        t,
-        ns,
-        probe=probe,
-        target_threshold=config.tolerances["convergence_threshold"],
-        membership_tol=config.tolerances["membership"],
-    )
+    try:
+        report = convergence_report(
+            zeta,
+            t,
+            ns,
+            probe=probe,
+            target_threshold=config.tolerances["convergence_threshold"],
+            membership_tol=config.tolerances["membership"],
+        )
+    except NotAMemberError as exc:
+        raise ConfigError(f"bad 'zeta': {exc}") from exc
     write_csv(
         out / "approx_table.csv",
         ["n", "sup_dist", "index_dist", "kernel_dist", "semigroup_dist", "probe_kernel_dist"],

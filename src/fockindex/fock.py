@@ -38,6 +38,19 @@ the bit (the code checks that they are), and so are their Taylor sums.
 exp(tL) is then exp(hL) squared k more times: the very float operations
 a fresh exponential of tL would run. The pad entries that exp(hL) has
 cleared meet only zeros in a product, so they change no bit either.
+
+The Taylor sum runs in place and gives the bits of the plain loop
+term_k = term_{k-1} @ A / k, sum = sum + term_k. Term k is computed into
+a preallocated buffer and both its float parts are multiplied by 1/k,
+which on a nonzero part is the complex quotient x / (k + 0j) to the bit.
+Only the sign of a zero part can differ, and a signed zero changes no
+nonzero entry of a later product or sum. The sum starts from the
+identity, +0 off the diagonal, so it never holds -0 and its bits are the
+same. The stopping test ||term|| <= rel_tol ||sum|| needs the norm of
+the sum only once ||term|| <= rel_tol (1 + sum of the term norms), a
+bound on ||sum|| taken with a factor 1 + 1e-10 against rounding, so the
+loop stops at the same term. An all-zero stack gives the identity at
+once.
 """
 
 from __future__ import annotations
@@ -455,20 +468,19 @@ def kernel(u: FockUnit, v: FockUnit) -> WeightedShift:
     return WeightedShift._wrap(grid, bands)
 
 
-def _scaling(a: np.ndarray) -> tuple[float, int]:
-    """The row-sum norm of a stack and the number of squarings that
-    bring it to at most 1/2: none up to 1/2, else ceil(log2 norm) + 1."""
-    norm = _inf_norm(a)
+def _scaling(norm: float) -> int:
+    """The number of squarings that bring a row-sum norm to at most 1/2:
+    none up to 1/2, else ceil(log2 norm) + 1."""
     if not math.isfinite(norm):
         raise ValueError(f"cannot exponentiate a matrix with non-finite entries or row sums (row-sum norm {norm})")
-    return norm, int(math.ceil(math.log2(norm))) + 1 if norm > 0.5 else 0
+    return int(math.ceil(math.log2(norm))) + 1 if norm > 0.5 else 0
 
 
 def _square(result: np.ndarray, norm: float) -> np.ndarray:
     """One squaring step; ``norm`` is the row-sum norm of the input, for
     the message when the square overflows."""
     result = result @ result
-    if not np.all(np.isfinite(result)):
+    if not np.isfinite(result.view(float)).all():
         raise ValueError(f"matrix exponential overflows (row-sum norm of the input {norm:.3g})")
     return result
 
@@ -483,21 +495,33 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray
     back up. Norms are taken over the whole stack, so the diagonal blocks
     of a block-diagonal matrix get the scaling and the number of terms the
     whole matrix would. Deterministic for fixed input. Raises ValueError
-    on non-finite input and when the result overflows.
+    on non-finite input and when the result overflows. The series runs in
+    place (see the module docstring for why its bits do not change).
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    d = a.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises ValueError below instead
-        norm, squarings = _scaling(a)
+        norm = _inf_norm(a)
+        squarings = _scaling(norm)
+        result = np.zeros(a.shape, dtype=complex)
+        result.reshape(-1, d * d)[:, :: d + 1] = 1.0
+        if norm == 0.0:
+            return result
         scaled = a * math.ldexp(1.0, -squarings)
-        identity = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-        result = identity.copy()
-        term = identity
+        term, spare = scaled.copy(), np.empty_like(scaled)  # term 1 is scaled / 1
+        term_norms = 0.0
         for k in range(1, 64):
-            term = term @ scaled / k
-            result = result + term
-            if _inf_norm(term) <= rel_tol * _inf_norm(result):
+            if k > 1:
+                np.matmul(term, scaled, out=spare)
+                term, spare = spare, term
+                parts = term.view(float)
+                parts *= 1.0 / k
+            result += term
+            term_norm = _inf_norm(term)
+            term_norms += term_norm
+            if term_norm <= rel_tol * (1.0 + term_norms) * (1.0 + 1e-10) and term_norm <= rel_tol * _inf_norm(result):
                 break
         else:
             raise RuntimeError("matrix exponential series did not converge in 64 terms")
@@ -514,7 +538,11 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12) -> dict:
     t / 2^k gets k squarings fewer and a scaled stack (hL) 2^-s(h) equal to
     the bit to (tL) 2^-s(t), ``matrix_exponential`` would run the same
     Taylor sum for t as for h, and exp(tL) is exp(hL) squared k more
-    times; otherwise ``matrix_exponential`` runs.
+    times; otherwise ``matrix_exponential`` runs. Norms and scaled stacks
+    are read from the bands of tL: a block row has at most the two
+    nonzeros a and w, so its row sum is |a| + |w| in any order, and the
+    other block entries are +0 for every t >= 0. The chain blocks are
+    built only for a fresh exponential.
     """
     times = sorted({float(t) for t in times})
     for t in times:
@@ -522,35 +550,31 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12) -> dict:
             raise ValueError(f"time must be nonnegative, got {t}")
     generator = kernel(u, v)
     exps: dict = {}
+    scalings: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):  # matrix_exponential rejects what overflows
         for t in times:
-            a = t * generator.blocks  # the blocks are built for each use, so none stay alive
-            blocks = _square_of_earlier(exps, generator, t, a)
+            shift = WeightedShift._wrap(u.grid, t * generator.bands)
+            norm = shift.operator_norm()
+            squarings = _scaling(norm)
+            scaled = (shift.bands * math.ldexp(1.0, -squarings)).view(np.uint64)
+            blocks = _square_of_earlier(exps, scalings, t, squarings, scaled, norm)
             if blocks is None:
-                blocks = matrix_exponential(a, rel_tol=rel_tol)
+                blocks = matrix_exponential(shift.blocks, rel_tol=rel_tol)
+            scalings[t] = (squarings, scaled)
             exps[t] = KernelOperator._wrap(u.grid, _clear_pads(blocks))
     return exps
 
 
-def _square_of_earlier(exps: dict, generator: WeightedShift, t: float, a: np.ndarray) -> np.ndarray | None:
-    """exp(a) for a = t * generator.blocks as exps[h] squared k times, for
-    the nearest earlier time h = t / 2^k that ``matrix_exponential`` would
-    scale to the same stack; None when there is none. The pads of exps[h]
-    are cleared, which changes no bit of the other entries of its squares."""
-    norm, squarings = _scaling(a)
-    scaled = None
+def _square_of_earlier(exps: dict, scalings: dict, t: float, squarings: int, scaled: np.ndarray, norm: float) -> np.ndarray | None:
+    """exp(tL) as exps[h] squared k times, for the nearest earlier time
+    h = t / 2^k with s(t) - k squarings and the same scaled bands bit for
+    bit (``scalings`` holds both for every earlier time; the bits are
+    compared as integers, so signed zeros count); None when there is none.
+    The pads of exps[h] are cleared, which changes no bit of the other
+    entries of its squares."""
     for k in range(1, squarings + 1):
         h = math.ldexp(t, -k)
-        if h not in exps:
-            continue
-        earlier = h * generator.blocks
-        earlier_squarings = _scaling(earlier)[1]
-        if earlier_squarings != squarings - k:
-            continue
-        if scaled is None:
-            scaled = a * math.ldexp(1.0, -squarings)
-        earlier *= math.ldexp(1.0, -earlier_squarings)
-        if np.array_equal(scaled.view(np.uint64), earlier.view(np.uint64)):  # bit for bit, signed zeros too
+        if h in scalings and scalings[h][0] == squarings - k and np.array_equal(scalings[h][1], scaled):
             result = exps[h].blocks
             for _ in range(k):
                 result = _square(result, norm)

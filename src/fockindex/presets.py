@@ -144,12 +144,28 @@ def load_csv(grid: GridSpec, path) -> AlgebraElement:
     if len(body) != grid.size:
         raise PresetError(f"{path}: expected {grid.size} rows for the declared grid, got {len(body)}")
     points = grid.points()
+    try:  # every (s, re, im) cell in one numpy parse, with the rounding of float()
+        values = np.array([cell for row in body for cell in row[:3]], dtype=float).reshape(len(body), 3)
+        parsed = len(body)
+    except ValueError:  # a short row or a cell that is not a number; the rows before it parse
+        parsed = next(k for k, row in enumerate(body) if len(row) < 3 or not all(map(_is_number, row[:3])))
+        values = np.array([row[:3] for row in body[:parsed]], dtype=float).reshape(parsed, 3)
+    off_grid = np.flatnonzero(np.abs(values[:, 0] - points[:parsed]) > 1e-9)
+    if off_grid.size:
+        k = off_grid[0]
+        raise PresetError(f"{path}: row {k + 2} has s={float(values[k, 0])}, expected grid point {points[k]}")
+    if parsed < len(body):
+        row = body[parsed]
+        problem = "needs 3 columns" if len(row) < 3 else "needs numbers in its first 3 columns"
+        raise PresetError(f"{path}: row {parsed + 2} {problem}, got {row!r}")
     samples = np.empty(grid.size, dtype=complex)
-    for k, row in enumerate(body):
-        if len(row) < 3:
-            raise PresetError(f"{path}: row {k + 2} needs 3 columns, got {row!r}")
-        s = float(row[0])
-        if abs(s - points[k]) > 1e-9:
-            raise PresetError(f"{path}: row {k + 2} has s={s}, expected grid point {points[k]}")
-        samples[k] = complex(float(row[1]), float(row[2]))
+    samples.real, samples.imag = values[:, 1], values[:, 2]
     return AlgebraElement(grid, samples, tail)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True

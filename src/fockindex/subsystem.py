@@ -31,6 +31,7 @@ from .unit_algebra import (
 __all__ = [
     "MEMBERSHIP_TOLERANCE",
     "EXACT_ONE_TOLERANCE",
+    "NotAMemberError",
     "WitnessKind",
     "MembershipReport",
     "Step1Witness",
@@ -51,6 +52,11 @@ MEMBERSHIP_TOLERANCE = 1e-9
 EXACT_ONE_TOLERANCE = 1e-12
 REALNESS_TOLERANCE = 1e-12
 DYADIC_DEPTH = 10
+
+
+class NotAMemberError(ValueError):
+    """A construction that exists only for members got a unit whose zeta
+    does not tend to 1."""
 
 
 class WitnessKind(str, Enum):
@@ -274,7 +280,7 @@ def convergence_report(
     grid = zeta.grid
     report = membership(FockUnit(zeta, constant(grid, 0.0)), membership_tol)
     if not report.in_E:
-        raise ValueError(f"zeta limit {report.zeta_limit} is not 1; the truncation scheme does not apply")
+        raise NotAMemberError(f"zeta limit {report.zeta_limit} is not 1; the truncation scheme does not apply")
     if probe is None:
         probe = _default_convergence_probe(grid)
     zero = constant(grid, 0.0)
@@ -321,7 +327,7 @@ def index_representative(u: FockUnit, tol: float = MEMBERSHIP_TOLERANCE) -> Alge
     at infinity. beta is quotiented out."""
     report = membership(u, tol)
     if not report.in_E:
-        raise ValueError(f"unit with zeta limit {report.zeta_limit} is not a member; no representative")
+        raise NotAMemberError(f"unit with zeta limit {report.zeta_limit} is not a member; no representative")
     return u.zeta - constant(u.grid, 1.0)
 
 

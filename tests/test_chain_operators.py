@@ -2,6 +2,8 @@
 built here from the unit formulas, against each other, and against
 scipy's expm."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -423,3 +425,203 @@ class TestWeightedShiftConstruction:
                 op(multiplication_operator(a), multiplication_operator(b))
         with pytest.raises(GridMismatchError):
             multiplication_operator(a).apply(b)
+
+
+# The exponential before its Taylor loop ran in place, verbatim, as the
+# reference the in-place loop must match byte for byte.
+
+
+def reference_inf_norm(matrix: np.ndarray) -> float:
+    """Max absolute row sum, over every matrix of a stack."""
+    return float(np.max(np.sum(np.abs(matrix), axis=-1)))
+
+
+def reference_scaling(a: np.ndarray) -> tuple[float, int]:
+    """The row-sum norm of a stack and the number of squarings that
+    bring it to at most 1/2: none up to 1/2, else ceil(log2 norm) + 1."""
+    norm = reference_inf_norm(a)
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot exponentiate a matrix with non-finite entries or row sums (row-sum norm {norm})")
+    return norm, int(math.ceil(math.log2(norm))) + 1 if norm > 0.5 else 0
+
+
+def reference_square(result: np.ndarray, norm: float) -> np.ndarray:
+    """One squaring step; ``norm`` is the row-sum norm of the input, for
+    the message when the square overflows."""
+    result = result @ result
+    if not np.all(np.isfinite(result)):
+        raise ValueError(f"matrix exponential overflows (row-sum norm of the input {norm:.3g})")
+    return result
+
+
+def reference_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises ValueError below instead
+        norm, squarings = reference_scaling(a)
+        scaled = a * math.ldexp(1.0, -squarings)
+        identity = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+        result = identity.copy()
+        term = identity
+        for k in range(1, 64):
+            term = term @ scaled / k
+            result = result + term
+            if reference_inf_norm(term) <= rel_tol * reference_inf_norm(result):
+                break
+        else:
+            raise RuntimeError("matrix exponential series did not converge in 64 terms")
+        for _ in range(squarings):
+            result = reference_square(result, norm)
+    return result
+
+
+def assert_same_exponential(a, rel_tol=1e-12):
+    expected = reference_exponential(a, rel_tol)
+    got = matrix_exponential(a, rel_tol)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def random_stack(rng, shape, scale):
+    """Complex entries, about a third of them exactly zero, some -0."""
+    a = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    a[rng.random(shape) < 0.3] = 0.0
+    a[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
+    return a
+
+
+@on_small_grids
+def test_in_place_exponential_is_byte_identical_to_the_reference(grid, seed):
+    rng = np.random.default_rng(seed)
+    u, v = random_unit(rng, grid), random_unit(rng, grid)
+    generator = kernel(u, v)
+    for t in (0.0, rng.uniform(0.0, 0.5), rng.uniform(0.5, 4.0), rng.uniform(4.0, 60.0)):
+        assert_same_exponential(t * generator.blocks)
+        assert_same_exponential(t * dense_kernel(u, v))  # 2-D input
+    d = grid.domain_end + 2
+    for scale in (1e-3, 0.3, 3.0):
+        rel_tol = 10.0 ** rng.uniform(-16, -4)
+        assert_same_exponential(random_stack(rng, (grid.step_denominator, d, d), scale), rel_tol)
+        assert_same_exponential(np.triu(random_stack(rng, (d, d), scale)), rel_tol)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 5, 5), (2, 3, 2, 2)])
+def test_zero_stack_gives_the_identity_of_the_reference(shape):
+    assert_same_exponential(np.zeros(shape))
+    assert_same_exponential(np.full(shape, complex(-0.0, -0.0)))
+    identity = matrix_exponential(np.zeros(shape))
+    assert np.array_equal(identity, np.broadcast_to(np.eye(shape[-1]), shape))
+    assert identity.flags.writeable
+
+
+def test_subnormal_entries_match_the_reference():
+    a = np.zeros((2, 3, 3), dtype=complex)
+    a[0, 0, 1] = complex(3.5e-323, -5e-324)
+    assert_same_exponential(a)
+    a[1, 1, 2] = 0.9
+    a[1, 2, 2] = complex(0.0, -2.0)
+    assert_same_exponential(a)
+    assert_same_exponential(np.array([[5e-324]]))
+
+
+def taylor_norms(a, terms=None):
+    """Per Taylor term of the reference on ``a``: the term norm, the norm
+    of the sum, and 1 + the sum of the term norms; up to the default stop,
+    or for ``terms`` terms."""
+    _, squarings = reference_scaling(a)
+    scaled = a * math.ldexp(1.0, -squarings)
+    term = result = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    rows, bound = [], 1.0
+    for k in range(1, 64):
+        term = term @ scaled / k
+        result = result + term
+        term_norm = reference_inf_norm(term)
+        bound += term_norm
+        rows.append((term_norm, reference_inf_norm(result), bound))
+        if len(rows) == terms or terms is None and term_norm <= 1e-12 * rows[-1][1]:
+            return rows
+    raise AssertionError("no stop")
+
+
+def test_stop_at_the_bound_matches_the_reference():
+    """rel_tol at and next to term_norm / sum_norm of each term: the stop
+    is then decided by the test of the sum itself, after the bound
+    1 + sum of the term norms has let it through."""
+    grid = GridSpec(3, 6)
+    zeta = AlgebraElement(grid, np.linspace(0.9, 0.2, grid.size).astype(complex), 0.2)
+    beta = constant(grid, complex(-0.8, 0.3))  # a contraction: the sum is much smaller than the bound
+    a = 0.7 * kernel(FockUnit(zeta, beta), FockUnit(zeta, constant(grid, -0.5))).blocks
+    decided_at_the_bound = 0
+    for term_norm, sum_norm, bound in taylor_norms(a):
+        ratio = term_norm / sum_norm
+        for rel_tol in (np.nextafter(ratio, 0.0), ratio, np.nextafter(ratio, 1.0)):
+            assert_same_exponential(a, float(rel_tol))
+            if term_norm <= rel_tol * bound * (1.0 + 1e-10) and not term_norm <= rel_tol * sum_norm:
+                decided_at_the_bound += 1
+    assert decided_at_the_bound >= 3
+
+
+@on_small_grids
+def test_band_scaling_is_the_block_scaling(grid, seed):
+    """Norm, squarings and scaled stack of tL read from the bands equal
+    those of the chain blocks of tL, bit for bit."""
+    rng = np.random.default_rng(seed)
+    generator = kernel(random_unit(rng, grid), random_unit(rng, grid))
+    i = np.arange(grid.domain_end + 2)
+    for t in (0.0, *rng.uniform(0.0, 0.5, 4), *rng.uniform(0.5, 5.0, 8), *10.0 ** rng.uniform(1, 300, 4)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks, bands = t * generator.blocks, t * generator.bands
+            norm = WeightedShift._wrap(grid, bands).operator_norm()
+            assert np.array_equal(np.array(norm).view(np.uint64), np.array(fock._inf_norm(blocks)).view(np.uint64))
+            if not math.isfinite(norm):
+                continue
+            squarings = fock._scaling(norm)
+            assert squarings == reference_scaling(blocks)[1]
+            scaled_blocks, scaled_bands = blocks * math.ldexp(1.0, -squarings), bands * math.ldexp(1.0, -squarings)
+        assert scaled_blocks[:, i, i].tobytes() == scaled_bands[0].tobytes()
+        assert scaled_blocks[:, i[:-1], i[1:]].tobytes() == scaled_bands[1, :, :-1].tobytes()
+        off_band = np.ones(scaled_blocks.shape, dtype=bool)
+        off_band[:, i, i] = off_band[:, i[:-1], i[1:]] = False
+        assert not np.any(scaled_blocks[off_band].view(np.uint64))  # +0 in both float parts
+        assert not np.any(scaled_bands[1, :, -1].copy().view(np.uint64))
+
+
+def test_stop_when_the_sum_norm_rounds_above_the_bound():
+    """The computed norm of the sum can exceed the computed 1 + sum of the
+    term norms by rounding. With rel_tol the least number at which the
+    reference stops there, the bound alone would not let the term
+    through; the factor 1 + 1e-10 does."""
+    rng = np.random.default_rng(0)
+    cases = 0
+    for _ in range(200):
+        a = np.triu(rng.uniform(0.0, 1.0, (3, 3))) * rng.uniform(0.1, 0.5)
+        for term_norm, sum_norm, bound in taylor_norms(a, terms=8):
+            if sum_norm <= bound:
+                continue
+            rel_tol = term_norm / sum_norm
+            while rel_tol * sum_norm < term_norm:
+                rel_tol = np.nextafter(rel_tol, 1.0)
+            while np.nextafter(rel_tol, 0.0) * sum_norm >= term_norm:
+                rel_tol = np.nextafter(rel_tol, 0.0)
+            if term_norm > rel_tol * bound:
+                assert_same_exponential(a, float(rel_tol))
+                cases += 1
+    assert cases >= 3
+
+
+@on_small_grids
+def test_semigroups_at_squaring_boundaries_are_fresh_exponentials(grid, seed):
+    """Times at which the row-sum norm of tL crosses a power of two, where
+    a norm rounded another way than that of the chain blocks of tL would
+    change the number of squarings."""
+    rng = np.random.default_rng(seed)
+    u, v = random_unit(rng, grid), random_unit(rng, grid)
+    norm = kernel(u, v).operator_norm()
+    times = set()
+    for j in range(-2, 5):
+        t = math.ldexp(1.0, j) / norm
+        times.update(float(x) for x in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)))
+    exps = fock.semigroups(u, v, times)
+    for t in times:
+        assert exps[t].blocks.tobytes() == fresh_exponential(u, v, t).tobytes(), t

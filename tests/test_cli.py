@@ -155,6 +155,19 @@ TINY_GRID = {"grid": {"m": 2, "S": 10}}
         ("approx", {"ns": [2.5]}),
         ("approx", {"ns": 4}),
         ("approx", {"ns": [0]}),
+        ("witness", {"delta": "x"}),
+        ("witness", {"delta": True}),
+        ("witness", {"delta": 5}),
+        ("witness", {"delta": 0}),
+        ("witness", {"delta": 1.0}),
+        ("witness", {"delta": -0.1}),
+        ("witness", {"delta": float("nan")}),
+        ("witness", {"delta": None}),
+        ("witness", {"delta": [0.1]}),
+        ("gram", {"b": {"kind": "constant", "value": -1}}),
+        ("gram", {"b": {"kind": "exp_decay", "c": -1.0, "a": 1.0, "d": 0.5}}),
+        ("approx", {"zeta": {"kind": "constant", "value": 2}}),
+        ("approx", {"zeta": {"kind": "exp_decay", "c": 1.0, "a": 1.0}}),
     ],
 )
 def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fields):
@@ -182,17 +195,34 @@ def test_integral_floats_and_integer_times_accepted(tmp_path):
     assert status == 0
 
 
+def test_witness_delta_inside_the_unit_interval_runs(tmp_path):
+    status, out = run(tmp_path, "witness", {**SMALL_GRID, "delta": 0.25})
+    assert status == 0
+    assert json.loads((out / "witness_report.json").read_text())["convexified"]["delta"] == 0.25
+
+
+def test_csv_cell_that_is_not_a_number_is_a_config_error(tmp_path, capsys):
+    lines = ["s,re,im,tail=1.0", "0.0,1.0,0.0", "0.5,x,0.0", "1.0,1.0,0.0"]
+    (tmp_path / "zeta.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, _ = run(tmp_path, "membership", {"grid": {"m": 2, "S": 1}, "zeta": {"kind": "csv", "path": "zeta.csv"}})
+    assert status == 2
+    assert "row 3 needs numbers in its first 3 columns" in capsys.readouterr().err
+
+
 def test_tolerance_given_as_a_string_is_parsed(tmp_path):
     status, out = run(tmp_path, "kernel", {**SMALL_GRID, "tolerances": {"hermitian": "1e-13"}})
     assert status == 0
     assert json.loads((out / "kernel_report.json").read_text())["tolerance"] == 1e-13
 
 
-@pytest.mark.parametrize("command", ["kernel", "semigroup", "gram", "inner", "index", "approx", "witness", "membership"])
+@pytest.mark.parametrize(
+    "command", ["kernel", "semigroup", "gram", "inner", "index", "approx", "witness", "membership", "selftest", "unitalg"]
+)
 def test_default_reports_match_golden_bytes(tmp_path, command):
     """Default-config reports, byte for byte against reports captured
     before kernels and multiplication operators were stored as weighted
-    shifts."""
+    shifts (selftest and unitalg: before the Taylor loop of the
+    exponential ran in place)."""
     expected = GOLDEN / command
     status, out = run(tmp_path, command)
     assert status == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockindex.algebra import GridSpec
 from fockindex.presets import (
@@ -137,3 +139,56 @@ def test_load_csv_rejects_wrong_grid(tmp_path):
     _write_csv(short, GridSpec(2, 2), np.ones(GridSpec(2, 2).size, dtype=complex))
     with pytest.raises(PresetError):
         load_csv(grid, short)
+
+
+def per_row_samples(grid, path):
+    """The samples as the per-row loader parsed them, one float() per cell."""
+    import csv
+
+    with path.open(newline="", encoding="utf-8") as fh:
+        body = [row for row in list(csv.reader(fh))[1:] if row]
+    samples = np.empty(grid.size, dtype=complex)
+    for k, row in enumerate(body):
+        samples[k] = complex(float(row[1]), float(row[2]))
+    return samples
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CELLS = st.one_of(
+    FINITE.map(repr),
+    FINITE.map("{:.6e}".format),
+    FINITE.map("{:.20g}".format),
+    st.sampled_from(["0", "-0.0", "1_000.5", " 2.5", "1e-320", "-4.9e-324", "1e-400", ".5", "7.", "+3"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_load_csv_samples_match_the_per_row_parse_byte_for_byte(tmp_path_factory, m, end, data):
+    grid = GridSpec(m, end)
+    cells = data.draw(st.lists(st.tuples(CELLS, CELLS), min_size=grid.size, max_size=grid.size))
+    path = tmp_path_factory.getbasetemp() / "element.csv"
+    lines = ["s,re,im,tail=1.0"] + [f"{float(s)!r},{re},{im}" for s, (re, im) in zip(grid.points(), cells)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_csv(grid, path).samples.tobytes() == per_row_samples(grid, path).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0.0,1,0", "0.5,1", "1.0,1,0"], "row 3 needs 3 columns, got ['0.5', '1']"),
+        (["0.0,1,0", "0.6,1,0", "1.0,1"], "row 3 has s=0.6, expected grid point 0.5"),
+        (["0.0,1,0", "0.5,1,0", "1.25,1,0"], "row 4 has s=1.25, expected grid point 1.0"),
+        (["0.0,1", "0.6,1,0", "1.0,1,0"], "row 2 needs 3 columns, got ['0.0', '1']"),
+        (["0.0,1,0", "", "0.5,1,0", "1.0,x,0"], "row 4 needs numbers in its first 3 columns, got ['1.0', 'x', '0']"),
+        (["0.0,1,0", "0.7,1,0", "x,1,0"], "row 3 has s=0.7, expected grid point 0.5"),
+    ],
+)
+def test_load_csv_names_the_first_bad_row(tmp_path, rows, message):
+    """Row numbers count the header and the non-empty rows, as the per-row
+    loader counted them; the first bad row wins."""
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["s,re,im,tail=1.0", *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(PresetError) as error:
+        load_csv(GridSpec(2, 1), path)
+    assert str(error.value) == f"{path}: {message}"
