@@ -1,5 +1,7 @@
 """Tests for preset builders and CSV input."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,8 +145,6 @@ def test_load_csv_rejects_wrong_grid(tmp_path):
 
 def per_row_samples(grid, path):
     """The samples as the per-row loader parsed them, one float() per cell."""
-    import csv
-
     with path.open(newline="", encoding="utf-8") as fh:
         body = [row for row in list(csv.reader(fh))[1:] if row]
     samples = np.empty(grid.size, dtype=complex)
