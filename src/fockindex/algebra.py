@@ -27,13 +27,6 @@ __all__ = [
     "GridSpec",
     "AlgebraElement",
     "constant",
-    "pointwise",
-    "star",
-    "shift",
-    "sup_norm",
-    "is_positive",
-    "limit_at_infinity",
-    "reciprocal",
 ]
 
 TAIL_TOLERANCE = 1e-9
@@ -275,37 +268,3 @@ def constant(grid: GridSpec, value) -> AlgebraElement:
     value = complex(value)
     return AlgebraElement(grid, np.full(grid.size, value, dtype=complex), value)
 
-
-def pointwise(op: str, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Entrywise add/mul/sub of two elements on the same grid."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "sub":
-        return a - b
-    raise ValueError(f"unknown pointwise operation {op!r}; expected add, mul or sub")
-
-
-def star(b: AlgebraElement) -> AlgebraElement:
-    return b.star()
-
-
-def shift(b: AlgebraElement, t) -> AlgebraElement:
-    return b.shift(t)
-
-
-def sup_norm(b: AlgebraElement) -> float:
-    return b.sup_norm()
-
-
-def is_positive(b: AlgebraElement, tol: float = POSITIVITY_TOLERANCE) -> bool:
-    return b.is_positive(tol)
-
-
-def limit_at_infinity(b: AlgebraElement) -> complex:
-    return b.limit_at_infinity()
-
-
-def reciprocal(b: AlgebraElement, min_modulus: float = 1e-14) -> AlgebraElement:
-    return b.reciprocal(min_modulus)

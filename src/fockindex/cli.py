@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import AlgebraElement, GridSpec, constant
 from .fock import (
     FockUnit,
+    generator_unit,
     gram_matrices,
     gram_psd_check,
     kernel,
@@ -33,6 +34,7 @@ from .subsystem import (
     NotAMemberError,
     convergence_report,
     convexify,
+    index_homomorphism_residuals,
     index_representative,
     membership,
     theta_check,
@@ -91,15 +93,13 @@ class ExperimentConfig:
     tolerances: dict
     raw: dict
     base_dir: Path
+    elements: dict = field(default_factory=dict, init=False)  # built from preset specs, keyed by repr(spec)
 
     def element(self, key: str, default_spec: dict | None = None) -> AlgebraElement:
         spec = self.raw.get(key, default_spec)
         if spec is None:
             raise ConfigError(f"config needs a {key!r} preset spec")
-        try:
-            return from_spec(self.grid, spec, self.base_dir)
-        except PresetError as exc:
-            raise ConfigError(f"bad {key!r} spec: {exc}") from exc
+        return self._preset(spec, repr(key))
 
     def element_list(self, key: str, default_specs: list | None = None) -> list[AlgebraElement]:
         specs = self.raw.get(key, default_specs)
@@ -107,10 +107,7 @@ class ExperimentConfig:
             raise ConfigError(f"config needs a {key!r} list of preset specs")
         if not isinstance(specs, list):
             raise ConfigError(f"{key!r} must be a list of preset specs")
-        try:
-            return [from_spec(self.grid, spec, self.base_dir) for spec in specs]
-        except PresetError as exc:
-            raise ConfigError(f"bad {key!r} spec: {exc}") from exc
+        return [self._preset(spec, repr(key)) for spec in specs]
 
     def unit(self, key: str = None, spec: dict | None = None, default: dict | None = None) -> FockUnit:
         if spec is None:
@@ -119,12 +116,17 @@ class ExperimentConfig:
             raise ConfigError(f"config needs a {key!r} unit spec")
         if not isinstance(spec, dict) or "zeta" not in spec:
             raise ConfigError(f"a unit spec needs a 'zeta' member, got {spec!r}")
-        try:
-            zeta = from_spec(self.grid, spec["zeta"], self.base_dir)
-            beta = from_spec(self.grid, spec.get("beta", {"kind": "constant", "value": 0.0}), self.base_dir)
-        except PresetError as exc:
-            raise ConfigError(f"bad unit spec: {exc}") from exc
-        return FockUnit(zeta, beta)
+        return FockUnit(self._preset(spec["zeta"], "unit"), self._preset(spec.get("beta", _ZERO), "unit"))
+
+    def _preset(self, spec, what: str) -> AlgebraElement:
+        """The element of ``spec``, built once per distinct spec (parse_config builds every field first)."""
+        key = repr(spec)
+        if key not in self.elements:
+            try:
+                self.elements[key] = from_spec(self.grid, spec, self.base_dir)
+            except PresetError as exc:
+                raise ConfigError(f"bad {what} spec: {exc}") from exc
+        return self.elements[key]
 
     def unit_list(self, key: str, default_specs: list | None = None) -> list[FockUnit]:
         specs = self.raw.get(key, default_specs)
@@ -168,6 +170,7 @@ class ExperimentConfig:
         return _bounded(key, _integer(value, repr(key)), low, high)
 
 
+_ZERO = {"kind": "constant", "value": 0.0}
 _DEFAULT_UNIT = {"zeta": {"kind": "exp_approach", "c": 1.0, "a": 1.0}}
 _DEFAULT_SECOND_UNIT = {"zeta": {"kind": "constant", "value": 1.0}}
 _DEFAULT_WITNESS_ZETA = {"kind": "piecewise_linear", "knots": [[0.0, 0.5], [1.0, 1.0]]}
@@ -268,6 +271,13 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _verdict(config: ExperimentConfig, path: Path, payload: dict, residual: float, tolerance: str) -> int:
+    """Write ``payload`` with ``passed`` and ``tolerance``; the exit status is 0 if ``residual`` is within it."""
+    tol = config.tolerances[tolerance]
+    write_json(path, {**payload, "passed": residual <= tol, "tolerance": tol})
+    return 0 if residual <= tol else 1
+
+
 def _json_complex(z: complex):
     z = complex(z)
     if z.imag == 0.0:
@@ -303,17 +313,8 @@ def cmd_kernel(config: ExperimentConfig, out: Path) -> int:
         _element_rows(config.grid, [b, applied]),
     )
     adjoint_gap = float(np.max(np.abs(kernel(v, u).bands - np.conj(operator.bands))))
-    tol = config.tolerances["hermitian"]
-    write_json(
-        out / "kernel_report.json",
-        {
-            "operator_norm": operator.operator_norm(),
-            "adjoint_symmetry_residual": adjoint_gap,
-            "passed": adjoint_gap <= tol,
-            "tolerance": tol,
-        },
-    )
-    return 0 if adjoint_gap <= tol else 1
+    payload = {"operator_norm": operator.operator_norm(), "adjoint_symmetry_residual": adjoint_gap}
+    return _verdict(config, out / "kernel_report.json", payload, adjoint_gap, "hermitian")
 
 
 def cmd_semigroup(config: ExperimentConfig, out: Path) -> int:
@@ -325,19 +326,15 @@ def cmd_semigroup(config: ExperimentConfig, out: Path) -> int:
     worst, exps = semigroup_law_residual(u, v, t_values, rel_tol=exp_tol)
     rows = [[t, exps[t].operator_norm(), exps[t].apply(b).sup_norm()] for t in t_values]
     write_csv(out / "semigroup_table.csv", ["t", "operator_norm", "applied_sup_norm"], rows)
-    tol = config.tolerances["semigroup_law"]
-    write_json(
-        out / "semigroup_report.json",
-        {"t_values": t_values, "law_residual": worst, "passed": worst <= tol, "tolerance": tol},
-    )
-    return 0 if worst <= tol else 1
+    payload = {"t_values": t_values, "law_residual": worst}
+    return _verdict(config, out / "semigroup_report.json", payload, worst, "semigroup_law")
 
 
 def cmd_gram(config: ExperimentConfig, out: Path) -> int:
     units = config.unit_list(
         "units",
         [
-            {"zeta": {"kind": "constant", "value": 0.0}},
+            {"zeta": _ZERO},
             {"zeta": {"kind": "constant", "value": 1.0}},
             {"zeta": {"kind": "exp_approach", "c": 1.0, "a": 1.0}},
         ],
@@ -368,18 +365,14 @@ def cmd_gram(config: ExperimentConfig, out: Path) -> int:
 def cmd_inner(config: ExperimentConfig, out: Path) -> int:
     u = config.unit("u", default=_DEFAULT_UNIT)
     v = config.unit("v", default=_DEFAULT_SECOND_UNIT)
-    reference = config.unit("reference", default={"zeta": {"kind": "constant", "value": 0.0}})
+    reference = config.unit("reference", default={"zeta": _ZERO})
     b = config.element("b", {"kind": "constant", "value": 1.0})
     x, y = wrap(u, reference), wrap(v, reference)
     value = semi_inner(x, y, b)
     write_csv(out / "inner_table.csv", ["s", "re", "im"], _element_rows(config.grid, [value]))
     sym_gap = (value - semi_inner(y, x, b.star()).star()).sup_norm()
-    tol = config.tolerances["inner_hermitian"]
-    write_json(
-        out / "inner_report.json",
-        {"sup_norm": value.sup_norm(), "adjoint_symmetry_residual": sym_gap, "passed": sym_gap <= tol, "tolerance": tol},
-    )
-    return 0 if sym_gap <= tol else 1
+    payload = {"sup_norm": value.sup_norm(), "adjoint_symmetry_residual": sym_gap}
+    return _verdict(config, out / "inner_report.json", payload, sym_gap, "inner_hermitian")
 
 
 def cmd_unitalg(config: ExperimentConfig, out: Path) -> int:
@@ -391,7 +384,7 @@ def cmd_unitalg(config: ExperimentConfig, out: Path) -> int:
     from .selftest import _random_element, _random_unit  # deterministic draws shared with the selftest
 
     one = constant(grid, 1.0)
-    reference = config.unit("reference", default={"zeta": {"kind": "constant", "value": 0.0}})
+    reference = config.unit("reference", default={"zeta": _ZERO})
     kappa = config.element_list("kappa", None) if "kappa" in config.raw else None
     rows = []
 
@@ -400,27 +393,20 @@ def cmd_unitalg(config: ExperimentConfig, out: Path) -> int:
 
     for case in range(cases):
         record(f"beta_shift[{case}]", power_beta(wrap(_random_unit(rng, grid), reference), _random_element(rng, grid)))
-        if kappa is not None:
-            units = [_random_unit(rng, grid) for _ in kappa]
-            record(f"left_combination[{case}]", boxplus_left(kappa, units, reference))
-            record(f"right_combination[{case}]", boxplus_right(units, kappa, reference))
-        else:
+        coeffs = kappa
+        if coeffs is None:
             c1, c2 = _random_element(rng, grid), _random_element(rng, grid)
             coeffs = [c1, c2, one - c1 - c2]
-            units = [_random_unit(rng, grid) for _ in range(3)]
-            record(f"left_combination[{case}]", boxplus_left(coeffs, units, reference))
-            record(f"right_combination[{case}]", boxplus_right(units, coeffs, reference))
+        units = [_random_unit(rng, grid) for _ in coeffs]
+        record(f"left_combination[{case}]", boxplus_left(coeffs, units, reference))
+        record(f"right_combination[{case}]", boxplus_right(units, coeffs, reference))
         record(f"addition[{case}]", add(wrap(_random_unit(rng, grid), reference), wrap(_random_unit(rng, grid), reference)))
         record(f"left_multiplication[{case}]", left_mul(_random_element(rng, grid), wrap(_random_unit(rng, grid), reference)))
         record(f"right_multiplication[{case}]", right_mul(wrap(_random_unit(rng, grid), reference), _random_element(rng, grid)))
     write_csv(out / "unitalg_cases.csv", ["operation", "dual_path_residual"], rows)
     worst = max(row[1] for row in rows)
-    tol = config.tolerances["dual_path"]
-    write_json(
-        out / "unitalg_report.json",
-        {"seed": seed, "cases": len(rows), "max_residual": worst, "passed": worst <= tol, "tolerance": tol},
-    )
-    return 0 if worst <= tol else 1
+    payload = {"seed": seed, "cases": len(rows), "max_residual": worst}
+    return _verdict(config, out / "unitalg_report.json", payload, worst, "dual_path")
 
 
 def cmd_membership(config: ExperimentConfig, out: Path) -> int:
@@ -530,10 +516,7 @@ def cmd_index(config: ExperimentConfig, out: Path) -> int:
         ],
     )
     tol_membership = config.tolerances["membership"]
-    non_members = []
-    for k, unit in enumerate(units):
-        if not membership(unit, tol_membership).in_E:
-            non_members.append(k)
+    non_members = [k for k, unit in enumerate(units) if not membership(unit, tol_membership).in_E]
     if non_members:
         write_json(
             out / "index_report.json",
@@ -541,28 +524,17 @@ def cmd_index(config: ExperimentConfig, out: Path) -> int:
         )
         return 1
     representatives = [index_representative(u, tol_membership) for u in units]
-    header = ["s"]
-    for k in range(len(units)):
-        header.extend([f"rep{k}_re", f"rep{k}_im"])
+    header = ["s"] + [f"rep{k}_{part}" for k in range(len(units)) for part in ("re", "im")]
     write_csv(out / "index_representatives.csv", header, _element_rows(config.grid, representatives))
 
-    xi = FockUnit(constant(config.grid, 1.0), constant(config.grid, 0.0))
+    xi = generator_unit(config.grid)
     a = config.element("b", {"kind": "exp_approach", "c": 0.5, "a": 1.0})
-    one = constant(config.grid, 1.0)
     worst = 0.0
     for x_unit, y_unit in zip(units, units[1:] or units[:1]):
-        x, y = wrap(x_unit, xi), wrap(y_unit, xi)
-        rep_x, rep_y = index_representative(x_unit, tol_membership), index_representative(y_unit, tol_membership)
-        worst = max(worst, (index_representative(add(x, y).unit, tol_membership) - (rep_x + rep_y)).sup_norm())
-        worst = max(worst, (index_representative(left_mul(a, x).unit, tol_membership) - a.shift(1) * rep_x).sup_norm())
-        worst = max(worst, (index_representative(right_mul(x, a).unit, tol_membership) - rep_x * a).sup_norm())
-        worst = max(worst, (semi_inner(x, y, one) - rep_x.star() * rep_y).sup_norm())
-    tol = config.tolerances["index_hom"]
-    write_json(
-        out / "index_report.json",
-        {"units": len(units), "max_homomorphism_residual": worst, "passed": worst <= tol, "tolerance": tol},
-    )
-    return 0 if worst <= tol else 1
+        residuals = index_homomorphism_residuals(wrap(x_unit, xi), wrap(y_unit, xi), a, tol_membership)
+        worst = max(worst, *residuals.values())
+    payload = {"units": len(units), "max_homomorphism_residual": worst}
+    return _verdict(config, out / "index_report.json", payload, worst, "index_hom")
 
 
 def cmd_selftest(config: ExperimentConfig, out: Path) -> int:

@@ -82,9 +82,6 @@ __all__ = [
     "semigroup",
     "semigroups",
     "semigroup_law_residual",
-    "apply",
-    "operator_norm",
-    "gram_matrix",
     "gram_matrices",
     "GramReport",
     "gram_psd_check",
@@ -601,14 +598,6 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-
     return worst, exps
 
 
-def apply(operator: KernelOperator | WeightedShift, b: AlgebraElement) -> AlgebraElement:
-    return operator.apply(b)
-
-
-def operator_norm(operator: KernelOperator | WeightedShift) -> float:
-    return operator.operator_norm()
-
-
 def gram_matrices(units, times, bs) -> list:
     """The Gram matrices of ``units`` at every t in ``times`` and every b in
     ``bs``: entry [k][l] has (i, j) entry exp(times[k] * kernel(u_i, u_j))
@@ -617,7 +606,7 @@ def gram_matrices(units, times, bs) -> list:
     positive for the positivity check downstream to be meaningful."""
     units, times, bs = list(units), [float(t) for t in times], list(bs)
     if not all(b.is_positive() for b in bs):
-        raise ValueError("gram_matrix needs a positive element b")
+        raise ValueError("gram_matrices needs positive elements b")
     grams = [[[[None] * len(units) for _ in units] for _ in bs] for _ in times]
     for i, ui in enumerate(units):
         for j, uj in enumerate(units):
@@ -626,12 +615,6 @@ def gram_matrices(units, times, bs) -> list:
                 for gram, b in zip(row, bs):
                     gram[i][j] = exps[t].apply(b)
     return grams
-
-
-def gram_matrix(units, t: float, b: AlgebraElement) -> list:
-    """The matrix with (i, j) entry exp(t*kernel(u_i, u_j)) applied to b;
-    b must be positive for the positivity check downstream to be meaningful."""
-    return gram_matrices(units, [t], [b])[0][0]
 
 
 @dataclass(frozen=True)

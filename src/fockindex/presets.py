@@ -112,8 +112,12 @@ def from_spec(grid: GridSpec, spec: dict, base_dir: Path | None = None) -> Algeb
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
             return load_csv(grid, path)
+    except PresetError:
+        raise
     except KeyError as exc:
         raise PresetError(f"preset {kind!r} is missing parameter {exc}") from exc
+    except (ValueError, TypeError, IndexError, OSError) as exc:  # a value the preset cannot take, or an unreadable file
+        raise PresetError(f"preset {kind!r}: {exc}") from exc
     raise PresetError(f"unknown preset kind {spec['kind']!r}; known kinds: {', '.join(PRESET_KINDS)}")
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .algebra import AlgebraElement, GridSpec, constant
 from .fock import (
     FockUnit,
-    apply,
     generator_unit,
     gram_matrices,
     gram_psd_check,
@@ -30,7 +29,7 @@ from .subsystem import (
     approximate,
     centrality_check,
     convergence_report,
-    index_representative,
+    index_homomorphism_residuals,
     membership,
     theta_check,
     witness_step1,
@@ -156,7 +155,7 @@ def criterion_semigroup_law(grid: GridSpec, seed: int) -> list[CheckResult]:
     one = constant(grid, 1.0)
     worst_eig = 0.0
     for t in eig_times:
-        got = apply(xi_exps[t], one)
+        got = xi_exps[t].apply(one)
         scale = math.exp(t)
         worst_eig = max(worst_eig, (got - constant(grid, scale)).sup_norm() / scale)
     del xi_exps  # not kept alive through the other pairs' exponentials
@@ -388,17 +387,11 @@ def criterion_index_homomorphism(grid: GridSpec, seed: int) -> list[CheckResult]
     the generator as reference."""
     rng = np.random.default_rng(seed + 3)
     xi = generator_unit(grid)
-    one = constant(grid, 1.0)
     worst = {"add": 0.0, "left": 0.0, "right": 0.0, "inner": 0.0}
     for _ in range(5):
         x, y = wrap(_random_member(rng, grid), xi), wrap(_random_member(rng, grid), xi)
-        a = _random_element(rng, grid)
-        rep_x = index_representative(x.unit)
-        rep_y = index_representative(y.unit)
-        worst["add"] = max(worst["add"], (index_representative(add(x, y).unit) - (rep_x + rep_y)).sup_norm())
-        worst["left"] = max(worst["left"], (index_representative(left_mul(a, x).unit) - a.shift(1) * rep_x).sup_norm())
-        worst["right"] = max(worst["right"], (index_representative(right_mul(x, a).unit) - rep_x * a).sup_norm())
-        worst["inner"] = max(worst["inner"], (semi_inner(x, y, one) - rep_x.star() * rep_y).sup_norm())
+        for key, residual in index_homomorphism_residuals(x, y, _random_element(rng, grid)).items():
+            worst[key] = max(worst[key], residual)
     return [
         _result("index homomorphism: addition", worst["add"], 1e-11),
         _result("index homomorphism: left action (shift-twisted)", worst["left"], 1e-11),

@@ -17,13 +17,17 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, constant
-from .fock import FockUnit, generator_unit, kernel, operator_norm, semigroup, unit_component, left_action, vacuum_unit
+from .fock import FockUnit, generator_unit, kernel, semigroup, unit_component, left_action, vacuum_unit
 from .presets import exp_approach, exp_decay
 from .unit_algebra import (
     ReferencedUnit,
+    add,
     boxplus_left,
     default_probe_units,
     index_norm,
+    left_mul,
+    right_mul,
+    semi_inner,
     subtract,
     wrap,
 )
@@ -44,6 +48,7 @@ __all__ = [
     "ConvergenceReport",
     "convergence_report",
     "index_representative",
+    "index_homomorphism_residuals",
     "centrality_check",
     "default_centrality_probes",
 ]
@@ -164,10 +169,9 @@ def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
     if np.min(zeta.samples[: n * m].real) <= 0:
         raise ValueError("witness_step1 needs zeta(s) > 0 for s < n")
 
-    b0 = unit_component(FockUnit(zeta, constant(grid, 0.0)), int(n)).value
-    b1 = b0.reciprocal()
-
     component = unit_component(FockUnit(zeta, constant(grid, 0.0)), int(n))
+    b0 = component.value
+    b1 = b0.reciprocal()
     direct = b1.shift(n) * b0
     via_action = left_action(b1, unit_component(generator_unit(grid), int(n))).value * b0
     residual = max(
@@ -299,9 +303,9 @@ def convergence_report(
                 n=int(n),
                 sup_dist=(zeta - zeta_n).sup_norm(),
                 index_dist=index_norm(subtract(eta_ref, wrap(eta_n, omega))),
-                kernel_dist=operator_norm(kernel(eta_n, eta_n) - diag),
-                semigroup_dist=operator_norm(semigroup(eta_n, eta_n, t) - diag_exp),
-                probe_kernel_dist=operator_norm(kernel(eta_n, probe) - cross),
+                kernel_dist=(kernel(eta_n, eta_n) - diag).operator_norm(),
+                semigroup_dist=(semigroup(eta_n, eta_n, t) - diag_exp).operator_norm(),
+                probe_kernel_dist=(kernel(eta_n, probe) - cross).operator_norm(),
             )
         )
     columns = ["sup_dist", "index_dist", "kernel_dist", "semigroup_dist", "probe_kernel_dist"]
@@ -329,6 +333,21 @@ def index_representative(u: FockUnit, tol: float = MEMBERSHIP_TOLERANCE) -> Alge
     if not report.in_E:
         raise NotAMemberError(f"unit with zeta limit {report.zeta_limit} is not a member; no representative")
     return u.zeta - constant(u.grid, 1.0)
+
+
+def index_homomorphism_residuals(
+    x: ReferencedUnit, y: ReferencedUnit, a: AlgebraElement, tol: float = MEMBERSHIP_TOLERANCE
+) -> dict:
+    """Sup-norm residuals of the representative map zeta - 1 as a homomorphism, for members x, y
+    referenced to the generator and an element a: "add", "left" (shift-twisted), "right", and
+    "inner", the pairing <x, y> at b = 1 against star(rep x) * rep y."""
+    rep_x, rep_y = index_representative(x.unit, tol), index_representative(y.unit, tol)
+    return {
+        "add": (index_representative(add(x, y).unit, tol) - (rep_x + rep_y)).sup_norm(),
+        "left": (index_representative(left_mul(a, x).unit, tol) - a.shift(1) * rep_x).sup_norm(),
+        "right": (index_representative(right_mul(x, a).unit, tol) - rep_x * a).sup_norm(),
+        "inner": (semi_inner(x, y, constant(x.grid, 1.0)) - rep_x.star() * rep_y).sup_norm(),
+    }
 
 
 def default_centrality_probes(grid) -> list[AlgebraElement]:

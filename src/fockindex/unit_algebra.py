@@ -96,9 +96,6 @@ class ReferencedUnit:
             return kernel(self.unit, self.unit)
         return self._self()
 
-    def parameter_kernel(self, probe: FockUnit) -> WeightedShift:
-        return kernel(self.unit, probe)
-
 
 def wrap(unit: FockUnit, reference: FockUnit) -> ReferencedUnit:
     return ReferencedUnit(unit, reference)
@@ -364,6 +361,6 @@ def dual_path_residual(x: ReferencedUnit, probes: Sequence[FockUnit]) -> float:
     diagonal."""
     worst = (x.self_kernel() - kernel(x.unit, x.unit)).operator_norm()
     for probe in probes:
-        gap = (x.cross_kernel(probe) - x.parameter_kernel(probe)).operator_norm()
+        gap = (x.cross_kernel(probe) - kernel(x.unit, probe)).operator_norm()
         worst = max(worst, gap)
     return worst

@@ -125,6 +125,7 @@ def test_bad_tolerances_are_config_errors(tmp_path, capsys, tolerances):
 
 
 TINY_GRID = {"grid": {"m": 2, "S": 10}}
+PRESET_GRID = {"grid": {"m": 2, "S": 1}}
 
 
 @pytest.mark.parametrize(
@@ -168,6 +169,13 @@ TINY_GRID = {"grid": {"m": 2, "S": 10}}
         ("gram", {"b": {"kind": "exp_decay", "c": -1.0, "a": 1.0, "d": 0.5}}),
         ("approx", {"zeta": {"kind": "constant", "value": 2}}),
         ("approx", {"zeta": {"kind": "exp_decay", "c": 1.0, "a": 1.0}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "constant", "value": "inf"}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "constant", "value": {}}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "exp_approach", "a": "x"}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "exp_decay", "c": [1, "x"]}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "piecewise_linear", "knots": [[0.0]]}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "raw", "values": [1, 1, 1], "tail": "nan"}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "csv", "path": "missing.csv"}}),
     ],
 )
 def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fields):
@@ -207,6 +215,14 @@ def test_csv_cell_that_is_not_a_number_is_a_config_error(tmp_path, capsys):
     status, _ = run(tmp_path, "membership", {"grid": {"m": 2, "S": 1}, "zeta": {"kind": "csv", "path": "zeta.csv"}})
     assert status == 2
     assert "row 3 needs numbers in its first 3 columns" in capsys.readouterr().err
+
+
+def test_csv_cell_that_is_not_finite_is_a_config_error(tmp_path, capsys):
+    lines = ["s,re,im,tail=1.0", "0.0,inf,0.0", "0.5,1.0,0.0", "1.0,1.0,0.0"]
+    (tmp_path / "zeta.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, _ = run(tmp_path, "membership", {**PRESET_GRID, "zeta": {"kind": "csv", "path": "zeta.csv"}})
+    assert status == 2
+    assert "samples must be finite" in capsys.readouterr().err
 
 
 def test_tolerance_given_as_a_string_is_parsed(tmp_path):
@@ -323,6 +339,19 @@ def test_membership_with_csv_zeta(tmp_path):
     status, out = run(tmp_path, "membership", config)
     assert status == 0
     assert json.loads((out / "membership_report.json").read_text())["in_E"] is True
+
+
+def test_csv_element_is_read_once_per_run(tmp_path, monkeypatch):
+    import fockindex.presets
+
+    reads = []
+    load_csv = fockindex.presets.load_csv
+    monkeypatch.setattr(fockindex.presets, "load_csv", lambda grid, path: reads.append(path) or load_csv(grid, path))
+    lines = ["s,re,im,tail=1.0"] + [f"{k / 2},1.0,0.0" for k in range(2 * 30 + 1)]
+    (tmp_path / "b.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, _ = run(tmp_path, "semigroup", {**SMALL_GRID, "b": {"kind": "csv", "path": "b.csv"}})
+    assert status == 0
+    assert len(reads) == 1
 
 
 def test_csv_on_wrong_grid_is_config_error(tmp_path):

@@ -1,0 +1,69 @@
+"""The public names of the package: every ``__all__`` entry resolves, every
+public function and class is listed, and retired names stay retired."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import fockindex
+
+MODULES = ("algebra", "presets", "fock", "unit_algebra", "subsystem", "selftest", "cli")
+LISTED = ("algebra", "presets", "fock", "unit_algebra", "subsystem")
+
+# Wrappers retired in favour of the methods they called, as (module, name).
+RETIRED = [
+    ("algebra", "pointwise"),
+    ("algebra", "star"),
+    ("algebra", "shift"),
+    ("algebra", "sup_norm"),
+    ("algebra", "is_positive"),
+    ("algebra", "limit_at_infinity"),
+    ("algebra", "reciprocal"),
+    ("fock", "apply"),
+    ("fock", "operator_norm"),
+    ("fock", "gram_matrix"),
+]
+
+
+@pytest.mark.parametrize("short", ("",) + MODULES)
+def test_every_all_name_resolves(short):
+    module = importlib.import_module(f"fockindex.{short}" if short else "fockindex")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("short", LISTED)
+def test_every_public_function_and_class_is_listed(short):
+    module = importlib.import_module(f"fockindex.{short}")
+    defined = {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert defined - set(module.__all__) == set()
+
+
+def test_package_all_matches_its_imports():
+    tree = ast.parse(Path(fockindex.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    imported = {alias.asname or alias.name for node in imports for alias in node.names}
+    assert sorted(fockindex.__all__) == sorted(imported | {"__version__"})
+
+
+@pytest.mark.parametrize("short, name", RETIRED)
+def test_retired_names_are_gone(short, name):
+    assert not hasattr(importlib.import_module(f"fockindex.{short}"), name)
+    assert not hasattr(fockindex, name)
+    with pytest.raises(ImportError):
+        exec(f"from fockindex import {name}", {})
+
+
+def test_parameter_kernel_is_retired():
+    from fockindex.unit_algebra import ReferencedUnit
+
+    assert not hasattr(ReferencedUnit, "parameter_kernel")

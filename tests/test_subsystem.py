@@ -8,12 +8,14 @@ import pytest
 from fockindex.algebra import AlgebraElement, GridSpec, constant
 from fockindex.fock import FockUnit, generator_unit
 from fockindex.presets import exp_approach, exp_decay, inverse_decay, piecewise_linear
+from fockindex.unit_algebra import add, left_mul, right_mul, semi_inner, wrap
 from fockindex.subsystem import (
     WitnessKind,
     approximate,
     centrality_check,
     convergence_report,
     convexify,
+    index_homomorphism_residuals,
     index_representative,
     membership,
     theta_check,
@@ -266,6 +268,44 @@ class TestIndexRepresentative:
     def test_nonmember_rejected(self):
         with pytest.raises(ValueError):
             index_representative(unit(constant(GRID, 2)))
+
+
+def random_complex(rng, radius):
+    return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+
+
+def random_member(rng, grid):
+    zeta = exp_approach(grid, random_complex(rng, 1.0), rng.uniform(0.7, 2.0))
+    return FockUnit(zeta, constant(grid, random_complex(rng, 0.5)))
+
+
+class TestIndexHomomorphismResiduals:
+    @pytest.mark.filterwarnings("ignore::fockindex.algebra.UnresolvedTailWarning")  # S = 3 is short of every tail
+    @pytest.mark.parametrize("grid", [GridSpec(1, 3), GridSpec(4, 40)])
+    def test_same_bits_as_the_inline_residuals(self, grid):
+        """The four residuals, bit for bit against the expressions that
+        criterion 11 and the index command each wrote out before."""
+        rng = np.random.default_rng(11)
+        xi = generator_unit(grid)
+        one = constant(grid, 1.0)
+        for _ in range(8):
+            x, y = (wrap(random_member(rng, grid), xi) for _ in range(2))
+            a = exp_decay(grid, random_complex(rng, 0.8), rng.uniform(0.7, 2.0), random_complex(rng, 0.5))
+            rep_x, rep_y = index_representative(x.unit), index_representative(y.unit)
+            expected = {
+                "add": (index_representative(add(x, y).unit) - (rep_x + rep_y)).sup_norm(),
+                "left": (index_representative(left_mul(a, x).unit) - a.shift(1) * rep_x).sup_norm(),
+                "right": (index_representative(right_mul(x, a).unit) - rep_x * a).sup_norm(),
+                "inner": (semi_inner(x, y, one) - rep_x.star() * rep_y).sup_norm(),
+            }
+            got = index_homomorphism_residuals(x, y, a)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in expected.items()}
+            assert max(got.values()) <= 1e-11
+
+    def test_nonmember_rejected(self):
+        xi = generator_unit(GRID)
+        with pytest.raises(ValueError):
+            index_homomorphism_residuals(wrap(unit(constant(GRID, 2)), xi), wrap(xi, xi), constant(GRID, 1))
 
 
 class TestCentrality:
