@@ -41,6 +41,7 @@ from .subsystem import (
     witness_step1,
 )
 from .unit_algebra import (
+    COEFFICIENT_SUM_TOLERANCE,
     add,
     boxplus_left,
     boxplus_right,
@@ -101,13 +102,15 @@ class ExperimentConfig:
             raise ConfigError(f"config needs a {key!r} preset spec")
         return self._preset(spec, repr(key))
 
+    def _list(self, key: str, default: list | None, what: str) -> list:
+        """The list field ``key``; an empty list is an error, since a run over it would check nothing."""
+        value = self.raw.get(key, default)
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key!r} must be a non-empty list of {what}, got {value!r}")
+        return value
+
     def element_list(self, key: str, default_specs: list | None = None) -> list[AlgebraElement]:
-        specs = self.raw.get(key, default_specs)
-        if specs is None:
-            raise ConfigError(f"config needs a {key!r} list of preset specs")
-        if not isinstance(specs, list):
-            raise ConfigError(f"{key!r} must be a list of preset specs")
-        return [self._preset(spec, repr(key)) for spec in specs]
+        return [self._preset(spec, repr(key)) for spec in self._list(key, default_specs, "preset specs")]
 
     def unit(self, key: str = None, spec: dict | None = None, default: dict | None = None) -> FockUnit:
         if spec is None:
@@ -129,12 +132,7 @@ class ExperimentConfig:
         return self.elements[key]
 
     def unit_list(self, key: str, default_specs: list | None = None) -> list[FockUnit]:
-        specs = self.raw.get(key, default_specs)
-        if specs is None:
-            raise ConfigError(f"config needs a {key!r} list of unit specs")
-        if not isinstance(specs, list):
-            raise ConfigError(f"{key!r} must be a list of unit specs")
-        return [self.unit(spec=spec) for spec in specs]
+        return [self.unit(spec=spec) for spec in self._list(key, default_specs, "unit specs")]
 
     def probes(self) -> list[FockUnit]:
         if "probes" in self.raw:
@@ -144,12 +142,9 @@ class ExperimentConfig:
     def times(self, key: str, default):
         """The time field ``key``: a list of finite numbers >= 0, or one
         such number where ``default`` is one."""
-        value = self.raw.get(key, default)
         if not isinstance(default, list):
-            return _time(key, value)
-        if not isinstance(value, list):
-            raise ConfigError(f"{key!r} must be a list of times, got {value!r}")
-        return [_time(key, t) for t in value]
+            return _time(key, self.raw.get(key, default))
+        return [_time(key, t) for t in self._list(key, default, "times")]
 
     def fraction(self, key: str, default: float) -> float:
         """The field ``key``: a number strictly between 0 and 1, not a bool."""
@@ -162,12 +157,9 @@ class ExperimentConfig:
         """The integer field ``key``, in [low, high]: a list of them where
         ``default`` is a list, else one. An integral float counts, a bool
         or a fraction does not."""
-        value = self.raw.get(key, default)
         if isinstance(default, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{key!r} must be a list of integers, got {value!r}")
-            return [_bounded(key, _integer(n, repr(key)), low, high) for n in value]
-        return _bounded(key, _integer(value, repr(key)), low, high)
+            return [_bounded(key, _integer(n, repr(key)), low, high) for n in self._list(key, default, "integers")]
+        return _bounded(key, _integer(self.raw.get(key, default), repr(key)), low, high)
 
 
 _ZERO = {"kind": "constant", "value": 0.0}
@@ -242,7 +234,9 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         if key in raw:
             config.element(key)
     if "kappa" in raw:
-        config.element_list("kappa")
+        kappa = config.element_list("kappa")
+        if (sum(kappa, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() > COEFFICIENT_SUM_TOLERANCE:
+            raise ConfigError(f"'kappa' must sum to the unit element within {COEFFICIENT_SUM_TOLERANCE}")
     for key in ("units", "probes"):
         if key in raw:
             config.unit_list(key)

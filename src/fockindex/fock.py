@@ -427,15 +427,7 @@ class WeightedShift:
 
     def to_dense(self) -> np.ndarray:
         """The dim x dim matrix acting on coordinate vectors (samples..., tail)."""
-        grid = self.grid
-        n = grid.size
-        block, slot = _chain_layout(grid)
-        k = np.arange(n)
-        dense = np.zeros((grid.dim, grid.dim), dtype=complex)
-        dense[k, k] = self.bands[0, block, slot]
-        dense[k, np.minimum(k + grid.step_denominator, n)] = self.bands[1, block, slot]
-        dense[n, n] = self.bands[0, 0, -1]
-        return dense
+        return self._chain_operator().to_dense()
 
 
 def multiplication_operator(a: AlgebraElement) -> WeightedShift:

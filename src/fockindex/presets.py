@@ -34,23 +34,30 @@ class PresetError(ValueError):
 PRESET_KINDS = ("constant", "exp_approach", "exp_decay", "inverse_decay", "piecewise_linear", "csv", "raw")
 
 
+def _number(value, cast=float):
+    """``cast(value)``; a bool is not taken as a number."""
+    if isinstance(value, bool):
+        raise PresetError(f"expected a number, got {value!r}")
+    return cast(value)
+
+
 def as_complex(value) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise PresetError(f"complex value as a list must be [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0]), _number(value[1]))
     if isinstance(value, str):
         try:
             return complex(value.replace(" ", ""))
         except ValueError as exc:
             raise PresetError(f"cannot parse complex value {value!r}") from exc
-    return complex(value)
+    return _number(value, complex)
 
 
 def exp_approach(grid: GridSpec, c, a) -> AlgebraElement:
     """1 + c*exp(-a*s); tail 1."""
     c = as_complex(c)
-    a = float(a)
+    a = _number(a)
     if a <= 0:
         raise PresetError(f"exp_approach needs a > 0, got {a}")
     return AlgebraElement(grid, 1.0 + c * np.exp(-a * grid.points()), 1.0)
@@ -59,7 +66,7 @@ def exp_approach(grid: GridSpec, c, a) -> AlgebraElement:
 def exp_decay(grid: GridSpec, c, a, d=0.0) -> AlgebraElement:
     """c*exp(-a*s) + d; tail d."""
     c, d = as_complex(c), as_complex(d)
-    a = float(a)
+    a = _number(a)
     if a <= 0:
         raise PresetError(f"exp_decay needs a > 0, got {a}")
     return AlgebraElement(grid, c * np.exp(-a * grid.points()) + d, d)
@@ -79,7 +86,7 @@ def piecewise_linear(grid: GridSpec, knots) -> AlgebraElement:
     """
     if not knots:
         raise PresetError("piecewise_linear needs at least one knot")
-    xs = [float(k[0]) for k in knots]
+    xs = [_number(k[0]) for k in knots]
     vs = [as_complex(k[1]) for k in knots]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise PresetError("piecewise_linear knots must have strictly increasing s")

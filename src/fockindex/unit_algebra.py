@@ -141,11 +141,45 @@ def _check_coefficients(coefficients: Sequence[AlgebraElement], units: Sequence[
     if len(coefficients) != len(units) or not units:
         raise ValueError("need one coefficient per unit and at least one unit")
     grid = units[0].grid
-    total = constant(grid, 0.0)
-    for c in coefficients:
-        total = total + c
-    if (total - constant(grid, 1.0)).sup_norm() > COEFFICIENT_SUM_TOLERANCE:
+    if (sum(coefficients, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() > COEFFICIENT_SUM_TOLERANCE:
         raise ValueError("coefficients must sum to the unit element")
+
+
+def _act(mul: WeightedShift, k: WeightedShift, inner: bool) -> WeightedShift:
+    """A multiplication composed with a kernel on its input side (inner) or its output side."""
+    return k @ mul if inner else mul @ k
+
+
+def _combination(coefficients, units, reference: FockUnit, inner: bool) -> ReferencedUnit:
+    """Formula path: against a probe, the sum over i of conj(c_i) composed
+    with K(u_i, probe); on the diagonal, of conj(c_i)*c_j composed with
+    K(u_i, u_j). Parameter path: (sum c_j zeta_j, sum c_j beta_j), with
+    c_j shifted by 1 in the zeta sum when it composes on the input side."""
+    coefficients = list(coefficients)
+    units = list(units)
+    _check_coefficients(coefficients, units)
+    grid = units[0].grid
+    zeta = constant(grid, 0.0)
+    beta = constant(grid, 0.0)
+    for c, u in zip(coefficients, units):
+        zeta = zeta + c.shift(int(inner)) * u.zeta
+        beta = beta + c * u.beta
+    candidate = FockUnit(zeta, beta)
+
+    def cross(probe: FockUnit) -> WeightedShift:
+        total = WeightedShift.zero(grid)
+        for c, u in zip(coefficients, units):
+            total = total + _act(multiplication_operator(c.star()), kernel(u, probe), inner)
+        return total
+
+    def diagonal() -> WeightedShift:
+        total = WeightedShift.zero(grid)
+        for ci, ui in zip(coefficients, units):
+            for cj, uj in zip(coefficients, units):
+                total = total + _act(multiplication_operator(ci.star() * cj), kernel(ui, uj), inner)
+        return total
+
+    return ReferencedUnit(candidate, reference, cross, diagonal)
 
 
 def boxplus_left(
@@ -153,37 +187,9 @@ def boxplus_left(
     units: Sequence[FockUnit],
     reference: FockUnit,
 ) -> ReferencedUnit:
-    """Combination with coefficients acting on the left of each unit.
-
-    Formula path: against a probe, sum of conj(c_i) * K(u_i, probe);
-    diagonal, sum of conj(c_i)*c_j * K(u_i, u_j), the multiplications
-    applied to the output. Parameter path: (sum c_j zeta_j, sum c_j beta_j).
-    """
-    coefficients = list(coefficients)
-    units = list(units)
-    _check_coefficients(coefficients, units)
-    grid = units[0].grid
-    zeta = constant(grid, 0.0)
-    beta = constant(grid, 0.0)
-    for c, u in zip(coefficients, units):
-        zeta = zeta + c * u.zeta
-        beta = beta + c * u.beta
-    candidate = FockUnit(zeta, beta)
-
-    def cross(probe: FockUnit) -> WeightedShift:
-        total = WeightedShift.zero(grid)
-        for c, u in zip(coefficients, units):
-            total = total + multiplication_operator(c.star()) @ kernel(u, probe)
-        return total
-
-    def diagonal() -> WeightedShift:
-        total = WeightedShift.zero(grid)
-        for ci, ui in zip(coefficients, units):
-            for cj, uj in zip(coefficients, units):
-                total = total + multiplication_operator(ci.star() * cj) @ kernel(ui, uj)
-        return total
-
-    return ReferencedUnit(candidate, reference, cross, diagonal)
+    """Combination with coefficients acting on the left of each unit: the
+    multiplications are applied to the kernel output."""
+    return _combination(coefficients, units, reference, inner=False)
 
 
 def boxplus_right(
@@ -191,37 +197,20 @@ def boxplus_right(
     coefficients: Sequence[AlgebraElement],
     reference: FockUnit,
 ) -> ReferencedUnit:
-    """Combination with coefficients acting on the right of each unit.
+    """Combination with coefficients acting on the right of each unit: the
+    multiplications compose with the kernels on the input side, so the
+    parameter path picks up the unit shift: (sum shift(c_j, 1) zeta_j, sum c_j beta_j)."""
+    return _combination(coefficients, units, reference, inner=True)
 
-    The multiplications compose with the kernels on the input side, so the
-    parameter path picks up the unit shift: (sum shift(c_j, 1) zeta_j,
-    sum c_j beta_j).
-    """
-    coefficients = list(coefficients)
-    units = list(units)
-    _check_coefficients(coefficients, units)
-    grid = units[0].grid
-    zeta = constant(grid, 0.0)
-    beta = constant(grid, 0.0)
-    for c, u in zip(coefficients, units):
-        zeta = zeta + c.shift(1) * u.zeta
-        beta = beta + c * u.beta
-    candidate = FockUnit(zeta, beta)
 
-    def cross(probe: FockUnit) -> WeightedShift:
-        total = WeightedShift.zero(grid)
-        for c, u in zip(coefficients, units):
-            total = total + kernel(u, probe) @ multiplication_operator(c.star())
-        return total
-
-    def diagonal() -> WeightedShift:
-        total = WeightedShift.zero(grid)
-        for ci, ui in zip(coefficients, units):
-            for cj, uj in zip(coefficients, units):
-                total = total + kernel(ui, uj) @ multiplication_operator(ci.star() * cj)
-        return total
-
-    return ReferencedUnit(candidate, reference, cross, diagonal)
+def _signed_kernels(lefts, rights) -> WeightedShift:
+    """sum_i sum_j s_i s_j K(u_i, v_j) over signed units (s_i, u_i) and
+    (s_j, v_j), s = +-1, summed row by row from the first term."""
+    terms = [(si * sj, kernel(u, v)) for si, u in lefts for sj, v in rights]
+    total = terms[0][1] if terms[0][0] > 0 else -terms[0][1]
+    for sign, term in terms[1:]:
+        total = total + term if sign > 0 else total - term
+    return total
 
 
 def add(x: ReferencedUnit, y: ReferencedUnit) -> ReferencedUnit:
@@ -231,22 +220,39 @@ def add(x: ReferencedUnit, y: ReferencedUnit) -> ReferencedUnit:
     omega = x.reference
     xu, yu = x.unit, y.unit
     candidate = FockUnit(xu.zeta + yu.zeta - omega.zeta, xu.beta + yu.beta - omega.beta)
+    signed = ((1, xu), (1, yu), (-1, omega))
+    return ReferencedUnit(
+        candidate, omega, lambda probe: _signed_kernels(signed, ((1, probe),)), lambda: _signed_kernels(signed, signed)
+    )
+
+
+def _module_mul(a: AlgebraElement, x: ReferencedUnit, inner: bool) -> ReferencedUnit:
+    """The action of a on x: a and 1 - a compose with the kernels of x and
+    the reference on the input side (inner) or the output side; on the
+    input side a takes the unit shift in the zeta parameter."""
+    omega = x.reference
+    xu = x.unit
+    one = constant(a.grid, 1.0)
+    rest = one - a
+    a_zeta = a.shift(int(inner))
+
+    def times(c: AlgebraElement, e: AlgebraElement) -> AlgebraElement:
+        return c * e if inner else e * c  # each side's operand order: complex products are not bitwise commutative
+
+    candidate = FockUnit(
+        times(a_zeta, xu.zeta) + times(one - a_zeta, omega.zeta),
+        times(a, xu.beta) + times(rest, omega.beta),
+    )
+    mul_a = multiplication_operator(a.star())
+    mul_rest = multiplication_operator(rest.star())
 
     def cross(probe: FockUnit) -> WeightedShift:
-        return kernel(xu, probe) + kernel(yu, probe) - kernel(omega, probe)
+        return _act(mul_a, kernel(xu, probe), inner) + _act(mul_rest, kernel(omega, probe), inner)
 
     def diagonal() -> WeightedShift:
-        return (
-            kernel(xu, xu)
-            + kernel(xu, yu)
-            - kernel(xu, omega)
-            + kernel(yu, xu)
-            + kernel(yu, yu)
-            - kernel(yu, omega)
-            - kernel(omega, xu)
-            - kernel(omega, yu)
-            + kernel(omega, omega)
-        )
+        pairs = ((a, xu), (rest, omega))
+        terms = [_act(multiplication_operator(ci.star() * cj), kernel(ui, uj), inner) for cj, uj in pairs for ci, ui in pairs]
+        return sum(terms[1:], terms[0])
 
     return ReferencedUnit(candidate, omega, cross, diagonal)
 
@@ -255,56 +261,13 @@ def left_mul(a: AlgebraElement, x: ReferencedUnit) -> ReferencedUnit:
     """a . x, with the multiplications composed on the input side of the
     kernels; the parameter path twists a by the unit shift:
     (shift(a,1) zeta_x + (1 - shift(a,1)) zeta_ref, a beta_x + (1-a) beta_ref)."""
-    omega = x.reference
-    xu = x.unit
-    a_shift = a.shift(1)
-    one = constant(a.grid, 1.0)
-    candidate = FockUnit(
-        a_shift * xu.zeta + (one - a_shift) * omega.zeta,
-        a * xu.beta + (one - a) * omega.beta,
-    )
-    mul_a = multiplication_operator(a.star())
-    mul_rest = multiplication_operator((one - a).star())
-
-    def cross(probe: FockUnit) -> WeightedShift:
-        return kernel(xu, probe) @ mul_a + kernel(omega, probe) @ mul_rest
-
-    def diagonal() -> WeightedShift:
-        return (
-            kernel(xu, xu) @ multiplication_operator(a.star() * a)
-            + kernel(omega, xu) @ multiplication_operator((one - a).star() * a)
-            + kernel(xu, omega) @ multiplication_operator(a.star() * (one - a))
-            + kernel(omega, omega) @ multiplication_operator((one - a).star() * (one - a))
-        )
-
-    return ReferencedUnit(candidate, omega, cross, diagonal)
+    return _module_mul(a, x, inner=True)
 
 
 def right_mul(x: ReferencedUnit, a: AlgebraElement) -> ReferencedUnit:
     """x . a, with the multiplications applied to the kernel output:
     (zeta_x a + zeta_ref (1-a), beta_x a + beta_ref (1-a))."""
-    omega = x.reference
-    xu = x.unit
-    one = constant(a.grid, 1.0)
-    candidate = FockUnit(
-        xu.zeta * a + omega.zeta * (one - a),
-        xu.beta * a + omega.beta * (one - a),
-    )
-    mul_a = multiplication_operator(a.star())
-    mul_rest = multiplication_operator((one - a).star())
-
-    def cross(probe: FockUnit) -> WeightedShift:
-        return mul_a @ kernel(xu, probe) + mul_rest @ kernel(omega, probe)
-
-    def diagonal() -> WeightedShift:
-        return (
-            multiplication_operator(a.star() * a) @ kernel(xu, xu)
-            + multiplication_operator((one - a).star() * a) @ kernel(omega, xu)
-            + multiplication_operator(a.star() * (one - a)) @ kernel(xu, omega)
-            + multiplication_operator((one - a).star() * (one - a)) @ kernel(omega, omega)
-        )
-
-    return ReferencedUnit(candidate, omega, cross, diagonal)
+    return _module_mul(a, x, inner=False)
 
 
 def scalar_mul(alpha: complex, x: ReferencedUnit) -> ReferencedUnit:
@@ -322,13 +285,7 @@ def semi_inner(x: ReferencedUnit, y: ReferencedUnit, b: AlgebraElement) -> Algeb
     (K(x,y) - K(x,ref) - K(ref,y) + K(ref,ref)) applied to b."""
     _check_same_reference(x, y)
     omega = x.reference
-    combined = (
-        kernel(x.unit, y.unit)
-        - kernel(x.unit, omega)
-        - kernel(omega, y.unit)
-        + kernel(omega, omega)
-    )
-    return combined.apply(b)
+    return _signed_kernels(((1, x.unit), (-1, omega)), ((1, y.unit), (-1, omega))).apply(b)
 
 
 def index_norm(x: ReferencedUnit) -> float:

@@ -176,6 +176,24 @@ PRESET_GRID = {"grid": {"m": 2, "S": 1}}
         ("membership", {**PRESET_GRID, "zeta": {"kind": "piecewise_linear", "knots": [[0.0]]}}),
         ("membership", {**PRESET_GRID, "zeta": {"kind": "raw", "values": [1, 1, 1], "tail": "nan"}}),
         ("membership", {**PRESET_GRID, "zeta": {"kind": "csv", "path": "missing.csv"}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "constant", "value": True}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "constant", "value": [True, 0]}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "exp_approach", "a": True}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "exp_decay", "c": 1.0, "a": True}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "piecewise_linear", "knots": [[0, True]]}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "piecewise_linear", "knots": [[True, 1.0]]}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "raw", "values": [1, 1, True]}}),
+        ("membership", {**PRESET_GRID, "zeta": {"kind": "raw", "values": [1, 1, 1], "tail": True}}),
+        ("index", {"units": []}),
+        ("gram", {"units": []}),
+        ("witness", {"probes": []}),
+        ("unitalg", {"probes": []}),
+        ("semigroup", {"t_values": []}),
+        ("gram", {"t_values": []}),
+        ("approx", {"ns": []}),
+        ("unitalg", {"kappa": []}),
+        ("unitalg", {"kappa": [{"kind": "constant", "value": 0.5}]}),
+        ("unitalg", {"kappa": [{"kind": "constant", "value": 0.5}, {"kind": "exp_decay", "c": 1e-9, "a": 1.0, "d": 0.5}]}),
     ],
 )
 def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fields):

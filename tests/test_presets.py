@@ -32,6 +32,24 @@ def test_as_complex_forms():
         as_complex("not a number")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: as_complex(True),
+        lambda: as_complex([1.0, False]),
+        lambda: exp_approach(GRID, 1.0, True),
+        lambda: exp_decay(GRID, True, 1.0),
+        lambda: inverse_decay(GRID, 1.0, False),
+        lambda: piecewise_linear(GRID, [(True, 1.0)]),
+        lambda: from_spec(GRID, {"kind": "raw", "values": [True] * GRID.size}),
+    ],
+    ids=["as_complex", "list_part", "exp_approach_a", "exp_decay_c", "inverse_decay_d", "knot_s", "raw_value"],
+)
+def test_a_bool_is_not_a_number(build):
+    with pytest.raises(PresetError, match="expected a number"):
+        build()
+
+
 def test_exp_approach_matches_formula():
     b = exp_approach(GRID, 0.5 + 0.5j, 1.3)
     s = GRID.points()
