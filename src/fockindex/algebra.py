@@ -14,6 +14,7 @@ and :class:`UnresolvedTailWarning`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +44,11 @@ class UnresolvedTailWarning(UserWarning):
     """An element's last sample is far from its declared tail value."""
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [0, S] with step 1/m, plus one slot for the tail.
@@ -56,9 +62,9 @@ class GridSpec:
     domain_end: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.step_denominator, (int, np.integer)) or self.step_denominator < 1:
+        if not _is_count(self.step_denominator) or self.step_denominator < 1:
             raise ValueError(f"step_denominator must be a positive integer, got {self.step_denominator!r}")
-        if not isinstance(self.domain_end, (int, np.integer)) or self.domain_end < 1:
+        if not _is_count(self.domain_end) or self.domain_end < 1:
             raise ValueError(f"domain_end must be a positive integer, got {self.domain_end!r}")
 
     @property
@@ -118,12 +124,22 @@ class AlgebraElement:
         samples = np.asarray(self.samples, dtype=complex)
         if samples.shape != (self.grid.size,):
             raise ValueError(f"expected {self.grid.size} samples, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
+        self._freeze(samples.copy(), self.tail)
+
+    @classmethod
+    def _wrap(cls, grid: GridSpec, samples: np.ndarray, tail) -> "AlgebraElement":
+        """An element over complex samples of the right shape that the
+        arithmetic has just computed: checked and frozen, not copied."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "grid", grid)
+        element._freeze(samples, tail)
+        return element
+
+    def _freeze(self, samples: np.ndarray, tail) -> None:
+        if not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
-        tail = complex(self.tail)
-        if not (np.isfinite(tail.real) and np.isfinite(tail.imag)):
+        if not (math.isfinite((tail := complex(tail)).real) and math.isfinite(tail.imag)):
             raise ValueError("tail must be finite")
-        samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "tail", tail)
@@ -178,7 +194,7 @@ class AlgebraElement:
         if rhs is None:
             return NotImplemented
         _warn_unresolved(self, rhs)
-        return AlgebraElement(self.grid, self.samples + rhs.samples, self.tail + rhs.tail)
+        return AlgebraElement._wrap(self.grid, self.samples + rhs.samples, self.tail + rhs.tail)
 
     __radd__ = __add__
 
@@ -187,7 +203,7 @@ class AlgebraElement:
         if rhs is None:
             return NotImplemented
         _warn_unresolved(self, rhs)
-        return AlgebraElement(self.grid, self.samples - rhs.samples, self.tail - rhs.tail)
+        return AlgebraElement._wrap(self.grid, self.samples - rhs.samples, self.tail - rhs.tail)
 
     def __rsub__(self, other):
         rhs = self._lift(other)
@@ -200,12 +216,12 @@ class AlgebraElement:
         if rhs is None:
             return NotImplemented
         _warn_unresolved(self, rhs)
-        return AlgebraElement(self.grid, self.samples * rhs.samples, self.tail * rhs.tail)
+        return AlgebraElement._wrap(self.grid, self.samples * rhs.samples, self.tail * rhs.tail)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return AlgebraElement(self.grid, -self.samples, -self.tail)
+        return AlgebraElement._wrap(self.grid, -self.samples, -self.tail)
 
     def __truediv__(self, other):
         rhs = self._lift(other)
@@ -221,7 +237,7 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         """Pointwise complex conjugate (the involution of the algebra)."""
-        return AlgebraElement(self.grid, np.conj(self.samples), np.conj(self.tail))
+        return AlgebraElement._wrap(self.grid, np.conj(self.samples), np.conj(self.tail))
 
     def shift(self, t) -> "AlgebraElement":
         """Left shift: the result samples b at s + t; t >= 0 on the grid.
@@ -240,16 +256,16 @@ class AlgebraElement:
             shifted[n - offset :] = self.tail
         else:
             shifted[:] = self.tail
-        return AlgebraElement(self.grid, shifted, self.tail)
+        return AlgebraElement._wrap(self.grid, shifted, self.tail)
 
     def sup_norm(self) -> float:
         """The C*-norm: max of |value| over all samples and the tail."""
-        return float(max(np.max(np.abs(self.samples)), abs(self.tail)))
+        return float(max(np.abs(self.samples).max(), abs(self.tail)))
 
     def is_positive(self, tol: float = POSITIVITY_TOLERANCE) -> bool:
         """True iff every value has |imag| <= tol and real part >= -tol."""
         coords = self.coordinates
-        return bool(np.all(np.abs(coords.imag) <= tol) and np.all(coords.real >= -tol))
+        return bool((np.abs(coords.imag) <= tol).all() and (coords.real >= -tol).all())
 
     def limit_at_infinity(self) -> complex:
         return self.tail
@@ -257,14 +273,14 @@ class AlgebraElement:
     def reciprocal(self, min_modulus: float = 1e-14) -> "AlgebraElement":
         """Pointwise inverse; fails if any value is within min_modulus of 0."""
         coords = self.coordinates
-        small = np.min(np.abs(coords))
+        small = np.abs(coords).min()
         if small < min_modulus:
             raise ValueError(f"element is not invertible: min |value| = {small:.3e}")
-        return AlgebraElement(self.grid, 1.0 / self.samples, 1.0 / self.tail)
+        return AlgebraElement._wrap(self.grid, 1.0 / self.samples, 1.0 / self.tail)
 
 
 def constant(grid: GridSpec, value) -> AlgebraElement:
     """The constant function ``value``; constant(grid, 1) is the unit."""
     value = complex(value)
-    return AlgebraElement(grid, np.full(grid.size, value, dtype=complex), value)
+    return AlgebraElement._wrap(grid, np.full(grid.size, value, dtype=complex), value)
 

@@ -8,23 +8,22 @@ kernel of two units acts on the algebra as
     b  |->  conj(zeta(s)) * b(s + 1) * zeta'(s) + (conj(beta(s)) + beta'(s)) * b(s),
 
 which on coordinate vectors (samples..., tail) couples sample k only to
-itself and to sample k+m (the unit shift), or to the tail once k+m is past
-the grid. The coordinates therefore split into m residue chains
-r, r+m, r+2m, ... that all end in the shared tail, a sink that feeds only
-itself. Each chain with the tail has S+2 slots; chain 0 has S+1 samples
-and the others S, so each of those carries one pad slot that stays
-exactly zero.
+itself and to sample k+m (the unit shift T), or to the tail once k+m is
+past the grid. The tail is a sink that feeds only itself.
 
-Operators come in two forms over this chain layout:
+Operators come in two forms:
 
 - :class:`WeightedShift` is D_a + D_w T, a multiplication operator plus a
-  weighted shift to the next slot of the chain, stored as two coefficients
-  per slot. Kernels and multiplication operators have this form, and so do
-  their sums and their products with multiplication operators.
-- :class:`KernelOperator` stores one (S+2) x (S+2) block per chain. It
-  holds everything else: exponentials (one batched scaling-and-squaring
-  over the m blocks), products of two shifts, and whatever is mixed with
-  them. A weighted shift turns into chain blocks when it meets one.
+  weighted unit shift, stored in coordinate order as two coefficients per
+  coordinate. Kernels and multiplication operators have this form, and
+  so do their sums and their products with multiplication operators.
+- :class:`KernelOperator` holds everything else: exponentials, products
+  of two shifts, and whatever is mixed with them. T splits the samples
+  into m residue chains r, r+m, r+2m, ... that end in the shared tail,
+  and each such operator stores one (S+2) x (S+2) block per chain (see
+  its docstring for the slots). An exponential is one batched
+  scaling-and-squaring over the m blocks. A weighted shift turns into
+  chain blocks when it meets a chain operator or another shift.
 
 Arithmetic in either form is exact.
 
@@ -63,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraElement, GridMismatchError, GridSpec, constant
+from .algebra import AlgebraElement, GridMismatchError, GridSpec, _is_count, constant
 
 __all__ = [
     "UnsupportedParameterError",
@@ -132,7 +131,7 @@ class NParticleVector:
     value: AlgebraElement
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if not _is_count(self.n) or self.n < 0:
             raise ValueError(f"particle count must be a nonnegative integer, got {self.n!r}")
 
 
@@ -155,9 +154,9 @@ def module_inner(x: NParticleVector, y: NParticleVector) -> AlgebraElement:
 def unit_component(u: FockUnit, n: int) -> NParticleVector:
     """The n-particle component of a unit with beta = 0:
     value(s) = zeta(s) * zeta(s+1) * ... * zeta(s+n-1); n = 0 gives 1."""
-    if np.any(u.beta.samples != 0) or u.beta.tail != 0:
+    if (u.beta.samples != 0).any() or u.beta.tail != 0:
         raise UnsupportedParameterError("components are only available for units with beta = 0")
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not _is_count(n) or n < 0:
         raise ValueError(f"particle count must be a nonnegative integer, got {n!r}")
     value = constant(u.grid, 1.0)
     for k in range(n):
@@ -168,10 +167,6 @@ def unit_component(u: FockUnit, n: int) -> NParticleVector:
 def _block_shape(grid: GridSpec) -> tuple[int, int, int]:
     chain = grid.domain_end + 2
     return (grid.step_denominator, chain, chain)
-
-
-def _band_shape(grid: GridSpec) -> tuple[int, int, int]:
-    return (2, grid.step_denominator, grid.domain_end + 2)
 
 
 @lru_cache(maxsize=32)
@@ -246,9 +241,9 @@ class KernelOperator:
     def zero(cls, grid: GridSpec) -> "KernelOperator":
         return cls._wrap(grid, np.zeros(_block_shape(grid), dtype=complex))
 
-    def _check(self, other: "KernelOperator") -> None:
+    def _check(self, other) -> None:
         if self.grid != other.grid:
-            raise GridMismatchError("operators act on different grids")
+            raise GridMismatchError("operands live on different grids")
 
     def __add__(self, other: "KernelOperator") -> "KernelOperator":
         self._check(other)
@@ -271,8 +266,14 @@ class KernelOperator:
         return KernelOperator._wrap(self.grid, np.matmul(self.blocks, other.blocks))
 
     def apply(self, b: AlgebraElement) -> AlgebraElement:
-        x = _chain_vectors(self.grid, b)
-        return _from_chain_vectors(self.grid, np.matmul(self.blocks, x[..., None])[..., 0])
+        """Block-wise matmul on the coordinates of b in chain layout, pads zero."""
+        self._check(b)
+        block, slot = _chain_layout(self.grid)
+        x = np.zeros(self.blocks.shape[:2], dtype=complex)
+        x[block, slot] = b.samples
+        x[:, -1] = b.tail
+        y = np.matmul(self.blocks, x[..., None])[..., 0]
+        return AlgebraElement._wrap(self.grid, y[block, slot], y[0, -1])
 
     def operator_norm(self) -> float:
         """Induced sup-norm on coordinates: max absolute row sum."""
@@ -296,38 +297,18 @@ def _inf_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(matrix), axis=-1)))
 
 
-def _chain_vectors(grid: GridSpec, b: AlgebraElement) -> np.ndarray:
-    """The coordinates of b in chain layout, shape (m, S+2), pads zero."""
-    if b.grid != grid:
-        raise GridMismatchError("operand lives on a different grid")
-    block, slot = _chain_layout(grid)
-    x = np.zeros(_band_shape(grid)[1:], dtype=complex)
-    x[block, slot] = b.samples
-    x[:, -1] = b.tail
-    return x
-
-
-def _from_chain_vectors(grid: GridSpec, y: np.ndarray) -> AlgebraElement:
-    block, slot = _chain_layout(grid)
-    return AlgebraElement(grid, y[block, slot], y[0, -1])
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedShift:
     """The operator D_a + D_w T on the discretized algebra: multiplication
-    by a plus multiplication by w after the shift T to the next slot of the
-    same residue chain (the tail after a chain's last sample).
+    by a plus multiplication by w after the unit shift T, which moves
+    sample k to k+m, or to the tail once k+m is past the grid.
 
-    ``bands`` has shape (2, m, S+2) in the chain-slot layout of
-    :class:`KernelOperator`: band 0 slot i is block entry (i, i) and band 1
-    slot i is block entry (i, i+1). Band 1 slot S+1 is zero, because the
-    tail feeds only itself, and the tail entry of band 0 is the same in
-    every chain. The pad slot 0 of chains r >= 1 is zero in both bands.
-    Kernels and multiplication operators have this form, and it is closed
-    under sums, scalar multiples and products with a multiplication
-    operator on either side. A product of two shifts, and anything mixed
-    with a :class:`KernelOperator`, is computed on chain blocks. Arrays
-    passed in are checked, copied and frozen.
+    ``bands`` has shape (2, dim) over the coordinates (samples..., tail):
+    band 0 holds a and band 1 holds w. Band 1 is zero at the tail, which
+    feeds only itself. The form is closed under sums, scalar multiples and
+    products with a multiplication operator on either side; any other
+    product is computed on :attr:`blocks`. Arrays passed in are checked,
+    copied and frozen.
     """
 
     grid: GridSpec
@@ -335,13 +316,11 @@ class WeightedShift:
 
     def __post_init__(self) -> None:
         bands = np.array(self.bands, dtype=complex)
-        shape = _band_shape(self.grid)
+        shape = (2, self.grid.dim)
         if bands.shape != shape:
             raise ValueError(f"expected bands of shape {shape}, got {bands.shape}")
-        if np.any(bands[:, 1:, 0]):
-            raise ValueError("pad slots (slot 0 of chains 1..m-1) must be zero")
-        if np.any(bands[1, :, -1]) or np.any(bands[0, :, -1] != bands[0, 0, -1]):
-            raise ValueError("the tail slot must hold only the tail entry, equal in every chain")
+        if bands[1, -1] != 0:
+            raise ValueError("band 1 must be zero at the tail, which feeds only itself")
         bands.setflags(write=False)
         object.__setattr__(self, "bands", bands)
 
@@ -357,19 +336,19 @@ class WeightedShift:
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "WeightedShift":
-        return cls._wrap(grid, np.zeros(_band_shape(grid), dtype=complex))
+        return cls._wrap(grid, np.zeros((2, grid.dim), dtype=complex))
 
     def __repr__(self) -> str:
         return f"WeightedShift(m={self.grid.step_denominator}, S={self.grid.domain_end}, norm={self.operator_norm():.6g})"
 
     @property
     def blocks(self) -> np.ndarray:
-        """The chain blocks of :class:`KernelOperator`, upper bidiagonal."""
-        m, chain = self.bands.shape[1:]
-        i = np.arange(chain)
-        blocks = np.zeros((m, chain, chain), dtype=complex)
-        blocks[:, i, i] = self.bands[0]
-        blocks[:, i[:-1], i[1:]] = self.bands[1, :, :-1]
+        """The chain blocks of :class:`KernelOperator`: a on the diagonal, w right of it."""
+        block, slot = _chain_layout(self.grid)
+        blocks = np.zeros(_block_shape(self.grid), dtype=complex)
+        blocks[block, slot, slot] = self.bands[0, :-1]
+        blocks[block, slot, slot + 1] = self.bands[1, :-1]
+        blocks[:, -1, -1] = self.bands[0, -1]
         blocks.setflags(write=False)
         return blocks
 
@@ -400,61 +379,66 @@ class WeightedShift:
 
     def __matmul__(self, other):
         """D_a (D_d + D_w T) scales rows: D_{ad} + D_{aw} T. (D_d + D_w T) D_a
-        scales columns: D_{da} + D_{w Ta} T, band 1 taking the next slot's a.
-        Any other product is taken on chain blocks."""
+        scales columns: D_{da} + D_{w Ta} T, band 1 taking a at the next
+        coordinate. Any other product is taken on chain blocks."""
         if not isinstance(other, WeightedShift):
             return self._chain_operator() @ other
         self._check(other)
-        if not np.any(self.bands[1]):
+        if not self.bands[1].any():
             return WeightedShift._wrap(self.grid, self.bands[0] * other.bands)
-        if not np.any(other.bands[1]):
+        if not other.bands[1].any():
             a = other.bands[0]
             bands = np.zeros_like(self.bands)
             bands[0] = self.bands[0] * a
-            bands[1, :, :-1] = self.bands[1, :, :-1] * a[:, 1:]
+            bands[1, :-1] = self.bands[1, :-1] * a[_next_index(self.grid)]
             return WeightedShift._wrap(self.grid, bands)
         return self._chain_operator() @ other._chain_operator()
 
     def apply(self, b: AlgebraElement) -> AlgebraElement:
-        x = _chain_vectors(self.grid, b)
+        self._check(b)
+        x = b.coordinates
         y = self.bands[0] * x
-        y[:, :-1] += self.bands[1, :, :-1] * x[:, 1:]
-        return _from_chain_vectors(self.grid, y)
+        y[:-1] += self.bands[1, :-1] * x[_next_index(self.grid)]
+        return AlgebraElement._wrap(self.grid, y[:-1], y[-1])
 
     def operator_norm(self) -> float:
         """Induced sup-norm on coordinates: max absolute row sum |a| + |w|."""
-        return float(np.max(np.abs(self.bands[0]) + np.abs(self.bands[1])))
+        return float((np.abs(self.bands[0]) + np.abs(self.bands[1])).max())
 
     def to_dense(self) -> np.ndarray:
         """The dim x dim matrix acting on coordinate vectors (samples..., tail)."""
-        return self._chain_operator().to_dense()
+        dense = np.diag(self.bands[0])
+        dense[np.arange(self.grid.size), _next_index(self.grid)] = self.bands[1, :-1]
+        return dense
+
+
+@lru_cache(maxsize=32)
+def _next_index(grid: GridSpec) -> np.ndarray:
+    """Where the unit shift moves each sample k: k+m, or the tail past the grid."""
+    index = np.minimum(np.arange(grid.size) + grid.step_denominator, grid.size)
+    index.setflags(write=False)
+    return index
 
 
 def multiplication_operator(a: AlgebraElement) -> WeightedShift:
     """The operator b |-> a*b (equal to b |-> b*a; the algebra is commutative)."""
-    grid = a.grid
-    block, slot = _chain_layout(grid)
-    bands = np.zeros(_band_shape(grid), dtype=complex)
-    bands[0, block, slot] = a.samples
-    bands[0, :, -1] = a.tail
-    return WeightedShift._wrap(grid, bands)
+    bands = np.zeros((2, a.grid.dim), dtype=complex)
+    bands[0] = a.coordinates
+    return WeightedShift._wrap(a.grid, bands)
 
 
 def kernel(u: FockUnit, v: FockUnit) -> WeightedShift:
     """The generator of the two-unit semigroup:
     (L b)(s) = conj(zeta_u(s)) * b(s+1) * zeta_v(s) + (conj(beta_u(s)) + beta_v(s)) * b(s),
-    with the tail row acting on tails only. In chain form b(s+1) is the
-    next slot of the same chain, which is the tail after the last sample."""
+    with the tail row acting on tails only; b(s+1) past the grid end is the tail."""
     if u.grid != v.grid:
         raise GridMismatchError("units live on different grids")
-    grid = u.grid
-    block, slot = _chain_layout(grid)
-    bands = np.zeros(_band_shape(grid), dtype=complex)
+    bands = np.zeros((2, u.grid.dim), dtype=complex)
     # Added to zeros rather than assigned, so signed zeros come out as +0.
-    bands[1, block, slot] += np.conj(u.zeta.samples) * v.zeta.samples
-    bands[0, block, slot] += np.conj(u.beta.samples) + v.beta.samples
-    bands[0, :, -1] = np.conj(u.zeta.tail) * v.zeta.tail + np.conj(u.beta.tail) + v.beta.tail
-    return WeightedShift._wrap(grid, bands)
+    bands[1, :-1] += np.conj(u.zeta.samples) * v.zeta.samples
+    bands[0, :-1] += np.conj(u.beta.samples) + v.beta.samples
+    bands[0, -1] = np.conj(u.zeta.tail) * v.zeta.tail + np.conj(u.beta.tail) + v.beta.tail
+    return WeightedShift._wrap(u.grid, bands)
 
 
 def _scaling(norm: float) -> int:

@@ -12,6 +12,7 @@ from fockindex.algebra import (
     UnresolvedTailWarning,
     constant,
 )
+from fockindex.fock import FockUnit, kernel, multiplication_operator, semigroup
 
 GRID = GridSpec(4, 40)
 SMALL = GridSpec(2, 3)
@@ -41,6 +42,14 @@ class TestGridSpec:
     def test_rejects_bad_parameters(self, m, S):
         with pytest.raises(ValueError):
             GridSpec(m, S)
+
+    @pytest.mark.parametrize("m,S", [(True, 3), (3, True), (False, 3), (np.True_, 3)])
+    def test_rejects_bools(self, m, S):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            GridSpec(m, S)
+
+    def test_accepts_numpy_integers(self):
+        assert GridSpec(np.int64(2), np.int32(3)).size == 7
 
     def test_offsets(self):
         assert GRID.offset_of(1) == 4
@@ -243,3 +252,53 @@ class TestReciprocal:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             constant(SMALL, 0).reciprocal()
+
+
+class TestFiniteFastPath:
+    """Elements that the arithmetic computes skip the shape check and the
+    copy, but not the finiteness check, and they come out read-only."""
+
+    HUGE = resolved([1e200] * SMALL.size)
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda h: h * h,
+            lambda h: h * 1e200,
+            lambda h: (h * 1e108) + (h * 1e108),
+            lambda h: (h * 1e108) - (h * -1e108),
+            lambda h: resolved([5e-324] * SMALL.size).reciprocal(min_modulus=0.0),
+            lambda h: multiplication_operator(h).apply(h),
+            lambda h: kernel(FockUnit(h, h), FockUnit(h, h)).apply(h),
+        ],
+    )
+    def test_overflow_raises(self, compute):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="samples must be finite"):
+            compute(self.HUGE)
+
+    def test_nonfinite_tail_raises(self):
+        unresolved = element([1.0] * SMALL.size, 1e200)
+        with pytest.warns(UnresolvedTailWarning), pytest.raises(ValueError, match="tail must be finite"):
+            unresolved * unresolved
+
+    def test_results_are_read_only(self):
+        a, b = resolved([1, 2j, -3, 0.5, 1, 1, 1]), resolved([2, 1, 1j, 1, 1, 1, 1])
+        results = [
+            a + b,
+            a - b,
+            a * b,
+            -a,
+            a.star(),
+            a.shift(1),
+            b.reciprocal(),
+            a / b,
+            constant(SMALL, 2.0),
+            multiplication_operator(a).apply(b),
+            kernel(FockUnit(a, b), FockUnit(b, a)).apply(b),
+            semigroup(FockUnit(a, b), FockUnit(b, a), 0.5).apply(b),
+        ]
+        for result in results:
+            assert isinstance(result.tail, complex)
+            assert not result.samples.flags.writeable
+            with pytest.raises(ValueError):
+                result.samples[0] = 0.0

@@ -336,9 +336,11 @@ def chain(operator):
 
 def assert_shift_form(operator):
     assert isinstance(operator, WeightedShift)
-    assert np.all(operator.bands[:, 1:, 0] == 0), "pad slots"
-    assert np.all(operator.bands[1, :, -1] == 0), "band 1 at the tail slot"
-    assert np.all(operator.bands[0, :, -1] == operator.bands[0, 0, -1]), "tail entry"
+    assert operator.bands.shape == (2, operator.grid.dim), "coordinate layout"
+    assert operator.bands[1, -1] == 0, "band 1 at the tail"
+    blocks = operator.blocks
+    assert np.all(blocks[1:, 0, :] == 0) and np.all(blocks[1:, :, 0] == 0), "pad slots"
+    assert np.all(blocks[:, -1, -1] == operator.bands[0, -1]), "tail entry"
 
 
 @on_small_grids
@@ -405,17 +407,18 @@ class TestWeightedShiftConstruction:
         u = FockUnit(constant(self.GRID, 1.0), constant(self.GRID, 0.5))
         bands = np.array(kernel(u, u).bands)
         operator = WeightedShift(self.GRID, bands)
-        bands[0, 0, 0] = 99.0
-        assert operator.bands[0, 0, 0] != 99.0
+        bands[0, 0] = 99.0
+        assert operator.bands[0, 0] != 99.0
         assert not operator.bands.flags.writeable
         assert not operator.blocks.flags.writeable
-        for band, chain_index, slot in ((0, 1, 0), (1, 2, 0), (1, 0, -1), (0, 2, -1)):
-            bad = np.array(operator.bands)
-            bad[band, chain_index, slot] += 1.0
-            with pytest.raises(ValueError):
-                WeightedShift(self.GRID, bad)
-        with pytest.raises(ValueError):
-            WeightedShift(self.GRID, kernel(u, u).blocks)
+        bad = np.array(operator.bands)
+        bad[1, -1] += 1.0
+        with pytest.raises(ValueError, match="band 1 must be zero at the tail"):
+            WeightedShift(self.GRID, bad)
+        chain_layout = np.zeros((2, self.GRID.step_denominator, self.GRID.domain_end + 2), dtype=complex)
+        for wrong_shape in (chain_layout, kernel(u, u).blocks, operator.bands[:, :-1]):
+            with pytest.raises(ValueError, match="expected bands of shape"):
+                WeightedShift(self.GRID, wrong_shape)
 
     def test_grid_mismatch(self):
         other = GridSpec(2, 4)
@@ -568,6 +571,7 @@ def test_band_scaling_is_the_block_scaling(grid, seed):
     those of the chain blocks of tL, bit for bit."""
     rng = np.random.default_rng(seed)
     generator = kernel(random_unit(rng, grid), random_unit(rng, grid))
+    block, slot = fock._chain_layout(grid)
     i = np.arange(grid.domain_end + 2)
     for t in (0.0, *rng.uniform(0.0, 0.5, 4), *rng.uniform(0.5, 5.0, 8), *10.0 ** rng.uniform(1, 300, 4)):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -579,12 +583,13 @@ def test_band_scaling_is_the_block_scaling(grid, seed):
             squarings = fock._scaling(norm)
             assert squarings == reference_scaling(blocks)[1]
             scaled_blocks, scaled_bands = blocks * math.ldexp(1.0, -squarings), bands * math.ldexp(1.0, -squarings)
-        assert scaled_blocks[:, i, i].tobytes() == scaled_bands[0].tobytes()
-        assert scaled_blocks[:, i[:-1], i[1:]].tobytes() == scaled_bands[1, :, :-1].tobytes()
+        assert scaled_blocks[block, slot, slot].tobytes() == scaled_bands[0, :-1].tobytes()
+        assert scaled_blocks[block, slot, slot + 1].tobytes() == scaled_bands[1, :-1].tobytes()
+        assert scaled_blocks[:, -1, -1].tobytes() == np.repeat(scaled_bands[0, -1:], grid.step_denominator).tobytes()
         off_band = np.ones(scaled_blocks.shape, dtype=bool)
-        off_band[:, i, i] = off_band[:, i[:-1], i[1:]] = False
-        assert not np.any(scaled_blocks[off_band].view(np.uint64))  # +0 in both float parts
-        assert not np.any(scaled_bands[1, :, -1].copy().view(np.uint64))
+        off_band[block, slot, slot] = off_band[block, slot, slot + 1] = off_band[:, -1, -1] = False
+        assert not np.any(scaled_blocks[off_band].view(np.uint64))  # +0 in both float parts, pads included
+        assert not np.any(scaled_bands[1, -1:].view(np.uint64))
 
 
 def test_stop_when_the_sum_norm_rounds_above_the_bound():

@@ -1,13 +1,19 @@
 """Tests for the experiment driver CLI: exit codes, report files and
 byte-level determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fockindex
 from fockindex.cli import main
@@ -417,3 +423,70 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# -- robustness: random small configs end in an exit status, never a traceback --
+
+def mostly(valid, odd):
+    """``valid`` three times in four, else ``odd``: most runs get past
+    parsing, and the rest try values the config cannot take."""
+    return st.integers(0, 3).flatmap(lambda k: odd if k == 0 else valid)
+
+
+ODD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.floats(-5, 5), max_size=3),
+)
+NUMBERS = mostly(st.one_of(st.floats(-3, 3), st.integers(-3, 3), st.lists(st.floats(-3, 3), min_size=2, max_size=2)), ODD)
+ODD_GRID_FIELDS = st.one_of(st.integers(-1, 0), st.booleans(), st.floats(-1, 6), st.text(max_size=2), st.none())
+PRESETS = mostly(
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.just("constant"), "value": NUMBERS}),
+        st.fixed_dictionaries(
+            {"kind": st.sampled_from(["exp_approach", "exp_decay", "inverse_decay"])},
+            optional={key: NUMBERS for key in ("c", "a", "d")},
+        ),
+    ),
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.just("piecewise_linear"), "knots": st.lists(st.lists(NUMBERS, max_size=3), max_size=4)}),
+        st.fixed_dictionaries({"kind": st.just("raw"), "values": st.lists(NUMBERS, max_size=14)}, optional={"tail": NUMBERS}),
+        st.fixed_dictionaries({"kind": st.sampled_from(["csv", "nonsense"])}, optional={"path": st.text(max_size=4)}),
+        ODD,
+    ),
+)
+UNITS = mostly(st.fixed_dictionaries({"zeta": PRESETS}, optional={"beta": PRESETS}), ODD)
+CONFIGS = st.fixed_dictionaries(
+    {
+        "grid": st.fixed_dictionaries(
+            {"m": mostly(st.integers(1, 2), ODD_GRID_FIELDS), "S": mostly(st.integers(1, 6), ODD_GRID_FIELDS)}
+        )
+    },
+    optional={
+        "u": UNITS,
+        "v": UNITS,
+        "unit": UNITS,
+        "reference": UNITS,
+        "zeta": PRESETS,
+        "beta": PRESETS,
+        "b": PRESETS,
+        "t_values": mostly(st.lists(NUMBERS, max_size=3), ODD),
+        "tolerances": st.dictionaries(st.sampled_from(["exp", "semigroup_law", "hermitian", "membership", "bogus"]), NUMBERS, max_size=2),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["membership", "kernel", "semigroup", "inner"]), CONFIGS)
+def test_random_small_configs_end_in_an_exit_status(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("ignore")
+            status = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert status in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

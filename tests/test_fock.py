@@ -206,6 +206,13 @@ class TestComponents:
         assert np.max(np.abs(comp.value.samples - z * z1)) == 0.0
         assert comp.value.tail == zeta.tail * zeta.tail
 
+    @pytest.mark.parametrize("n", [True, False, np.True_, 1.0, -1])
+    def test_particle_counts_must_be_integers(self, n):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            NParticleVector(n, constant(GRID, 1))
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            unit_component(generator_unit(GRID), n)
+
     def test_beta_refused(self):
         u = FockUnit(constant(GRID, 1), constant(GRID, 0.1))
         with pytest.raises(UnsupportedParameterError):

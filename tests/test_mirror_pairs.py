@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockindex.algebra import AlgebraElement, GridSpec, constant
-from fockindex.fock import FockUnit, WeightedShift, _chain_layout, kernel, multiplication_operator
+from fockindex.fock import FockUnit, KernelOperator, WeightedShift, kernel, multiplication_operator
 from fockindex.unit_algebra import (
     COEFFICIENT_SUM_TOLERANCE,
     ReferencedUnit,
@@ -182,14 +182,15 @@ def reference_semi_inner(x, y, b):
 
 
 def reference_to_dense(shift):
+    """Sample k has a on the diagonal and w at column k+m, or at the tail
+    past the grid end; the tail row holds only the tail's a."""
     grid = shift.grid
-    n = grid.size
-    block, slot = _chain_layout(grid)
-    k = np.arange(n)
+    n, m = grid.size, grid.step_denominator
     dense = np.zeros((grid.dim, grid.dim), dtype=complex)
-    dense[k, k] = shift.bands[0, block, slot]
-    dense[k, np.minimum(k + grid.step_denominator, n)] = shift.bands[1, block, slot]
-    dense[n, n] = shift.bands[0, 0, -1]
+    for k in range(n):
+        dense[k, k] = shift.bands[0, k]
+        dense[k, min(k + m, n)] = shift.bands[1, k]
+    dense[n, n] = shift.bands[0, n]
     return dense
 
 
@@ -298,3 +299,4 @@ def test_weighted_shift_to_dense_matches_the_per_sample_formula(grid, seed):
         dense = shift.to_dense()
         assert dense.shape == (grid.dim, grid.dim)
         assert dense.tobytes() == reference_to_dense(shift).tobytes()
+        assert dense.tobytes() == KernelOperator(grid, shift.blocks).to_dense().tobytes()
