@@ -29,7 +29,7 @@ from .fock import (
     semigroup_law_residual,
 )
 from .presets import PresetError, from_spec
-from .selftest import DEFAULT_SEED, run_selftest
+from .selftest import DEFAULT_SEED, DEFAULT_TOLERANCES, run_selftest
 from .subsystem import (
     NotAMemberError,
     convergence_report,
@@ -68,20 +68,6 @@ COMMANDS = (
     "index",
     "selftest",
 )
-
-DEFAULT_TOLERANCES = {
-    "membership": 1e-9,
-    "psd": 1e-10,
-    "exp": 1e-12,
-    "semigroup_law": 1e-9,
-    "hermitian": 1e-13,
-    "dual_path": 1e-11,
-    "witness": 1e-12,
-    "theta": 1e-10,
-    "index_hom": 1e-11,
-    "inner_hermitian": 1e-12,
-    "convergence_threshold": 0.05,
-}
 
 
 class ConfigError(ValueError):

@@ -31,12 +31,12 @@ Arithmetic in either form is exact.
 :func:`semigroup` is its one-time case. The exponential scales tL by
 2^-s(t), with s(t) the least count that brings the row-sum norm to 1/2
 or below, sums a Taylor series of the scaled stack and squares the sum
-s(t) times. Scaling by a power of two is exact, so when h = t/2^k and
-s(h) = s(t) - k, the scaled stacks of hL and tL are usually the same to
-the bit (the code checks that they are), and so are their Taylor sums.
-exp(tL) is then exp(hL) squared k more times: the very float operations
-a fresh exponential of tL would run. The pad entries that exp(hL) has
-cleared meet only zeros in a product, so they change no bit either.
+s(t) times. The sum and its stopping test read only the scaled stack, so
+when the scaled stacks of hL and tL are equal to the bit, as scaling by
+a power of two usually makes them for h = t/2^k, exp(tL) is exp(hL)
+squared s(t) - s(h) more times: the very float operations a fresh
+exponential of tL would run. The pad entries that exp(hL) has cleared
+meet only zeros in a product, so they change no bit either.
 
 The Taylor sum runs in place and gives the bits of the plain loop
 term_k = term_{k-1} @ A / k, sum = sum + term_k. Term k is computed into
@@ -186,8 +186,53 @@ def _clear_pads(blocks: np.ndarray) -> np.ndarray:
     return blocks
 
 
-@dataclass(frozen=True, eq=False)
-class KernelOperator:
+class _Operator:
+    """Arithmetic shared by the two operator forms, each a frozen dataclass
+    of ``grid`` and the array that ``_field`` names. Operands of different
+    forms are combined on :attr:`blocks` into a :class:`KernelOperator`."""
+
+    _field = ""
+
+    @classmethod
+    def _wrap(cls, grid: GridSpec, array: np.ndarray):
+        """An operator over an array this module has just computed: frozen,
+        neither checked nor copied."""
+        array.setflags(write=False)
+        operator = object.__new__(cls)
+        object.__setattr__(operator, "grid", grid)
+        object.__setattr__(operator, cls._field, array)
+        return operator
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(m={self.grid.step_denominator}, S={self.grid.domain_end}, norm={self.operator_norm():.6g})"
+
+    def _check(self, other) -> None:
+        if self.grid != other.grid:
+            raise GridMismatchError("operands live on different grids")
+
+    def _pointwise(self, op, other):
+        self._check(other)
+        if type(other) is type(self):
+            return self._wrap(self.grid, op(getattr(self, self._field), getattr(other, self._field)))
+        return KernelOperator._wrap(self.grid, op(self.blocks, other.blocks))
+
+    def __add__(self, other):
+        return self._pointwise(np.add, other)
+
+    def __sub__(self, other):
+        return self._pointwise(np.subtract, other)
+
+    def __neg__(self):
+        return self._wrap(self.grid, -getattr(self, self._field))
+
+    def __mul__(self, scalar):
+        return self._wrap(self.grid, getattr(self, self._field) * complex(scalar))
+
+    __rmul__ = __mul__
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class KernelOperator(_Operator):
     """A bounded operator on the discretized algebra that maps every residue
     chain into itself and the tail, stored as m chain blocks.
 
@@ -206,6 +251,8 @@ class KernelOperator:
     grid: GridSpec
     blocks: np.ndarray
 
+    _field = "blocks"
+
     def __post_init__(self) -> None:
         blocks = np.array(self.blocks, dtype=complex)
         shape = _block_shape(self.grid)
@@ -220,19 +267,6 @@ class KernelOperator:
         object.__setattr__(self, "blocks", blocks)
 
     @classmethod
-    def _wrap(cls, grid: GridSpec, blocks: np.ndarray) -> "KernelOperator":
-        """An operator over blocks this module has just computed: frozen,
-        neither checked nor copied."""
-        blocks.setflags(write=False)
-        operator = object.__new__(cls)
-        object.__setattr__(operator, "grid", grid)
-        object.__setattr__(operator, "blocks", blocks)
-        return operator
-
-    def __repr__(self) -> str:
-        return f"KernelOperator(m={self.grid.step_denominator}, S={self.grid.domain_end}, norm={self.operator_norm():.6g})"
-
-    @classmethod
     def identity(cls, grid: GridSpec) -> "KernelOperator":
         m, chain, _ = _block_shape(grid)
         return cls._wrap(grid, _clear_pads(np.tile(np.eye(chain, dtype=complex), (m, 1, 1))))
@@ -240,26 +274,6 @@ class KernelOperator:
     @classmethod
     def zero(cls, grid: GridSpec) -> "KernelOperator":
         return cls._wrap(grid, np.zeros(_block_shape(grid), dtype=complex))
-
-    def _check(self, other) -> None:
-        if self.grid != other.grid:
-            raise GridMismatchError("operands live on different grids")
-
-    def __add__(self, other: "KernelOperator") -> "KernelOperator":
-        self._check(other)
-        return KernelOperator._wrap(self.grid, self.blocks + other.blocks)
-
-    def __sub__(self, other: "KernelOperator") -> "KernelOperator":
-        self._check(other)
-        return KernelOperator._wrap(self.grid, self.blocks - other.blocks)
-
-    def __neg__(self) -> "KernelOperator":
-        return KernelOperator._wrap(self.grid, -self.blocks)
-
-    def __mul__(self, scalar) -> "KernelOperator":
-        return KernelOperator._wrap(self.grid, self.blocks * complex(scalar))
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "KernelOperator") -> "KernelOperator":
         self._check(other)
@@ -297,8 +311,8 @@ def _inf_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(matrix), axis=-1)))
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedShift:
+@dataclass(frozen=True, eq=False, repr=False)
+class WeightedShift(_Operator):
     """The operator D_a + D_w T on the discretized algebra: multiplication
     by a plus multiplication by w after the unit shift T, which moves
     sample k to k+m, or to the tail once k+m is past the grid.
@@ -314,6 +328,8 @@ class WeightedShift:
     grid: GridSpec
     bands: np.ndarray
 
+    _field = "bands"
+
     def __post_init__(self) -> None:
         bands = np.array(self.bands, dtype=complex)
         shape = (2, self.grid.dim)
@@ -325,21 +341,8 @@ class WeightedShift:
         object.__setattr__(self, "bands", bands)
 
     @classmethod
-    def _wrap(cls, grid: GridSpec, bands: np.ndarray) -> "WeightedShift":
-        """A shift over bands this module has just computed: frozen,
-        neither checked nor copied."""
-        bands.setflags(write=False)
-        operator = object.__new__(cls)
-        object.__setattr__(operator, "grid", grid)
-        object.__setattr__(operator, "bands", bands)
-        return operator
-
-    @classmethod
     def zero(cls, grid: GridSpec) -> "WeightedShift":
         return cls._wrap(grid, np.zeros((2, grid.dim), dtype=complex))
-
-    def __repr__(self) -> str:
-        return f"WeightedShift(m={self.grid.step_denominator}, S={self.grid.domain_end}, norm={self.operator_norm():.6g})"
 
     @property
     def blocks(self) -> np.ndarray:
@@ -352,47 +355,21 @@ class WeightedShift:
         blocks.setflags(write=False)
         return blocks
 
-    def _chain_operator(self) -> KernelOperator:
-        return KernelOperator._wrap(self.grid, self.blocks)
-
-    _check = KernelOperator._check
-
-    def __add__(self, other):
-        if not isinstance(other, WeightedShift):
-            return self._chain_operator() + other
-        self._check(other)
-        return WeightedShift._wrap(self.grid, self.bands + other.bands)
-
-    def __sub__(self, other):
-        if not isinstance(other, WeightedShift):
-            return self._chain_operator() - other
-        self._check(other)
-        return WeightedShift._wrap(self.grid, self.bands - other.bands)
-
-    def __neg__(self) -> "WeightedShift":
-        return WeightedShift._wrap(self.grid, -self.bands)
-
-    def __mul__(self, scalar) -> "WeightedShift":
-        return WeightedShift._wrap(self.grid, self.bands * complex(scalar))
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         """D_a (D_d + D_w T) scales rows: D_{ad} + D_{aw} T. (D_d + D_w T) D_a
         scales columns: D_{da} + D_{w Ta} T, band 1 taking a at the next
         coordinate. Any other product is taken on chain blocks."""
-        if not isinstance(other, WeightedShift):
-            return self._chain_operator() @ other
         self._check(other)
-        if not self.bands[1].any():
-            return WeightedShift._wrap(self.grid, self.bands[0] * other.bands)
-        if not other.bands[1].any():
-            a = other.bands[0]
-            bands = np.zeros_like(self.bands)
-            bands[0] = self.bands[0] * a
-            bands[1, :-1] = self.bands[1, :-1] * a[_next_index(self.grid)]
-            return WeightedShift._wrap(self.grid, bands)
-        return self._chain_operator() @ other._chain_operator()
+        if isinstance(other, WeightedShift):
+            if not self.bands[1].any():
+                return WeightedShift._wrap(self.grid, self.bands[0] * other.bands)
+            if not other.bands[1].any():
+                a = other.bands[0]
+                bands = np.zeros_like(self.bands)
+                bands[0] = self.bands[0] * a
+                bands[1, :-1] = self.bands[1, :-1] * a[_next_index(self.grid)]
+                return WeightedShift._wrap(self.grid, bands)
+        return KernelOperator._wrap(self.grid, np.matmul(self.blocks, other.blocks))
 
     def apply(self, b: AlgebraElement) -> AlgebraElement:
         self._check(b)
@@ -505,17 +482,16 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray
 
 def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12) -> dict:
     """exp(t * kernel(u, v)) for every t >= 0 in ``times``, taken block by
-    block and keyed by float(t); each distinct time is exponentiated once.
+    block and keyed by float(t).
 
-    The times are taken in ascending order. When an earlier time h =
-    t / 2^k gets k squarings fewer and a scaled stack (hL) 2^-s(h) equal to
-    the bit to (tL) 2^-s(t), ``matrix_exponential`` would run the same
-    Taylor sum for t as for h, and exp(tL) is exp(hL) squared k more
-    times; otherwise ``matrix_exponential`` runs. Norms and scaled stacks
-    are read from the bands of tL: a block row has at most the two
-    nonzeros a and w, so its row sum is |a| + |w| in any order, and the
-    other block entries are +0 for every t >= 0. The chain blocks are
-    built only for a fresh exponential.
+    The times are taken in ascending order, so the squaring count s(t)
+    never falls. A time whose scaled stack (tL) 2^-s(t) equals that of an
+    earlier time h to the bit gets exp(hL) squared s(t) - s(h) more
+    times, or exp(hL) itself when s(t) = s(h); any other time runs
+    ``matrix_exponential``. Norms and scaled stacks are read from the
+    bands of tL: a block row has at most the two nonzeros a and w, so its
+    row sum is |a| + |w| in any order, and the other block entries are +0
+    for every t >= 0.
     """
     times = sorted({float(t) for t in times})
     for t in times:
@@ -523,36 +499,24 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12) -> dict:
             raise ValueError(f"time must be nonnegative, got {t}")
     generator = kernel(u, v)
     exps: dict = {}
-    scalings: dict = {}
+    latest: dict = {}  # scaled bands -> (squarings, latest exponential)
     with np.errstate(over="ignore", invalid="ignore"):  # matrix_exponential rejects what overflows
         for t in times:
             shift = WeightedShift._wrap(u.grid, t * generator.bands)
             norm = shift.operator_norm()
             squarings = _scaling(norm)
-            scaled = (shift.bands * math.ldexp(1.0, -squarings)).view(np.uint64)
-            blocks = _square_of_earlier(exps, scalings, t, squarings, scaled, norm)
-            if blocks is None:
-                blocks = matrix_exponential(shift.blocks, rel_tol=rel_tol)
-            scalings[t] = (squarings, scaled)
-            exps[t] = KernelOperator._wrap(u.grid, _clear_pads(blocks))
+            key = (shift.bands * math.ldexp(1.0, -squarings)).tobytes()
+            earlier, operator = latest.get(key, (squarings, None))
+            if operator is None:
+                operator = KernelOperator._wrap(u.grid, _clear_pads(matrix_exponential(shift.blocks, rel_tol=rel_tol)))
+            elif squarings > earlier:
+                blocks = operator.blocks
+                for _ in range(squarings - earlier):
+                    blocks = _square(blocks, norm)
+                operator = KernelOperator._wrap(u.grid, _clear_pads(blocks))
+            latest[key] = (squarings, operator)
+            exps[t] = operator
     return exps
-
-
-def _square_of_earlier(exps: dict, scalings: dict, t: float, squarings: int, scaled: np.ndarray, norm: float) -> np.ndarray | None:
-    """exp(tL) as exps[h] squared k times, for the nearest earlier time
-    h = t / 2^k with s(t) - k squarings and the same scaled bands bit for
-    bit (``scalings`` holds both for every earlier time; the bits are
-    compared as integers, so signed zeros count); None when there is none.
-    The pads of exps[h] are cleared, which changes no bit of the other
-    entries of its squares."""
-    for k in range(1, squarings + 1):
-        h = math.ldexp(t, -k)
-        if h in scalings and scalings[h][0] == squarings - k and np.array_equal(scalings[h][1], scaled):
-            result = exps[h].blocks
-            for _ in range(k):
-                result = _square(result, norm)
-            return result
-    return None
 
 
 def semigroup(u: FockUnit, v: FockUnit, t: float, rel_tol: float = 1e-12) -> KernelOperator:
@@ -563,8 +527,8 @@ def semigroup(u: FockUnit, v: FockUnit, t: float, rel_tol: float = 1e-12) -> Ker
 def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12, extra_times=()) -> tuple[float, dict]:
     """max over s, t in ``times`` of ||exp((s+t)L) - exp(sL) exp(tL)|| for
     L = kernel(u, v), and the exponentials it took, keyed by time: those
-    at ``times``, at their pairwise sums and at ``extra_times``, each
-    distinct time exponentiated once by :func:`semigroups`."""
+    at ``times``, at their pairwise sums and at ``extra_times``, all
+    taken by one :func:`semigroups` call."""
     times = [float(t) for t in times]
     exps = semigroups(u, v, [*times, *(s + t for s in times for t in times), *extra_times], rel_tol=rel_tol)
     worst = 0.0

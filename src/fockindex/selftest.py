@@ -48,10 +48,26 @@ from .unit_algebra import (
     wrap,
 )
 
-__all__ = ["CheckResult", "run_selftest", "DEFAULT_GRID", "DEFAULT_SEED", "CRITERIA"]
+__all__ = ["CheckResult", "run_selftest", "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "CRITERIA"]
 
 DEFAULT_GRID = GridSpec(4, 40)
 DEFAULT_SEED = 2024
+
+# Pinned tolerances, keyed as a CLI config overrides them. Each key but
+# "exp" (the exponential's Taylor series) pins the criterion in brackets.
+DEFAULT_TOLERANCES = {
+    "membership": 1e-9,  # [10]
+    "psd": 1e-10,  # [4]
+    "exp": 1e-12,
+    "semigroup_law": 1e-9,  # [3]
+    "hermitian": 1e-13,  # [2]
+    "dual_path": 1e-11,  # [6]
+    "witness": 1e-12,  # [7]
+    "theta": 1e-10,  # [8]
+    "index_hom": 1e-11,  # [11]
+    "inner_hermitian": 1e-12,  # [5] adjoint symmetry
+    "convergence_threshold": 0.05,  # [9]
+}
 
 
 @dataclass(frozen=True)
@@ -123,7 +139,7 @@ def criterion_kernel_adjoint_symmetry(grid: GridSpec, seed: int) -> list[CheckRe
         for b in probes:
             gap = (backward.apply(b) - forward.apply(b.star()).star()).sup_norm()
             worst = max(worst, gap)
-    return [_result("kernel adjoint symmetry", worst, 1e-13)]
+    return [_result("kernel adjoint symmetry", worst, DEFAULT_TOLERANCES["hermitian"])]
 
 
 def _semigroup_test_pairs(grid: GridSpec) -> list[tuple[FockUnit, FockUnit]]:
@@ -162,7 +178,7 @@ def criterion_semigroup_law(grid: GridSpec, seed: int) -> list[CheckResult]:
     for u, v in _semigroup_test_pairs(grid):
         worst = max(worst, semigroup_law_residual(u, v, times)[0])
     return [
-        _result("semigroup law exp((s+t)L) = exp(sL)exp(tL)", worst, 1e-9),
+        _result("semigroup law exp((s+t)L) = exp(sL)exp(tL)", worst, DEFAULT_TOLERANCES["semigroup_law"]),
         _result("semigroup action on the unit element is e^t", worst_eig, 1e-10),
     ]
 
@@ -173,15 +189,16 @@ def criterion_gram_positivity(grid: GridSpec, seed: int) -> list[CheckResult]:
     zero = constant(grid, 0.0)
     units = [vacuum_unit(grid), generator_unit(grid), FockUnit(exp_approach(grid, 1.0, 1.0), zero)]
     bs = [constant(grid, 1.0), exp_decay(grid, 1.0, 1.0, 0.1)]
+    tol = DEFAULT_TOLERANCES["psd"]
     worst = 0.0
     for row in gram_matrices(units, (0.5, 1.0), bs):
         for gram in row:
-            worst = min(worst, gram_psd_check(gram, 1e-10).min_eigenvalue)
+            worst = min(worst, gram_psd_check(gram, tol).min_eigenvalue)
     return [
         CheckResult(
             "gram positivity over the unit family",
-            worst >= -1e-10,
-            f"min pointwise eigenvalue {worst:.3e} (floor -1.0e-10)",
+            worst >= -tol,
+            f"min pointwise eigenvalue {worst:.3e} (floor {-tol:.1e})",
         )
     ]
 
@@ -215,7 +232,7 @@ def criterion_semi_inner_properties(grid: GridSpec, seed: int) -> list[CheckResu
     worst = 0.0
     for b in bs + [constant(grid, complex(0.4, -0.9))]:
         worst = max(worst, (semi_inner(x, y, b) - semi_inner(y, x, b.star()).star()).sup_norm())
-    results.append(_result("semi-inner adjoint symmetry", worst, 1e-12))
+    results.append(_result("semi-inner adjoint symmetry", worst, DEFAULT_TOLERANCES["inner_hermitian"]))
 
     positive_ok = all(semi_inner(w, w, b).is_positive(1e-10) for w in (x, y, z) for b in bs)
     results.append(CheckResult("semi-inner positivity on positive elements", positive_ok, "all diagonal values >= -1e-10"))
@@ -251,7 +268,7 @@ def criterion_dual_path_coherence(grid: GridSpec, seed: int) -> list[CheckResult
         worst = 0.0
         for _ in range(5):
             worst = max(worst, dual_path_residual(build(), probes))
-        results.append(_result(f"dual-path coherence: {name}", worst, 1e-11))
+        results.append(_result(f"dual-path coherence: {name}", worst, DEFAULT_TOLERANCES["dual_path"]))
 
     run("beta shift", lambda: power_beta(wrap(_random_unit(rng, grid), _random_unit(rng, grid)), _random_element(rng, grid)))
 
@@ -287,7 +304,7 @@ def criterion_conjugation_witness(grid: GridSpec, seed: int) -> list[CheckResult
         4: piecewise_linear(grid, [(0.0, 0.2), (1.0, 0.6), (4.0, 1.0)]),
     }
     return [
-        _result(f"conjugation witness identity, n={n}", witness_step1(zeta, n).max_identity_residual, 1e-12)
+        _result(f"conjugation witness identity, n={n}", witness_step1(zeta, n).max_identity_residual, DEFAULT_TOLERANCES["witness"])
         for n, zeta in cases.items()
     ]
 
@@ -303,7 +320,7 @@ def criterion_convexified_kernel_equality(grid: GridSpec, seed: int) -> list[Che
     dips negative near 0."""
     del seed
     residual = theta_check(_negative_dip_zeta(grid), 8)
-    return [_result("convexified-combination kernel equality", residual, 1e-10)]
+    return [_result("convexified-combination kernel equality", residual, DEFAULT_TOLERANCES["theta"])]
 
 
 def criterion_truncation_convergence(grid: GridSpec, seed: int) -> list[CheckResult]:
@@ -313,7 +330,7 @@ def criterion_truncation_convergence(grid: GridSpec, seed: int) -> list[CheckRes
     del seed
     ns = [2, 4, 6, 8, 10]
     zeta = exp_approach(grid, 1.0, 1.0)
-    report = convergence_report(zeta, 1.0, ns)
+    report = convergence_report(zeta, 1.0, ns, target_threshold=DEFAULT_TOLERANCES["convergence_threshold"])
 
     s = grid.points()
     z = 1.0 + np.exp(-s)
@@ -368,7 +385,7 @@ def criterion_membership_battery(grid: GridSpec, seed: int) -> list[CheckResult]
     ]
     errors = []
     for label, zeta, expected in _membership_cases(grid):
-        verdicts = [membership(FockUnit(zeta, beta), 1e-9).in_E for beta in betas]
+        verdicts = [membership(FockUnit(zeta, beta), DEFAULT_TOLERANCES["membership"]).in_E for beta in betas]
         if any(v != expected for v in verdicts):
             errors.append(label)
         if len(set(verdicts)) != 1:
@@ -392,11 +409,12 @@ def criterion_index_homomorphism(grid: GridSpec, seed: int) -> list[CheckResult]
         x, y = wrap(_random_member(rng, grid), xi), wrap(_random_member(rng, grid), xi)
         for key, residual in index_homomorphism_residuals(x, y, _random_element(rng, grid)).items():
             worst[key] = max(worst[key], residual)
+    tol = DEFAULT_TOLERANCES["index_hom"]
     return [
-        _result("index homomorphism: addition", worst["add"], 1e-11),
-        _result("index homomorphism: left action (shift-twisted)", worst["left"], 1e-11),
-        _result("index homomorphism: right action", worst["right"], 1e-11),
-        _result("index pairing equals semi-inner product", worst["inner"], 1e-11),
+        _result("index homomorphism: addition", worst["add"], tol),
+        _result("index homomorphism: left action (shift-twisted)", worst["left"], tol),
+        _result("index homomorphism: right action", worst["right"], tol),
+        _result("index pairing equals semi-inner product", worst["inner"], tol),
     ]
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, constant
+from .algebra import AlgebraElement, _is_count, constant
 from .fock import FockUnit, generator_unit, kernel, semigroup, unit_component, left_action, vacuum_unit
 from .presets import exp_approach, exp_decay
 from .unit_algebra import (
@@ -159,7 +159,7 @@ def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
     exactly 1 from n on: b0(s) = zeta(s) * ... * zeta(s+n-1), b1 = 1/b0,
     and b1(s+n) * b0(s) reproduces the n-particle component of the unit."""
     grid = zeta.grid
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_count(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if grid.domain_end < 2 * n:
         raise ValueError(f"grid end {grid.domain_end} is too short; need at least 2n = {2 * n}")
@@ -184,6 +184,8 @@ def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
 def convexify(zeta: AlgebraElement, n: int, delta: float) -> tuple[float, AlgebraElement]:
     """Largest dyadic alpha in (0, 1) with alpha*zeta + (1-alpha) >= delta
     on all samples; returns alpha and the convexified element."""
+    if not _is_count(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     _require_real(zeta, "convexify")
     _require_eventually_one(zeta, n, "convexify")
     if not 0.0 < delta < 1.0:
@@ -227,7 +229,7 @@ def theta_check(
 def approximate(zeta: AlgebraElement, n: int, min_pivot: float = 1e-8) -> AlgebraElement:
     """Truncation approximant: zeta(s)/zeta(n) for s < n, and 1 from n on."""
     grid = zeta.grid
-    if not isinstance(n, (int, np.integer)) or n < 1 or n > grid.domain_end:
+    if not _is_count(n) or n < 1 or n > grid.domain_end:
         raise ValueError(f"n must be an integer in [1, {grid.domain_end}], got {n!r}")
     pivot = zeta.value_at(n)
     if abs(pivot) < min_pivot:

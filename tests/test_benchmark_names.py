@@ -1,6 +1,7 @@
 """The benchmark pins the names of the selftest checks and of the unitalg
-cases, and fails every op whose report names differ. These tests hold the
-pins to the program, so a rename fails here first."""
+cases, and fails every op whose report names differ; its tracer reads the
+operator methods it times from the class body. These tests hold the pins
+to the program, so a rename or a move fails here first."""
 
 import csv
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from fockindex.algebra import GridSpec
 from fockindex.cli import main
+from fockindex.fock import KernelOperator
 from fockindex.selftest import run_selftest
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -44,3 +46,10 @@ def test_pinned_unitalg_cases_match_a_one_case_run(workloads, tmp_path):
     with (tmp_path / "out" / "unitalg_cases.csv").open(newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["operation"] for row in rows] == list(workloads.UNITALG_CASES)
+
+
+@pytest.mark.parametrize("method", ["__matmul__", "apply", "operator_norm", "__post_init__"])
+def test_traced_operator_methods_are_defined_on_the_class(method):
+    """The tracer wraps only methods in ``KernelOperator.__dict__``, and the
+    benchmark's checks need the composition, apply and norm layers."""
+    assert method in KernelOperator.__dict__

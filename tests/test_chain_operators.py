@@ -266,7 +266,26 @@ def test_zero_generator_gives_identities(monkeypatch):
     exps = fock.semigroups(omega, omega, DOUBLING)
     identity = KernelOperator.identity(grid).blocks.tobytes()
     assert all(op.blocks.tobytes() == identity for op in exps.values())
-    assert len(calls) == len(DOUBLING)  # no squarings to share when nothing is scaled
+    assert len(calls) == 1  # every time has the same all-zero scaled stack
+    assert len({id(op) for op in exps.values()}) == 1  # and so the same operator
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 3), GridSpec(3, 4), GridSpec(4, 5)])
+def test_semigroup_pads_are_zero_on_every_path(monkeypatch, grid):
+    """Every operator that semigroups returns has zero pad rows and columns,
+    whether it is a fresh exponential, squared from an earlier time or
+    reused as is."""
+    rng = np.random.default_rng(13)
+    u, v = random_unit(rng, grid), random_unit(rng, grid)
+    omega = fock.vacuum_unit(grid)
+    times = [*DOUBLING, 0.3]
+    calls = count_exponentials(monkeypatch)
+    reused = fock.semigroups(omega, omega, times)
+    assert len(calls) == 1 and len({id(op) for op in reused.values()}) == 1
+    squared = fock.semigroups(u, v, times)
+    assert 1 < len(calls) - 1 == scaled_generator_count(u, v, times) < len(times)
+    for operator in [*reused.values(), *squared.values()]:
+        assert not operator.blocks[1:, 0, :].any() and not operator.blocks[1:, :, 0].any()
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 1), GridSpec(2, 5), GridSpec(4, 3)])

@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fockindex
-from fockindex.cli import main
+from fockindex.cli import COMMANDS, main
+from fockindex.selftest import DEFAULT_TOLERANCES
 
 SMALL_GRID = {"grid": {"m": 2, "S": 30}}
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -473,13 +474,23 @@ CONFIGS = st.fixed_dictionaries(
         "beta": PRESETS,
         "b": PRESETS,
         "t_values": mostly(st.lists(NUMBERS, max_size=3), ODD),
-        "tolerances": st.dictionaries(st.sampled_from(["exp", "semigroup_law", "hermitian", "membership", "bogus"]), NUMBERS, max_size=2),
+        "t": NUMBERS,
+        "units": mostly(st.lists(UNITS, max_size=3), ODD),
+        "probes": mostly(st.lists(UNITS, max_size=2), ODD),
+        "probe": UNITS,
+        "kappa": mostly(st.lists(PRESETS, max_size=3), ODD),
+        "seed": mostly(st.integers(-1, 5), ODD),
+        "cases": mostly(st.integers(0, 2), ODD),
+        "n": mostly(st.integers(0, 7), ODD),
+        "ns": mostly(st.lists(st.integers(0, 7), max_size=3), ODD),
+        "delta": mostly(st.floats(-0.5, 1.5), ODD),
+        "tolerances": st.dictionaries(st.sampled_from([*DEFAULT_TOLERANCES, "bogus"]), NUMBERS, max_size=2),
     },
 )
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["membership", "kernel", "semigroup", "inner"]), CONFIGS)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([c for c in COMMANDS if c != "selftest"]), CONFIGS)
 def test_random_small_configs_end_in_an_exit_status(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -325,3 +325,22 @@ class TestCentrality:
         ]
         for member in members:
             assert not centrality_check(member)
+
+
+ONE_FROM_ONE = piecewise_linear(GRID, [(0.0, 0.5), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: witness_step1(ONE_FROM_ONE, n),
+        lambda n: approximate(ONE_FROM_ONE, n),
+        lambda n: convexify(ONE_FROM_ONE, n, 0.1),
+        lambda n: theta_check(ONE_FROM_ONE, n),
+    ],
+    ids=["witness_step1", "approximate", "convexify", "theta_check"],
+)
+def test_a_bool_is_not_a_particle_count(call):
+    with pytest.raises(ValueError, match="integer"):
+        call(True)
+    call(np.int64(1))
