@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +29,18 @@ from .fock import (
     semigroup_law_residual,
 )
 from .presets import PresetError, from_spec
-from .selftest import DEFAULT_SEED, DEFAULT_TOLERANCES, run_selftest
+from .selftest import DEFAULT_SEED, DEFAULT_TOLERANCES, MIN_GRID_END, random_element, random_unit, run_selftest
 from .subsystem import (
+    TRUNCATION_NS,
+    ConvergenceRow,
     NotAMemberError,
     convergence_report,
     convexify,
     index_homomorphism_residuals,
     index_representative,
     membership,
+    step1_grid_end,
+    step1_positive,
     theta_check,
     witness_step1,
 )
@@ -45,29 +49,18 @@ from .unit_algebra import (
     add,
     boxplus_left,
     boxplus_right,
+    coefficients_sum_to_one,
     default_probe_units,
     dual_path_residual,
     left_mul,
     power_beta,
     right_mul,
     semi_inner,
+    semi_inner_adjoint_residual,
     wrap,
 )
 
 SCHEMA_VERSION = "1"
-
-COMMANDS = (
-    "kernel",
-    "semigroup",
-    "gram",
-    "inner",
-    "unitalg",
-    "membership",
-    "witness",
-    "approx",
-    "index",
-    "selftest",
-)
 
 
 class ConfigError(ValueError):
@@ -83,10 +76,7 @@ class ExperimentConfig:
     elements: dict = field(default_factory=dict, init=False)  # built from preset specs, keyed by repr(spec)
 
     def element(self, key: str, default_spec: dict | None = None) -> AlgebraElement:
-        spec = self.raw.get(key, default_spec)
-        if spec is None:
-            raise ConfigError(f"config needs a {key!r} preset spec")
-        return self._preset(spec, repr(key))
+        return self._preset(self.raw.get(key, default_spec), repr(key))
 
     def _list(self, key: str, default: list | None, what: str) -> list:
         """The list field ``key``; an empty list is an error, since a run over it would check nothing."""
@@ -101,8 +91,6 @@ class ExperimentConfig:
     def unit(self, key: str = None, spec: dict | None = None, default: dict | None = None) -> FockUnit:
         if spec is None:
             spec = self.raw.get(key, default)
-        if spec is None:
-            raise ConfigError(f"config needs a {key!r} unit spec")
         if not isinstance(spec, dict) or "zeta" not in spec:
             raise ConfigError(f"a unit spec needs a 'zeta' member, got {spec!r}")
         return FockUnit(self._preset(spec["zeta"], "unit"), self._preset(spec.get("beta", _ZERO), "unit"))
@@ -116,6 +104,13 @@ class ExperimentConfig:
             except PresetError as exc:
                 raise ConfigError(f"bad {what} spec: {exc}") from exc
         return self.elements[key]
+
+    def coefficients(self, key: str) -> list[AlgebraElement]:
+        """The element list ``key``, which must sum to the unit element."""
+        values = self.element_list(key)
+        if not coefficients_sum_to_one(values):
+            raise ConfigError(f"{key!r} must sum to the unit element within {COEFFICIENT_SUM_TOLERANCE}")
+        return values
 
     def unit_list(self, key: str, default_specs: list | None = None) -> list[FockUnit]:
         return [self.unit(spec=spec) for spec in self._list(key, default_specs, "unit specs")]
@@ -149,9 +144,19 @@ class ExperimentConfig:
 
 
 _ZERO = {"kind": "constant", "value": 0.0}
-_DEFAULT_UNIT = {"zeta": {"kind": "exp_approach", "c": 1.0, "a": 1.0}}
-_DEFAULT_SECOND_UNIT = {"zeta": {"kind": "constant", "value": 1.0}}
+_ONE = {"kind": "constant", "value": 1.0}
+_APPROACH = {"kind": "exp_approach", "c": 1.0, "a": 1.0}  # zeta = 1 + e^{-s}
 _DEFAULT_WITNESS_ZETA = {"kind": "piecewise_linear", "knots": [[0.0, 0.5], [1.0, 1.0]]}
+
+# Every top-level key that carries elements, with the reader that builds it.
+# parse_config reads each one present, so a bad spec fails before any work
+# whichever command reads it; the element cache builds each spec once.
+_ELEMENT_FIELDS = {
+    **dict.fromkeys(("zeta", "beta", "b"), "element"),
+    "kappa": "coefficients",
+    **dict.fromkeys(("u", "v", "reference", "unit", "probe"), "unit"),
+    **dict.fromkeys(("units", "probes"), "unit_list"),
+}
 
 
 def _integer(value, name: str) -> int:
@@ -215,17 +220,9 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
             raise ConfigError(f"unknown tolerance {key!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}")
         tolerances[key] = _tolerance(key, value)
     config = ExperimentConfig(grid, tolerances, raw, base_dir)
-    # parse every element-bearing field now so bad presets fail before any work
-    for key in ("zeta", "beta", "b"):
+    for key, reader in _ELEMENT_FIELDS.items():
         if key in raw:
-            config.element(key)
-    if "kappa" in raw:
-        kappa = config.element_list("kappa")
-        if (sum(kappa, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() > COEFFICIENT_SUM_TOLERANCE:
-            raise ConfigError(f"'kappa' must sum to the unit element within {COEFFICIENT_SUM_TOLERANCE}")
-    for key in ("units", "probes"):
-        if key in raw:
-            config.unit_list(key)
+            getattr(config, reader)(key)
     return config
 
 
@@ -251,11 +248,17 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _verdict(config: ExperimentConfig, path: Path, payload: dict, residual: float, tolerance: str) -> int:
-    """Write ``payload`` with ``passed`` and ``tolerance``; the exit status is 0 if ``residual`` is within it."""
+def _judged(config: ExperimentConfig, residual: float, tolerance: str) -> dict:
+    """``passed`` (whether ``residual`` is within the tolerance named ``tolerance``) and that ``tolerance``."""
     tol = config.tolerances[tolerance]
-    write_json(path, {**payload, "passed": residual <= tol, "tolerance": tol})
-    return 0 if residual <= tol else 1
+    return {"passed": residual <= tol, "tolerance": tol}
+
+
+def _verdict(config: ExperimentConfig, path: Path, payload: dict, residual: float, tolerance: str) -> int:
+    """Write ``payload`` judged by :func:`_judged`; the exit status is 0 if it passed."""
+    payload = {**payload, **_judged(config, residual, tolerance)}
+    write_json(path, payload)
+    return 0 if payload["passed"] else 1
 
 
 def _json_complex(z: complex):
@@ -280,10 +283,13 @@ def _element_rows(grid: GridSpec, elements: list[AlgebraElement]) -> list:
 # -- commands ---------------------------------------------------------------
 
 
+def _pair_and_b(config: ExperimentConfig) -> tuple:
+    """``u``, ``v`` and ``b`` of kernel, semigroup and inner; by default u(1 + e^{-s}, 0), u(1, 0) and 1."""
+    return config.unit("u", default={"zeta": _APPROACH}), config.unit("v", default={"zeta": _ONE}), config.element("b", _ONE)
+
+
 def cmd_kernel(config: ExperimentConfig, out: Path) -> int:
-    u = config.unit("u", default=_DEFAULT_UNIT)
-    v = config.unit("v", default=_DEFAULT_SECOND_UNIT)
-    b = config.element("b", {"kind": "constant", "value": 1.0})
+    u, v, b = _pair_and_b(config)
     operator = kernel(u, v)
     kernel_to_csv(operator, out / "kernel_matrix.csv")
     applied = operator.apply(b)
@@ -298,9 +304,7 @@ def cmd_kernel(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_semigroup(config: ExperimentConfig, out: Path) -> int:
-    u = config.unit("u", default=_DEFAULT_UNIT)
-    v = config.unit("v", default=_DEFAULT_SECOND_UNIT)
-    b = config.element("b", {"kind": "constant", "value": 1.0})
+    u, v, b = _pair_and_b(config)
     t_values = config.times("t_values", [0.0, 0.5, 1.0, 1.5, 2.0])
     exp_tol = config.tolerances["exp"]
     worst, exps = semigroup_law_residual(u, v, t_values, rel_tol=exp_tol)
@@ -311,15 +315,8 @@ def cmd_semigroup(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_gram(config: ExperimentConfig, out: Path) -> int:
-    units = config.unit_list(
-        "units",
-        [
-            {"zeta": _ZERO},
-            {"zeta": {"kind": "constant", "value": 1.0}},
-            {"zeta": {"kind": "exp_approach", "c": 1.0, "a": 1.0}},
-        ],
-    )
-    b = config.element("b", {"kind": "constant", "value": 1.0})
+    units = config.unit_list("units", [{"zeta": _ZERO}, {"zeta": _ONE}, {"zeta": _APPROACH}])
+    b = config.element("b", _ONE)
     if not b.is_positive():
         raise ConfigError("'b' must be a positive element for the Gram check")
     t_values = config.times("t_values", [0.5, 1.0])
@@ -329,28 +326,18 @@ def cmd_gram(config: ExperimentConfig, out: Path) -> int:
     for t, (gram,) in zip(t_values, gram_matrices(units, t_values, [b])):
         report = gram_psd_check(gram, tol)
         all_passed = all_passed and report.passed
-        results.append(
-            {
-                "t": t,
-                "passed": report.passed,
-                "min_eigenvalue": report.min_eigenvalue,
-                "argmin_point": report.argmin_point,
-                "entries": report.json_entries(),
-            }
-        )
+        results.append({"t": t, **vars(report), "entries": report.json_entries()})
     write_json(out / "gram_report.json", {"passed": all_passed, "tolerance": tol, "results": results})
     return 0 if all_passed else 1
 
 
 def cmd_inner(config: ExperimentConfig, out: Path) -> int:
-    u = config.unit("u", default=_DEFAULT_UNIT)
-    v = config.unit("v", default=_DEFAULT_SECOND_UNIT)
+    u, v, b = _pair_and_b(config)
     reference = config.unit("reference", default={"zeta": _ZERO})
-    b = config.element("b", {"kind": "constant", "value": 1.0})
     x, y = wrap(u, reference), wrap(v, reference)
     value = semi_inner(x, y, b)
     write_csv(out / "inner_table.csv", ["s", "re", "im"], _element_rows(config.grid, [value]))
-    sym_gap = (value - semi_inner(y, x, b.star()).star()).sup_norm()
+    sym_gap = semi_inner_adjoint_residual(x, y, b)
     payload = {"sup_norm": value.sup_norm(), "adjoint_symmetry_residual": sym_gap}
     return _verdict(config, out / "inner_report.json", payload, sym_gap, "inner_hermitian")
 
@@ -361,28 +348,26 @@ def cmd_unitalg(config: ExperimentConfig, out: Path) -> int:
     seed = config.integer("seed", DEFAULT_SEED, 0)
     cases = config.integer("cases", 3, 1)
     rng = np.random.default_rng(seed)
-    from .selftest import _random_element, _random_unit  # deterministic draws shared with the selftest
-
     one = constant(grid, 1.0)
     reference = config.unit("reference", default={"zeta": _ZERO})
-    kappa = config.element_list("kappa", None) if "kappa" in config.raw else None
+    kappa = config.coefficients("kappa") if "kappa" in config.raw else None
     rows = []
 
     def record(name, built):
         rows.append([name, dual_path_residual(built, probes)])
 
     for case in range(cases):
-        record(f"beta_shift[{case}]", power_beta(wrap(_random_unit(rng, grid), reference), _random_element(rng, grid)))
+        record(f"beta_shift[{case}]", power_beta(wrap(random_unit(rng, grid), reference), random_element(rng, grid)))
         coeffs = kappa
         if coeffs is None:
-            c1, c2 = _random_element(rng, grid), _random_element(rng, grid)
+            c1, c2 = random_element(rng, grid), random_element(rng, grid)
             coeffs = [c1, c2, one - c1 - c2]
-        units = [_random_unit(rng, grid) for _ in coeffs]
+        units = [random_unit(rng, grid) for _ in coeffs]
         record(f"left_combination[{case}]", boxplus_left(coeffs, units, reference))
         record(f"right_combination[{case}]", boxplus_right(units, coeffs, reference))
-        record(f"addition[{case}]", add(wrap(_random_unit(rng, grid), reference), wrap(_random_unit(rng, grid), reference)))
-        record(f"left_multiplication[{case}]", left_mul(_random_element(rng, grid), wrap(_random_unit(rng, grid), reference)))
-        record(f"right_multiplication[{case}]", right_mul(wrap(_random_unit(rng, grid), reference), _random_element(rng, grid)))
+        record(f"addition[{case}]", add(wrap(random_unit(rng, grid), reference), wrap(random_unit(rng, grid), reference)))
+        record(f"left_multiplication[{case}]", left_mul(random_element(rng, grid), wrap(random_unit(rng, grid), reference)))
+        record(f"right_multiplication[{case}]", right_mul(wrap(random_unit(rng, grid), reference), random_element(rng, grid)))
     write_csv(out / "unitalg_cases.csv", ["operation", "dual_path_residual"], rows)
     worst = max(row[1] for row in rows)
     payload = {"seed": seed, "cases": len(rows), "max_residual": worst}
@@ -390,19 +375,10 @@ def cmd_unitalg(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_membership(config: ExperimentConfig, out: Path) -> int:
-    unit = config.unit("unit", default={"zeta": config.raw.get("zeta", {"kind": "exp_approach", "c": 1.0, "a": 1.0}), "beta": config.raw.get("beta", {"kind": "constant", "value": 0.0})})
+    unit = config.unit("unit", default={"zeta": config.raw.get("zeta", _APPROACH), "beta": config.raw.get("beta", _ZERO)})
     report = membership(unit, config.tolerances["membership"])
-    write_json(
-        out / "membership_report.json",
-        {
-            "in_E": report.in_E,
-            "zeta_limit": _json_complex(report.zeta_limit),
-            "distance_to_one": report.distance_to_one,
-            "witness_kind": report.witness_kind.value,
-            "details": report.details,
-            "warnings": list(report.warnings),
-        },
-    )
+    payload = {**vars(report), "zeta_limit": _json_complex(report.zeta_limit), "witness_kind": report.witness_kind.value}
+    write_json(out / "membership_report.json", payload)
     return 0
 
 
@@ -411,79 +387,43 @@ def cmd_witness(config: ExperimentConfig, out: Path) -> int:
     n = config.integer("n", 1, 1, config.grid.domain_end)
     delta = config.fraction("delta", 0.1)
     probes = config.probes()
-    witness_tol = config.tolerances["witness"]
-    theta_tol = config.tolerances["theta"]
-    payload = {"n": n}
-    passed = True
-
-    step1_eligible = bool(np.min(zeta.samples[: n * config.grid.step_denominator].real) > 0)
-    if step1_eligible and 2 * n > config.grid.domain_end:
+    eligible = step1_positive(zeta, n)
+    if eligible and config.grid.domain_end < step1_grid_end(n):
         raise ConfigError(f"'n' = {n} needs a grid end S >= 2n for the conjugation witness, got S = {config.grid.domain_end}")
-    if step1_eligible:
+    conjugation = {"skipped": "zeta is not strictly positive below n"}
+    if eligible:
         witness = witness_step1(zeta, n)
-        payload["conjugation"] = {
-            "residual": witness.max_identity_residual,
-            "passed": witness.max_identity_residual <= witness_tol,
-            "tolerance": witness_tol,
-        }
-        passed = passed and witness.max_identity_residual <= witness_tol
+        residual = witness.max_identity_residual
+        conjugation = {"residual": residual, **_judged(config, residual, "witness")}
         write_csv(
             out / "witness_elements.csv",
             ["s", "b0_re", "b0_im", "b1_re", "b1_im"],
             _element_rows(config.grid, [witness.b0, witness.b1]),
         )
-    else:
-        payload["conjugation"] = {"skipped": "zeta is not strictly positive below n"}
-
     alpha, _ = convexify(zeta, n, delta)
     residual = theta_check(zeta, n, probes, delta)
-    payload["convexified"] = {
-        "alpha": alpha,
-        "delta": delta,
-        "residual": residual,
-        "passed": residual <= theta_tol,
-        "tolerance": theta_tol,
-    }
-    passed = passed and residual <= theta_tol
-    payload["passed"] = passed
-    write_json(out / "witness_report.json", payload)
+    convexified = {"alpha": alpha, "delta": delta, "residual": residual, **_judged(config, residual, "theta")}
+    passed = conjugation.get("passed", True) and convexified["passed"]
+    write_json(out / "witness_report.json", {"n": n, "conjugation": conjugation, "convexified": convexified, "passed": passed})
     return 0 if passed else 1
 
 
 def cmd_approx(config: ExperimentConfig, out: Path) -> int:
-    zeta = config.element("zeta", {"kind": "exp_approach", "c": 1.0, "a": 1.0})
-    ns = config.integer("ns", [2, 4, 6, 8, 10], 1, config.grid.domain_end)
+    zeta = config.element("zeta", _APPROACH)
+    end = config.grid.domain_end
+    ns = config.integer("ns", [n for n in TRUNCATION_NS if n <= end], 1, end)
     t = config.times("t", 1.0)
-    probe = config.unit("probe", default={"zeta": {"kind": "exp_approach", "c": 0.5, "a": 1.0}, "beta": {"kind": "constant", "value": 0.3}})
+    probe = config.unit("probe") if "probe" in config.raw else None
     try:
+        tolerances = config.tolerances
         report = convergence_report(
-            zeta,
-            t,
-            ns,
-            probe=probe,
-            target_threshold=config.tolerances["convergence_threshold"],
-            membership_tol=config.tolerances["membership"],
+            zeta, t, ns, probe, target_threshold=tolerances["convergence_threshold"], membership_tol=tolerances["membership"]
         )
     except NotAMemberError as exc:
         raise ConfigError(f"bad 'zeta': {exc}") from exc
-    write_csv(
-        out / "approx_table.csv",
-        ["n", "sup_dist", "index_dist", "kernel_dist", "semigroup_dist", "probe_kernel_dist"],
-        [[r.n, r.sup_dist, r.index_dist, r.kernel_dist, r.semigroup_dist, r.probe_kernel_dist] for r in report.rows],
-    )
-    write_json(
-        out / "approx_report.json",
-        {
-            "t": t,
-            "ns": ns,
-            "monotone": report.monotone,
-            "index_matches_sup": report.index_matches_sup,
-            "max_index_sup_gap": report.max_index_sup_gap,
-            "below_threshold": report.below_threshold,
-            "target_threshold": report.target_threshold,
-            "passed": report.passed,
-        },
-    )
+    write_csv(out / "approx_table.csv", [f.name for f in fields(ConvergenceRow)], [astuple(row) for row in report.rows])
+    summary = {key: value for key, value in vars(report).items() if key != "rows"}
+    write_json(out / "approx_report.json", {"t": t, "ns": ns, **summary, "passed": report.passed})
     return 0 if report.passed else 1
 
 
@@ -491,7 +431,7 @@ def cmd_index(config: ExperimentConfig, out: Path) -> int:
     units = config.unit_list(
         "units",
         [
-            {"zeta": {"kind": "exp_approach", "c": 1.0, "a": 1.0}},
+            {"zeta": _APPROACH},
             {"zeta": {"kind": "exp_approach", "c": [0.0, 0.5], "a": 1.3}, "beta": {"kind": "constant", "value": 0.2}},
         ],
     )
@@ -518,6 +458,10 @@ def cmd_index(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_selftest(config: ExperimentConfig, out: Path) -> int:
+    if "tolerances" in config.raw:
+        raise ConfigError("the selftest runs at its pinned tolerances; remove the 'tolerances' block")
+    if config.grid.domain_end < MIN_GRID_END:
+        raise ConfigError(f"the selftest needs a grid end S >= {MIN_GRID_END}, got S = {config.grid.domain_end}")
     seed = config.integer("seed", DEFAULT_SEED, 0)
     results = run_selftest(config.grid, seed)
     for row in results:
@@ -548,6 +492,7 @@ _HANDLERS = {
     "index": cmd_index,
     "selftest": cmd_selftest,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def main(argv=None) -> int:

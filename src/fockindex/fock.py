@@ -85,7 +85,10 @@ __all__ = [
     "GramReport",
     "gram_psd_check",
     "kernel_to_csv",
+    "TAYLOR_TOLERANCE",
 ]
+
+TAYLOR_TOLERANCE = 1e-12  # the exponential's Taylor sum stops below this share of the running sum
 
 
 class UnsupportedParameterError(ValueError):
@@ -435,7 +438,7 @@ def _square(result: np.ndarray, norm: float) -> np.ndarray:
     return result
 
 
-def matrix_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
     """Scaling-and-squaring exponential with a truncated Taylor series, of
     one square matrix or of each matrix of a stack of shape (..., d, d).
 
@@ -480,7 +483,7 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray
     return result
 
 
-def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12) -> dict:
+def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE) -> dict:
     """exp(t * kernel(u, v)) for every t >= 0 in ``times``, taken block by
     block and keyed by float(t).
 
@@ -519,12 +522,12 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12) -> dict:
     return exps
 
 
-def semigroup(u: FockUnit, v: FockUnit, t: float, rel_tol: float = 1e-12) -> KernelOperator:
+def semigroup(u: FockUnit, v: FockUnit, t: float, rel_tol: float = TAYLOR_TOLERANCE) -> KernelOperator:
     """exp(t * kernel(u, v)) for t >= 0, taken block by block."""
     return semigroups(u, v, [t], rel_tol=rel_tol)[float(t)]
 
 
-def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = 1e-12, extra_times=()) -> tuple[float, dict]:
+def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE, extra_times=()) -> tuple[float, dict]:
     """max over s, t in ``times`` of ||exp((s+t)L) - exp(sL) exp(tL)|| for
     L = kernel(u, v), and the exponentials it took, keyed by time: those
     at ``times``, at their pairwise sums and at ``extra_times``, all

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, GridSpec, constant
+from .algebra import POSITIVITY_TOLERANCE, AlgebraElement, GridSpec, constant
 from .fock import (
+    TAYLOR_TOLERANCE,
     FockUnit,
     generator_unit,
     gram_matrices,
@@ -26,11 +27,15 @@ from .fock import (
 )
 from .presets import exp_approach, exp_decay, inverse_decay, piecewise_linear
 from .subsystem import (
-    approximate,
+    CONVERGENCE_THRESHOLD,
+    INDEX_SUP_TOLERANCE,
+    MEMBERSHIP_TOLERANCE,
+    TRUNCATION_NS,
     centrality_check,
     convergence_report,
     index_homomorphism_residuals,
     membership,
+    step1_grid_end,
     theta_check,
     witness_step1,
 )
@@ -45,20 +50,36 @@ from .unit_algebra import (
     right_mul,
     scalar_mul,
     semi_inner,
+    semi_inner_adjoint_residual,
     wrap,
 )
 
-__all__ = ["CheckResult", "run_selftest", "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "CRITERIA"]
+__all__ = [
+    "CheckResult", "run_selftest", "random_element", "random_unit",
+    "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "MIN_GRID_END", "CRITERIA",
+]
 
 DEFAULT_GRID = GridSpec(4, 40)
 DEFAULT_SEED = 2024
 
+# Criterion 7's eventually-one zetas, keyed by n, as piecewise-linear knots.
+_WITNESS_KNOTS = {
+    1: [(0.0, 0.5), (1.0, 1.0)],
+    2: [(0.0, 0.3), (2.0, 1.0)],
+    4: [(0.0, 0.2), (1.0, 0.6), (4.0, 1.0)],
+}
+
+# The shortest grid end S the battery runs on: criterion 7 builds witnesses
+# up to its largest n, and criterion 9 truncates up to its largest n.
+MIN_GRID_END = max(step1_grid_end(max(_WITNESS_KNOTS)), max(TRUNCATION_NS))
+
 # Pinned tolerances, keyed as a CLI config overrides them. Each key but
-# "exp" (the exponential's Taylor series) pins the criterion in brackets.
+# "exp" (the exponential's Taylor series) pins the criterion in brackets;
+# "membership", "exp" and "convergence_threshold" are the library defaults.
 DEFAULT_TOLERANCES = {
-    "membership": 1e-9,  # [10]
+    "membership": MEMBERSHIP_TOLERANCE,  # [10]
     "psd": 1e-10,  # [4]
-    "exp": 1e-12,
+    "exp": TAYLOR_TOLERANCE,
     "semigroup_law": 1e-9,  # [3]
     "hermitian": 1e-13,  # [2]
     "dual_path": 1e-11,  # [6]
@@ -66,7 +87,7 @@ DEFAULT_TOLERANCES = {
     "theta": 1e-10,  # [8]
     "index_hom": 1e-11,  # [11]
     "inner_hermitian": 1e-12,  # [5] adjoint symmetry
-    "convergence_threshold": 0.05,  # [9]
+    "convergence_threshold": CONVERGENCE_THRESHOLD,  # [9]
 }
 
 
@@ -85,7 +106,8 @@ def _random_complex(rng, radius: float) -> complex:
     return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
 
 
-def _random_element(rng, grid: GridSpec) -> AlgebraElement:
+def random_element(rng, grid: GridSpec) -> AlgebraElement:
+    """A seeded draw: a constant, 1 + c e^{-as} or c e^{-as} + d, with random parameters."""
     kind = int(rng.integers(0, 3))
     if kind == 0:
         return constant(grid, _random_complex(rng, 1.0))
@@ -94,13 +116,14 @@ def _random_element(rng, grid: GridSpec) -> AlgebraElement:
     return exp_decay(grid, _random_complex(rng, 0.8), rng.uniform(0.7, 2.0), _random_complex(rng, 0.5))
 
 
-def _random_unit(rng, grid: GridSpec) -> FockUnit:
-    return FockUnit(_random_element(rng, grid), _random_element(rng, grid))
+def random_unit(rng, grid: GridSpec) -> FockUnit:
+    """A seeded unit whose zeta and beta are two :func:`random_element` draws."""
+    return FockUnit(random_element(rng, grid), random_element(rng, grid))
 
 
 def _random_member(rng, grid: GridSpec) -> FockUnit:
     zeta = exp_approach(grid, _random_complex(rng, 1.0), rng.uniform(0.7, 2.0))
-    return FockUnit(zeta, _random_element(rng, grid))
+    return FockUnit(zeta, random_element(rng, grid))
 
 
 # -- criteria ------------------------------------------------------------
@@ -114,7 +137,7 @@ def criterion_inner_product_identity(grid: GridSpec, seed: int) -> list[CheckRes
     one = constant(grid, 1.0)
     worst = 0.0
     for _ in range(10):
-        u, v = _random_unit(rng, grid), _random_unit(rng, grid)
+        u, v = random_unit(rng, grid), random_unit(rng, grid)
         got = semi_inner(wrap(u, omega), wrap(v, omega), one).coordinates
         expected = np.conj(u.zeta.coordinates) * v.zeta.coordinates
         worst = max(worst, float(np.max(np.abs(got - expected))))
@@ -133,7 +156,7 @@ def criterion_kernel_adjoint_symmetry(grid: GridSpec, seed: int) -> list[CheckRe
     ]
     worst = 0.0
     for _ in range(10):
-        u, v = _random_unit(rng, grid), _random_unit(rng, grid)
+        u, v = random_unit(rng, grid), random_unit(rng, grid)
         forward = kernel(u, v)
         backward = kernel(v, u)
         for b in probes:
@@ -231,11 +254,12 @@ def criterion_semi_inner_properties(grid: GridSpec, seed: int) -> list[CheckResu
 
     worst = 0.0
     for b in bs + [constant(grid, complex(0.4, -0.9))]:
-        worst = max(worst, (semi_inner(x, y, b) - semi_inner(y, x, b.star()).star()).sup_norm())
+        worst = max(worst, semi_inner_adjoint_residual(x, y, b))
     results.append(_result("semi-inner adjoint symmetry", worst, DEFAULT_TOLERANCES["inner_hermitian"]))
 
-    positive_ok = all(semi_inner(w, w, b).is_positive(1e-10) for w in (x, y, z) for b in bs)
-    results.append(CheckResult("semi-inner positivity on positive elements", positive_ok, "all diagonal values >= -1e-10"))
+    positive_ok = all(semi_inner(w, w, b).is_positive() for w in (x, y, z) for b in bs)
+    detail = f"all diagonal values >= -{POSITIVITY_TOLERANCE:g}"
+    results.append(CheckResult("semi-inner positivity on positive elements", positive_ok, detail))
 
     worst = 0.0
     shift_x = power_beta(x, exp_decay(grid, 0.4, 1.0, complex(0.0, 0.2)))
@@ -247,11 +271,11 @@ def criterion_semi_inner_properties(grid: GridSpec, seed: int) -> list[CheckResu
     contractions = [constant(grid, 0.5), exp_decay(grid, 1.0, 1.0, 0.0), exp_approach(grid, -1.0, 1.0)]
     monotone_ok = True
     for b in contractions:
-        if not (b.is_positive(1e-10) and (one - b).is_positive(1e-10)):
+        if not (b.is_positive() and (one - b).is_positive()):
             raise ValueError("monotonicity test element is not between 0 and 1")
         for w in (x, y, z):
             diff = semi_inner(w, w, one) - semi_inner(w, w, b)
-            monotone_ok = monotone_ok and diff.is_positive(1e-10)
+            monotone_ok = monotone_ok and diff.is_positive()
     results.append(CheckResult("semi-inner monotonicity for 0 <= b <= 1", monotone_ok, "diagonal dominated by the b=1 value"))
     return results
 
@@ -270,42 +294,38 @@ def criterion_dual_path_coherence(grid: GridSpec, seed: int) -> list[CheckResult
             worst = max(worst, dual_path_residual(build(), probes))
         results.append(_result(f"dual-path coherence: {name}", worst, DEFAULT_TOLERANCES["dual_path"]))
 
-    run("beta shift", lambda: power_beta(wrap(_random_unit(rng, grid), _random_unit(rng, grid)), _random_element(rng, grid)))
+    run("beta shift", lambda: power_beta(wrap(random_unit(rng, grid), random_unit(rng, grid)), random_element(rng, grid)))
 
     def random_coefficients():
-        c1, c2 = _random_element(rng, grid), _random_element(rng, grid)
+        c1, c2 = random_element(rng, grid), random_element(rng, grid)
         return [c1, c2, one - c1 - c2]
 
     run(
         "left combination",
-        lambda: boxplus_left(random_coefficients(), [_random_unit(rng, grid) for _ in range(3)], vacuum_unit(grid)),
+        lambda: boxplus_left(random_coefficients(), [random_unit(rng, grid) for _ in range(3)], vacuum_unit(grid)),
     )
     run(
         "right combination",
-        lambda: boxplus_right([_random_unit(rng, grid) for _ in range(3)], random_coefficients(), vacuum_unit(grid)),
+        lambda: boxplus_right([random_unit(rng, grid) for _ in range(3)], random_coefficients(), vacuum_unit(grid)),
     )
 
     def random_pair():
-        reference = _random_unit(rng, grid)
-        return add(wrap(_random_unit(rng, grid), reference), wrap(_random_unit(rng, grid), reference))
+        reference = random_unit(rng, grid)
+        return add(wrap(random_unit(rng, grid), reference), wrap(random_unit(rng, grid), reference))
 
     run("addition", random_pair)
-    run("left multiplication", lambda: left_mul(_random_element(rng, grid), wrap(_random_unit(rng, grid), _random_unit(rng, grid))))
-    run("right multiplication", lambda: right_mul(wrap(_random_unit(rng, grid), _random_unit(rng, grid)), _random_element(rng, grid)))
+    run("left multiplication", lambda: left_mul(random_element(rng, grid), wrap(random_unit(rng, grid), random_unit(rng, grid))))
+    run("right multiplication", lambda: right_mul(wrap(random_unit(rng, grid), random_unit(rng, grid)), random_element(rng, grid)))
     return results
 
 
 def criterion_conjugation_witness(grid: GridSpec, seed: int) -> list[CheckResult]:
     """The conjugating pair identity for eventually-one units."""
     del seed
-    cases = {
-        1: piecewise_linear(grid, [(0.0, 0.5), (1.0, 1.0)]),
-        2: piecewise_linear(grid, [(0.0, 0.3), (2.0, 1.0)]),
-        4: piecewise_linear(grid, [(0.0, 0.2), (1.0, 0.6), (4.0, 1.0)]),
-    }
+    tol = DEFAULT_TOLERANCES["witness"]
     return [
-        _result(f"conjugation witness identity, n={n}", witness_step1(zeta, n).max_identity_residual, DEFAULT_TOLERANCES["witness"])
-        for n, zeta in cases.items()
+        _result(f"conjugation witness identity, n={n}", witness_step1(piecewise_linear(grid, knots), n).max_identity_residual, tol)
+        for n, knots in _WITNESS_KNOTS.items()
     ]
 
 
@@ -328,9 +348,8 @@ def criterion_truncation_convergence(grid: GridSpec, seed: int) -> list[CheckRes
     brute-force grid evaluation, index distance against sup distance, and
     monotone decay of the operator distance columns."""
     del seed
-    ns = [2, 4, 6, 8, 10]
     zeta = exp_approach(grid, 1.0, 1.0)
-    report = convergence_report(zeta, 1.0, ns, target_threshold=DEFAULT_TOLERANCES["convergence_threshold"])
+    report = convergence_report(zeta, 1.0, TRUNCATION_NS)
 
     s = grid.points()
     z = 1.0 + np.exp(-s)
@@ -348,11 +367,11 @@ def criterion_truncation_convergence(grid: GridSpec, seed: int) -> list[CheckRes
         detail += f"; n=10 sup distance {report.rows[-1].sup_dist:.4e} vs closed form {anchor:.4e}"
     return [
         CheckResult("truncation sup-distance against brute force", worst <= 1e-12 and anchored, detail),
-        _result("truncation index distance equals sup distance", report.max_index_sup_gap, 1e-10),
+        _result("truncation index distance equals sup distance", report.max_index_sup_gap, INDEX_SUP_TOLERANCE),
         CheckResult(
             "truncation operator distances nonincreasing",
             report.monotone,
-            "all five columns nonincreasing over n=" + ",".join(str(n) for n in ns),
+            "all five columns nonincreasing over n=" + ",".join(str(n) for n in TRUNCATION_NS),
         ),
     ]
 
@@ -385,7 +404,7 @@ def criterion_membership_battery(grid: GridSpec, seed: int) -> list[CheckResult]
     ]
     errors = []
     for label, zeta, expected in _membership_cases(grid):
-        verdicts = [membership(FockUnit(zeta, beta), DEFAULT_TOLERANCES["membership"]).in_E for beta in betas]
+        verdicts = [membership(FockUnit(zeta, beta)).in_E for beta in betas]
         if any(v != expected for v in verdicts):
             errors.append(label)
         if len(set(verdicts)) != 1:
@@ -407,7 +426,7 @@ def criterion_index_homomorphism(grid: GridSpec, seed: int) -> list[CheckResult]
     worst = {"add": 0.0, "left": 0.0, "right": 0.0, "inner": 0.0}
     for _ in range(5):
         x, y = wrap(_random_member(rng, grid), xi), wrap(_random_member(rng, grid), xi)
-        for key, residual in index_homomorphism_residuals(x, y, _random_element(rng, grid)).items():
+        for key, residual in index_homomorphism_residuals(x, y, random_element(rng, grid)).items():
             worst[key] = max(worst[key], residual)
     tol = DEFAULT_TOLERANCES["index_hom"]
     return [

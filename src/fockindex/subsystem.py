@@ -10,7 +10,7 @@ limit is the stored tail, so membership is a decidable comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Sequence
 
@@ -35,11 +35,16 @@ from .unit_algebra import (
 __all__ = [
     "MEMBERSHIP_TOLERANCE",
     "EXACT_ONE_TOLERANCE",
+    "INDEX_SUP_TOLERANCE",
+    "CONVERGENCE_THRESHOLD",
+    "TRUNCATION_NS",
     "NotAMemberError",
     "WitnessKind",
     "MembershipReport",
     "Step1Witness",
     "membership",
+    "step1_positive",
+    "step1_grid_end",
     "witness_step1",
     "convexify",
     "theta_check",
@@ -56,6 +61,9 @@ __all__ = [
 MEMBERSHIP_TOLERANCE = 1e-9
 EXACT_ONE_TOLERANCE = 1e-12
 REALNESS_TOLERANCE = 1e-12
+INDEX_SUP_TOLERANCE = 1e-10  # |index distance - sup distance| of a truncation
+CONVERGENCE_THRESHOLD = 0.05  # bound on every distance at the last truncation point
+TRUNCATION_NS = (2, 4, 6, 8, 10)  # truncation points of the default convergence table
 DYADIC_DEPTH = 10
 
 
@@ -126,7 +134,8 @@ def membership(u: FockUnit, tol: float = MEMBERSHIP_TOLERANCE) -> MembershipRepo
 @dataclass(frozen=True)
 class Step1Witness:
     """The conjugating pair (b0, b1) realizing an eventually-one unit as
-    b1 * (generator) * b0, together with the worst identity residual."""
+    b1 * (generator) * b0, together with the worst identity residual,
+    which the caller judges against its own tolerance."""
 
     n: int
     b0: AlgebraElement
@@ -134,10 +143,8 @@ class Step1Witness:
     max_identity_residual: float
 
     def __post_init__(self) -> None:
-        if (self.b0 * self.b1 - constant(self.b0.grid, 1.0)).sup_norm() > 1e-12:
+        if (self.b0 * self.b1 - constant(self.b0.grid, 1.0)).sup_norm() > EXACT_ONE_TOLERANCE:
             raise ValueError("b0 * b1 must equal 1 entrywise")
-        if self.max_identity_residual > 1e-12:
-            raise ValueError(f"identity residual {self.max_identity_residual:.3e} exceeds 1e-12")
 
 
 def _require_real(zeta: AlgebraElement, context: str) -> None:
@@ -154,6 +161,16 @@ def _require_eventually_one(zeta: AlgebraElement, n: int, context: str) -> None:
         raise ValueError(f"{context} needs zeta(s) = 1 for s >= {n}; max deviation {max(bad, abs(zeta.tail - 1.0)):.3e}")
 
 
+def step1_positive(zeta: AlgebraElement, n: int) -> bool:
+    """Whether zeta is strictly positive on [0, n), as the step-1 witness needs."""
+    return bool(np.min(zeta.samples[: n * zeta.grid.step_denominator].real) > 0)
+
+
+def step1_grid_end(n: int) -> int:
+    """The shortest grid end S on which the step-1 witness for n is built: 2n."""
+    return 2 * n
+
+
 def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
     """Constructive witness for a unit whose zeta is positive below n and
     exactly 1 from n on: b0(s) = zeta(s) * ... * zeta(s+n-1), b1 = 1/b0,
@@ -161,12 +178,11 @@ def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
     grid = zeta.grid
     if not _is_count(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if grid.domain_end < 2 * n:
-        raise ValueError(f"grid end {grid.domain_end} is too short; need at least 2n = {2 * n}")
+    if grid.domain_end < step1_grid_end(n):
+        raise ValueError(f"grid end {grid.domain_end} is too short; need at least 2n = {step1_grid_end(n)}")
     _require_real(zeta, "witness_step1")
     _require_eventually_one(zeta, n, "witness_step1")
-    m = grid.step_denominator
-    if np.min(zeta.samples[: n * m].real) <= 0:
+    if not step1_positive(zeta, n):
         raise ValueError("witness_step1 needs zeta(s) > 0 for s < n")
 
     component = unit_component(FockUnit(zeta, constant(grid, 0.0)), int(n))
@@ -264,31 +280,28 @@ class ConvergenceReport:
         return self.monotone and self.index_matches_sup and self.below_threshold
 
 
-def _default_convergence_probe(grid) -> FockUnit:
-    return FockUnit(exp_approach(grid, 0.5, 1.0), constant(grid, 0.3))
-
-
 def convergence_report(
     zeta: AlgebraElement,
     t: float,
     ns: Sequence[int],
     probe: FockUnit | None = None,
-    target_threshold: float = 0.05,
+    target_threshold: float = CONVERGENCE_THRESHOLD,
     membership_tol: float = MEMBERSHIP_TOLERANCE,
 ) -> ConvergenceReport:
     """Distances between a member unit and its truncation approximants.
 
     Per n: the sup distance of the zetas, the index distance of the units
     (which must equal the sup distance), the kernel and semigroup operator
-    distances, and the kernel distance against a probe unit. All columns
-    must be nonincreasing and end below the target threshold.
+    distances, and the kernel distance against a probe unit (by default
+    u(1 + e^{-s}/2, 0.3)). All columns must be nonincreasing and end below
+    the target threshold.
     """
     grid = zeta.grid
     report = membership(FockUnit(zeta, constant(grid, 0.0)), membership_tol)
     if not report.in_E:
         raise NotAMemberError(f"zeta limit {report.zeta_limit} is not 1; the truncation scheme does not apply")
     if probe is None:
-        probe = _default_convergence_probe(grid)
+        probe = FockUnit(exp_approach(grid, 0.5, 1.0), constant(grid, 0.3))
     zero = constant(grid, 0.0)
     eta = FockUnit(zeta, zero)
     omega = vacuum_unit(grid)
@@ -310,7 +323,7 @@ def convergence_report(
                 probe_kernel_dist=(kernel(eta_n, probe) - cross).operator_norm(),
             )
         )
-    columns = ["sup_dist", "index_dist", "kernel_dist", "semigroup_dist", "probe_kernel_dist"]
+    columns = [f.name for f in fields(ConvergenceRow) if f.name != "n"]
     monotone = all(
         getattr(rows[i + 1], col) <= getattr(rows[i], col) + 1e-12
         for col in columns
@@ -321,7 +334,7 @@ def convergence_report(
     return ConvergenceReport(
         rows=tuple(rows),
         monotone=monotone,
-        index_matches_sup=max(gaps) <= 1e-10,
+        index_matches_sup=max(gaps) <= INDEX_SUP_TOLERANCE,
         max_index_sup_gap=max(gaps),
         below_threshold=below,
         target_threshold=target_threshold,

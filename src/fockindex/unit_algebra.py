@@ -36,6 +36,8 @@ __all__ = [
     "scalar_mul",
     "subtract",
     "semi_inner",
+    "semi_inner_adjoint_residual",
+    "coefficients_sum_to_one",
     "index_norm",
     "equivalent",
     "dual_path_residual",
@@ -137,12 +139,10 @@ def power_beta(x: ReferencedUnit, beta: AlgebraElement) -> ReferencedUnit:
     return ReferencedUnit(candidate, x.reference, cross, diagonal)
 
 
-def _check_coefficients(coefficients: Sequence[AlgebraElement], units: Sequence[FockUnit]) -> None:
-    if len(coefficients) != len(units) or not units:
-        raise ValueError("need one coefficient per unit and at least one unit")
-    grid = units[0].grid
-    if (sum(coefficients, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() > COEFFICIENT_SUM_TOLERANCE:
-        raise ValueError("coefficients must sum to the unit element")
+def coefficients_sum_to_one(coefficients: Sequence[AlgebraElement]) -> bool:
+    """Whether the coefficients of a combination sum to the unit element within COEFFICIENT_SUM_TOLERANCE."""
+    grid = coefficients[0].grid
+    return (sum(coefficients, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() <= COEFFICIENT_SUM_TOLERANCE
 
 
 def _act(mul: WeightedShift, k: WeightedShift, inner: bool) -> WeightedShift:
@@ -157,7 +157,10 @@ def _combination(coefficients, units, reference: FockUnit, inner: bool) -> Refer
     c_j shifted by 1 in the zeta sum when it composes on the input side."""
     coefficients = list(coefficients)
     units = list(units)
-    _check_coefficients(coefficients, units)
+    if len(coefficients) != len(units) or not units:
+        raise ValueError("need one coefficient per unit and at least one unit")
+    if not coefficients_sum_to_one(coefficients):
+        raise ValueError("coefficients must sum to the unit element")
     grid = units[0].grid
     zeta = constant(grid, 0.0)
     beta = constant(grid, 0.0)
@@ -286,6 +289,11 @@ def semi_inner(x: ReferencedUnit, y: ReferencedUnit, b: AlgebraElement) -> Algeb
     _check_same_reference(x, y)
     omega = x.reference
     return _signed_kernels(((1, x.unit), (-1, omega)), ((1, y.unit), (-1, omega))).apply(b)
+
+
+def semi_inner_adjoint_residual(x: ReferencedUnit, y: ReferencedUnit, b: AlgebraElement) -> float:
+    """Sup-norm gap of the adjoint symmetry <x, y>(b) = star(<y, x>(star b))."""
+    return (semi_inner(x, y, b) - semi_inner(y, x, b.star()).star()).sup_norm()
 
 
 def index_norm(x: ReferencedUnit) -> float:

@@ -1,67 +1,27 @@
 """Acceptance suite: runs every criterion of the property battery at its
-pinned tolerance and prints one pass/fail line per check."""
+pinned tolerance and prints one pass/fail line per check.
 
-import pytest
+One test per row of ``selftest.CRITERIA``, named
+``test_criterion_<label>_<criterion name>``."""
 
 from fockindex.selftest import CRITERIA, DEFAULT_GRID, DEFAULT_SEED, run_selftest
 
-_CRITERIA = dict(CRITERIA)
+
+def _criterion_test(label, criterion):
+    def test():
+        results = criterion(DEFAULT_GRID, DEFAULT_SEED)
+        for row in results:
+            print(f"{'PASS' if row.passed else 'FAIL'}  criterion {label}: {row.name} -- {row.detail}")
+        failures = [row.name for row in results if not row.passed]
+        assert not failures, f"criterion {label} failed: {failures}"
+
+    return test
 
 
-def _run(label):
-    results = _CRITERIA[label](DEFAULT_GRID, DEFAULT_SEED)
-    for row in results:
-        print(f"{'PASS' if row.passed else 'FAIL'}  criterion {label}: {row.name} -- {row.detail}")
-    failures = [row.name for row in results if not row.passed]
-    assert not failures, f"criterion {label} failed: {failures}"
-
-
-def test_criterion_01_inner_product_identity():
-    _run("1")
-
-
-def test_criterion_02_kernel_adjoint_symmetry():
-    _run("2")
-
-
-def test_criterion_03_semigroup_law():
-    _run("3")
-
-
-def test_criterion_04_gram_positivity():
-    _run("4")
-
-
-def test_criterion_05_semi_inner_properties():
-    _run("5")
-
-
-def test_criterion_06_dual_path_coherence():
-    _run("6")
-
-
-def test_criterion_07_conjugation_witness():
-    _run("7")
-
-
-def test_criterion_08_convexified_kernel_equality():
-    _run("8")
-
-
-def test_criterion_09_truncation_convergence():
-    _run("9")
-
-
-def test_criterion_10_membership_battery():
-    _run("10")
-
-
-def test_criterion_11_index_homomorphism():
-    _run("11")
-
-
-def test_criterion_12_no_central_members():
-    _run("12")
+for _label, _criterion in CRITERIA:
+    globals()[f"test_criterion_{int(_label):02d}_{_criterion.__name__.removeprefix('criterion_')}"] = _criterion_test(
+        _label, _criterion
+    )
 
 
 def test_full_battery_reports_thirty_checks():

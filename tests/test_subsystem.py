@@ -18,6 +18,7 @@ from fockindex.subsystem import (
     index_homomorphism_residuals,
     index_representative,
     membership,
+    step1_positive,
     theta_check,
     witness_step1,
 )
@@ -141,6 +142,13 @@ class TestWitness:
         zeta = piecewise_linear(GRID, [(0.0, 0.2), (1.0, 0.6), (4.0, 1.0)])
         witness = witness_step1(zeta, 4)
         assert (witness.b0 * witness.b1 - constant(GRID, 1)).sup_norm() <= 1e-12
+
+    def test_the_caller_judges_the_identity_residual(self):
+        # 1 + 5e-13 counts as one, but b1(s + 1) = 1/(1 + 5e-13) scales the 1000 of b0(s)
+        s = GRID.points()
+        zeta = AlgebraElement(GRID, np.where(s < 1, 1000.0, 1.0 + 5e-13).astype(complex), 1.0 + 5e-13)
+        assert step1_positive(zeta, 1) and not step1_positive(zeta - constant(GRID, 1000.0), 1)
+        assert 1e-12 < witness_step1(zeta, 1).max_identity_residual < 1e-6
 
 
 class TestConvexify:
