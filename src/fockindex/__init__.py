@@ -4,6 +4,8 @@ a limit at infinity: unit kernels and their semigroups, the bimodule
 algebra of continuous units, membership in the subsystem generated by the
 unit (1, 0), and its index."""
 
+import types as _types
+
 from .algebra import (
     AlgebraElement,
     GridMismatchError,
@@ -63,54 +65,6 @@ from .unit_algebra import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement",
-    "GridMismatchError",
-    "GridSpec",
-    "UnresolvedTailWarning",
-    "constant",
-    "FockUnit",
-    "GramReport",
-    "KernelOperator",
-    "NParticleVector",
-    "UnsupportedParameterError",
-    "WeightedShift",
-    "generator_unit",
-    "gram_matrices",
-    "gram_psd_check",
-    "kernel",
-    "left_action",
-    "matrix_exponential",
-    "module_inner",
-    "multiplication_operator",
-    "semigroup",
-    "semigroup_law_residual",
-    "semigroups",
-    "unit_component",
-    "vacuum_unit",
-    "MembershipReport",
-    "NotAMemberError",
-    "Step1Witness",
-    "WitnessKind",
-    "approximate",
-    "centrality_check",
-    "convergence_report",
-    "convexify",
-    "index_representative",
-    "membership",
-    "theta_check",
-    "witness_step1",
-    "ReferencedUnit",
-    "boxplus_left",
-    "boxplus_right",
-    "default_probe_units",
-    "dual_path_residual",
-    "equivalent",
-    "index_norm",
-    "left_mul",
-    "power_beta",
-    "right_mul",
-    "semi_inner",
-    "wrap",
-    "__version__",
-]
+# Every name imported above, and the version.
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
+__all__.append("__version__")

@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .fock import (
     semigroup_law_residual,
 )
 from .presets import PresetError, from_spec
-from .selftest import DEFAULT_SEED, DEFAULT_TOLERANCES, MIN_GRID_END, random_element, random_unit, run_selftest
+from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, MIN_GRID_END, random_element, random_unit, run_selftest
 from .subsystem import (
     TRUNCATION_NS,
     ConvergenceRow,
@@ -71,92 +72,14 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     grid: GridSpec
     tolerances: dict
-    raw: dict
     base_dir: Path
+    fields: dict = field(default_factory=dict, init=False)  # each given key but grid and tolerances, as _READERS read it
     elements: dict = field(default_factory=dict, init=False)  # built from preset specs, keyed by repr(spec)
 
-    def element(self, key: str, default_spec: dict | None = None) -> AlgebraElement:
-        return self._preset(self.raw.get(key, default_spec), repr(key))
 
-    def _list(self, key: str, default: list | None, what: str) -> list:
-        """The list field ``key``; an empty list is an error, since a run over it would check nothing."""
-        value = self.raw.get(key, default)
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{key!r} must be a non-empty list of {what}, got {value!r}")
-        return value
-
-    def element_list(self, key: str, default_specs: list | None = None) -> list[AlgebraElement]:
-        return [self._preset(spec, repr(key)) for spec in self._list(key, default_specs, "preset specs")]
-
-    def unit(self, key: str = None, spec: dict | None = None, default: dict | None = None) -> FockUnit:
-        if spec is None:
-            spec = self.raw.get(key, default)
-        if not isinstance(spec, dict) or "zeta" not in spec:
-            raise ConfigError(f"a unit spec needs a 'zeta' member, got {spec!r}")
-        return FockUnit(self._preset(spec["zeta"], "unit"), self._preset(spec.get("beta", _ZERO), "unit"))
-
-    def _preset(self, spec, what: str) -> AlgebraElement:
-        """The element of ``spec``, built once per distinct spec (parse_config builds every field first)."""
-        key = repr(spec)
-        if key not in self.elements:
-            try:
-                self.elements[key] = from_spec(self.grid, spec, self.base_dir)
-            except PresetError as exc:
-                raise ConfigError(f"bad {what} spec: {exc}") from exc
-        return self.elements[key]
-
-    def coefficients(self, key: str) -> list[AlgebraElement]:
-        """The element list ``key``, which must sum to the unit element."""
-        values = self.element_list(key)
-        if not coefficients_sum_to_one(values):
-            raise ConfigError(f"{key!r} must sum to the unit element within {COEFFICIENT_SUM_TOLERANCE}")
-        return values
-
-    def unit_list(self, key: str, default_specs: list | None = None) -> list[FockUnit]:
-        return [self.unit(spec=spec) for spec in self._list(key, default_specs, "unit specs")]
-
-    def probes(self) -> list[FockUnit]:
-        if "probes" in self.raw:
-            return self.unit_list("probes")
-        return default_probe_units(self.grid)
-
-    def times(self, key: str, default):
-        """The time field ``key``: a list of finite numbers >= 0, or one
-        such number where ``default`` is one."""
-        if not isinstance(default, list):
-            return _time(key, self.raw.get(key, default))
-        return [_time(key, t) for t in self._list(key, default, "times")]
-
-    def fraction(self, key: str, default: float) -> float:
-        """The field ``key``: a number strictly between 0 and 1, not a bool."""
-        value = self.raw.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < 1:
-            raise ConfigError(f"{key!r} must be a number in (0, 1), got {value!r}")
-        return float(value)
-
-    def integer(self, key: str, default, low: int, high: int | None = None):
-        """The integer field ``key``, in [low, high]: a list of them where
-        ``default`` is a list, else one. An integral float counts, a bool
-        or a fraction does not."""
-        if isinstance(default, list):
-            return [_bounded(key, _integer(n, repr(key)), low, high) for n in self._list(key, default, "integers")]
-        return _bounded(key, _integer(self.raw.get(key, default), repr(key)), low, high)
-
-
-_ZERO = {"kind": "constant", "value": 0.0}
-_ONE = {"kind": "constant", "value": 1.0}
-_APPROACH = {"kind": "exp_approach", "c": 1.0, "a": 1.0}  # zeta = 1 + e^{-s}
-_DEFAULT_WITNESS_ZETA = {"kind": "piecewise_linear", "knots": [[0.0, 0.5], [1.0, 1.0]]}
-
-# Every top-level key that carries elements, with the reader that builds it.
-# parse_config reads each one present, so a bad spec fails before any work
-# whichever command reads it; the element cache builds each spec once.
-_ELEMENT_FIELDS = {
-    **dict.fromkeys(("zeta", "beta", "b"), "element"),
-    "kappa": "coefficients",
-    **dict.fromkeys(("u", "v", "reference", "unit", "probe"), "unit"),
-    **dict.fromkeys(("units", "probes"), "unit_list"),
-}
+class _Reader(NamedTuple):
+    label: str  # the type column of README's config table
+    read: Callable  # (config, key, value) -> the field's value
 
 
 def _integer(value, name: str) -> int:
@@ -168,22 +91,139 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _bounded(key: str, n: int, low: int, high: int | None) -> int:
-    if n < low:
-        raise ConfigError(f"{key!r} must be at least {low}, got {n}")
-    if high is not None and n > high:
-        raise ConfigError(f"{key!r} must be at most {high}, got {n}")
-    return n
+def _element(config: ExperimentConfig, key: str, spec) -> AlgebraElement:
+    """The element of a preset spec, built once per distinct spec."""
+    name = repr(spec)
+    if name not in config.elements:
+        try:
+            config.elements[name] = from_spec(config.grid, spec, config.base_dir)
+        except PresetError as exc:
+            raise ConfigError(f"bad {key!r} spec: {exc}") from exc
+    return config.elements[name]
 
 
-def _time(key: str, value) -> float:
-    """A time: a finite number >= 0, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key!r} needs times that are numbers, got {value!r}")
-    t = float(value)
-    if not (math.isfinite(t) and t >= 0):
-        raise ConfigError(f"{key!r} needs times that are finite and >= 0, got {value!r}")
-    return t
+def _unit(config: ExperimentConfig, key: str, spec) -> FockUnit:
+    if not isinstance(spec, dict) or "zeta" not in spec:
+        raise ConfigError(f"{key!r} needs unit specs with a 'zeta' member, got {spec!r}")
+    _reject_unknown(f"a unit spec of {key!r}", spec, _UNIT_KEYS)
+    return FockUnit(_element(config, key, spec["zeta"]), _element(config, key, spec.get("beta", _ZERO)))
+
+
+def _number(label: str, inside: Callable) -> _Reader:
+    """A number, not a bool, for which ``inside`` holds; read as a float."""
+
+    def read(config: ExperimentConfig, key: str, value) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not inside(value):
+            raise ConfigError(f"{key!r} must be a {label}, got {value!r}")
+        return float(value)
+
+    return _Reader(label, read)
+
+
+def _integer_in(low: int, to_grid_end: bool = False) -> _Reader:
+    """Integers in [low, S] where ``to_grid_end``, else in [low, inf)."""
+
+    def read(config: ExperimentConfig, key: str, value) -> int:
+        n = _integer(value, repr(key))
+        if n < low:
+            raise ConfigError(f"{key!r} must be at least {low}, got {n}")
+        if to_grid_end and n > config.grid.domain_end:
+            raise ConfigError(f"{key!r} must be at most {config.grid.domain_end}, got {n}")
+        return n
+
+    return _Reader(f"integer in [{low}, S]" if to_grid_end else f"integer >= {low}", read)
+
+
+def _list_of(item: _Reader, label: str) -> _Reader:
+    """A non-empty list of ``item``; an empty one would check nothing."""
+
+    def read(config: ExperimentConfig, key: str, value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key!r} must be a non-empty list ({label}), got {value!r}")
+        return [item.read(config, key, entry) for entry in value]
+
+    return _Reader(label, read)
+
+
+def _coefficients(config: ExperimentConfig, key: str, value) -> list[AlgebraElement]:
+    values = _list_of(_PRESET, "presets").read(config, key, value)
+    if not coefficients_sum_to_one(values):
+        raise ConfigError(f"{key!r} must sum to the unit element within {COEFFICIENT_SUM_TOLERANCE}")
+    return values
+
+
+def _truncation_ns(grid: GridSpec) -> list[int]:
+    """The battery's truncation points cut to those <= S; a grid with none is a config error."""
+    ns = [n for n in TRUNCATION_NS if n <= grid.domain_end]
+    if not ns:
+        raise ConfigError(f"'ns' has no default truncation point n <= S = {grid.domain_end}")
+    return ns
+
+
+_PRESET, _UNIT = _Reader("preset", _element), _Reader("unit", _unit)
+_TIME = _number("time >= 0", lambda t: 0 <= t <= sys.float_info.max)  # finite, and so is float(t)
+
+# Key -> reader: every top-level key but grid and tolerances.
+_READERS = {
+    **dict.fromkeys(("zeta", "beta", "b"), _PRESET),
+    "kappa": _Reader("presets summing to 1", _coefficients),
+    **dict.fromkeys(("u", "v", "reference", "probe"), _UNIT),
+    **dict.fromkeys(("units", "probes"), _list_of(_UNIT, "units")),
+    "t_values": _list_of(_TIME, "times >= 0"),
+    "t": _TIME,
+    "seed": _integer_in(0),
+    "cases": _integer_in(1),
+    "n": _integer_in(1, to_grid_end=True),
+    "ns": _list_of(_integer_in(1, to_grid_end=True), "integers in [1, S]"),
+    "delta": _number("number in (0, 1)", lambda x: 0 < x < 1),
+}
+
+_ZERO = {"kind": "constant", "value": 0.0}
+_ONE = {"kind": "constant", "value": 1.0}
+_APPROACH = {"kind": "exp_approach", "c": 1.0, "a": 1.0}  # zeta = 1 + e^{-s}
+_PAIR = {"u": {"zeta": _APPROACH}, "v": {"zeta": _ONE}, "b": _ONE}  # u(1 + e^{-s}, 0), u(1, 0) and 1
+
+# Command -> {key: default}: the keys each handler takes. A default is a
+# value read like a given one, a function of the grid that returns the
+# field, or None where the library picks it.
+_DEFAULTS = {
+    "kernel": _PAIR,
+    "semigroup": {**_PAIR, "t_values": [0.0, 0.5, 1.0, 1.5, 2.0]},
+    "gram": {"units": [{"zeta": _ZERO}, {"zeta": _ONE}, {"zeta": _APPROACH}], "b": _ONE, "t_values": [0.5, 1.0]},
+    "inner": {**_PAIR, "reference": {"zeta": _ZERO}},
+    "unitalg": {"probes": default_probe_units, "seed": DEFAULT_SEED, "cases": 3, "reference": {"zeta": _ZERO}, "kappa": None},
+    "membership": {"zeta": _APPROACH, "beta": _ZERO},
+    "witness": {
+        "zeta": {"kind": "piecewise_linear", "knots": [[0.0, 0.5], [1.0, 1.0]]},
+        "n": 1,
+        "delta": 0.1,
+        "probes": default_probe_units,
+    },
+    "approx": {"zeta": _APPROACH, "ns": _truncation_ns, "t": 1.0, "probe": None},
+    "index": {
+        "units": [
+            {"zeta": _APPROACH},
+            {"zeta": {"kind": "exp_approach", "c": [0.0, 0.5], "a": 1.3}, "beta": {"kind": "constant", "value": 0.2}},
+        ],
+        "b": {"kind": "exp_approach", "c": 0.5, "a": 1.0},
+    },
+    "selftest": {"seed": DEFAULT_SEED},
+}
+
+# The keys one level down: a grid's, with defaults, and a unit spec's (beta defaults to 0).
+_GRID_KEYS = {"m": DEFAULT_GRID.step_denominator, "S": DEFAULT_GRID.domain_end}
+_UNIT_KEYS = ("zeta", "beta")
+
+
+def _command_keys(command: str) -> tuple:
+    """The top-level keys ``command`` reads. The selftest runs at its pinned tolerances, so it reads no 'tolerances'."""
+    return ("grid", *(("tolerances",) if command != "selftest" else ()), *_DEFAULTS[command])
+
+
+def _reject_unknown(where: str, given: dict, known) -> None:
+    unknown = [key for key in given if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(known)}")
 
 
 def _tolerance(key: str, value) -> float:
@@ -192,7 +232,7 @@ def _tolerance(key: str, value) -> float:
         raise ConfigError(f"tolerance {key!r} must be a number, got {value!r}")
     try:
         tol = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"tolerance {key!r} must be a number, got {value!r}") from exc
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance {key!r} must be finite and > 0, got {value!r}")
@@ -200,30 +240,42 @@ def _tolerance(key: str, value) -> float:
 
 
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
+    """The config document ``raw``, with every given key read, so a bad
+    value fails before any work; a key that no command reads is an error."""
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
+    _reject_unknown("the config", raw, ("grid", "tolerances", *_READERS))
     grid_spec = raw.get("grid", {})
     if not isinstance(grid_spec, dict):
         raise ConfigError("'grid' must be an object with integer fields m and S")
+    _reject_unknown("'grid'", grid_spec, _GRID_KEYS)
     try:
-        m = _integer(grid_spec.get("m", 4), "grid field 'm'")
-        end = _integer(grid_spec.get("S", 40), "grid field 'S'")
-        grid = GridSpec(m, end)
+        grid = GridSpec(*(_integer(grid_spec.get(key, default), f"grid field {key!r}") for key, default in _GRID_KEYS.items()))
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
-    tolerances = dict(DEFAULT_TOLERANCES)
     overrides = raw.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise ConfigError("'tolerances' must be an object")
-    for key, value in overrides.items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance {key!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}")
-        tolerances[key] = _tolerance(key, value)
-    config = ExperimentConfig(grid, tolerances, raw, base_dir)
-    for key, reader in _ELEMENT_FIELDS.items():
-        if key in raw:
-            getattr(config, reader)(key)
+    _reject_unknown("'tolerances'", overrides, DEFAULT_TOLERANCES)
+    tolerances = {**DEFAULT_TOLERANCES, **{key: _tolerance(key, value) for key, value in overrides.items()}}
+    config = ExperimentConfig(grid, tolerances, base_dir)
+    for key, value in raw.items():
+        if key in _READERS:
+            config.fields[key] = _READERS[key].read(config, key, value)
     return config
+
+
+def _command_fields(config: ExperimentConfig, command: str) -> dict:
+    """The fields ``command``'s handler takes: each given one, else its default."""
+    values = {}
+    for key, default in _DEFAULTS[command].items():
+        if key in config.fields:
+            values[key] = config.fields[key]
+        elif callable(default):
+            values[key] = default(config.grid)
+        else:
+            values[key] = None if default is None else _READERS[key].read(config, key, default)
+    return values
 
 
 # -- output helpers --------------------------------------------------------
@@ -283,13 +335,7 @@ def _element_rows(grid: GridSpec, elements: list[AlgebraElement]) -> list:
 # -- commands ---------------------------------------------------------------
 
 
-def _pair_and_b(config: ExperimentConfig) -> tuple:
-    """``u``, ``v`` and ``b`` of kernel, semigroup and inner; by default u(1 + e^{-s}, 0), u(1, 0) and 1."""
-    return config.unit("u", default={"zeta": _APPROACH}), config.unit("v", default={"zeta": _ONE}), config.element("b", _ONE)
-
-
-def cmd_kernel(config: ExperimentConfig, out: Path) -> int:
-    u, v, b = _pair_and_b(config)
+def cmd_kernel(config: ExperimentConfig, out: Path, *, u, v, b) -> int:
     operator = kernel(u, v)
     kernel_to_csv(operator, out / "kernel_matrix.csv")
     applied = operator.apply(b)
@@ -303,9 +349,7 @@ def cmd_kernel(config: ExperimentConfig, out: Path) -> int:
     return _verdict(config, out / "kernel_report.json", payload, adjoint_gap, "hermitian")
 
 
-def cmd_semigroup(config: ExperimentConfig, out: Path) -> int:
-    u, v, b = _pair_and_b(config)
-    t_values = config.times("t_values", [0.0, 0.5, 1.0, 1.5, 2.0])
+def cmd_semigroup(config: ExperimentConfig, out: Path, *, u, v, b, t_values) -> int:
     exp_tol = config.tolerances["exp"]
     worst, exps = semigroup_law_residual(u, v, t_values, rel_tol=exp_tol)
     rows = [[t, exps[t].operator_norm(), exps[t].apply(b).sup_norm()] for t in t_values]
@@ -314,12 +358,9 @@ def cmd_semigroup(config: ExperimentConfig, out: Path) -> int:
     return _verdict(config, out / "semigroup_report.json", payload, worst, "semigroup_law")
 
 
-def cmd_gram(config: ExperimentConfig, out: Path) -> int:
-    units = config.unit_list("units", [{"zeta": _ZERO}, {"zeta": _ONE}, {"zeta": _APPROACH}])
-    b = config.element("b", _ONE)
+def cmd_gram(config: ExperimentConfig, out: Path, *, units, b, t_values) -> int:
     if not b.is_positive():
         raise ConfigError("'b' must be a positive element for the Gram check")
-    t_values = config.times("t_values", [0.5, 1.0])
     tol = config.tolerances["psd"]
     results = []
     all_passed = True
@@ -331,9 +372,7 @@ def cmd_gram(config: ExperimentConfig, out: Path) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_inner(config: ExperimentConfig, out: Path) -> int:
-    u, v, b = _pair_and_b(config)
-    reference = config.unit("reference", default={"zeta": _ZERO})
+def cmd_inner(config: ExperimentConfig, out: Path, *, u, v, b, reference) -> int:
     x, y = wrap(u, reference), wrap(v, reference)
     value = semi_inner(x, y, b)
     write_csv(out / "inner_table.csv", ["s", "re", "im"], _element_rows(config.grid, [value]))
@@ -342,15 +381,10 @@ def cmd_inner(config: ExperimentConfig, out: Path) -> int:
     return _verdict(config, out / "inner_report.json", payload, sym_gap, "inner_hermitian")
 
 
-def cmd_unitalg(config: ExperimentConfig, out: Path) -> int:
+def cmd_unitalg(config: ExperimentConfig, out: Path, *, probes, seed, cases, reference, kappa) -> int:
     grid = config.grid
-    probes = config.probes()
-    seed = config.integer("seed", DEFAULT_SEED, 0)
-    cases = config.integer("cases", 3, 1)
     rng = np.random.default_rng(seed)
     one = constant(grid, 1.0)
-    reference = config.unit("reference", default={"zeta": _ZERO})
-    kappa = config.coefficients("kappa") if "kappa" in config.raw else None
     rows = []
 
     def record(name, built):
@@ -374,19 +408,14 @@ def cmd_unitalg(config: ExperimentConfig, out: Path) -> int:
     return _verdict(config, out / "unitalg_report.json", payload, worst, "dual_path")
 
 
-def cmd_membership(config: ExperimentConfig, out: Path) -> int:
-    unit = config.unit("unit", default={"zeta": config.raw.get("zeta", _APPROACH), "beta": config.raw.get("beta", _ZERO)})
-    report = membership(unit, config.tolerances["membership"])
+def cmd_membership(config: ExperimentConfig, out: Path, *, zeta, beta) -> int:
+    report = membership(FockUnit(zeta, beta), config.tolerances["membership"])
     payload = {**vars(report), "zeta_limit": _json_complex(report.zeta_limit), "witness_kind": report.witness_kind.value}
     write_json(out / "membership_report.json", payload)
     return 0
 
 
-def cmd_witness(config: ExperimentConfig, out: Path) -> int:
-    zeta = config.element("zeta", _DEFAULT_WITNESS_ZETA)
-    n = config.integer("n", 1, 1, config.grid.domain_end)
-    delta = config.fraction("delta", 0.1)
-    probes = config.probes()
+def cmd_witness(config: ExperimentConfig, out: Path, *, zeta, n, delta, probes) -> int:
     eligible = step1_positive(zeta, n)
     if eligible and config.grid.domain_end < step1_grid_end(n):
         raise ConfigError(f"'n' = {n} needs a grid end S >= 2n for the conjugation witness, got S = {config.grid.domain_end}")
@@ -408,12 +437,7 @@ def cmd_witness(config: ExperimentConfig, out: Path) -> int:
     return 0 if passed else 1
 
 
-def cmd_approx(config: ExperimentConfig, out: Path) -> int:
-    zeta = config.element("zeta", _APPROACH)
-    end = config.grid.domain_end
-    ns = config.integer("ns", [n for n in TRUNCATION_NS if n <= end], 1, end)
-    t = config.times("t", 1.0)
-    probe = config.unit("probe") if "probe" in config.raw else None
+def cmd_approx(config: ExperimentConfig, out: Path, *, zeta, ns, t, probe) -> int:
     try:
         tolerances = config.tolerances
         report = convergence_report(
@@ -427,14 +451,7 @@ def cmd_approx(config: ExperimentConfig, out: Path) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_index(config: ExperimentConfig, out: Path) -> int:
-    units = config.unit_list(
-        "units",
-        [
-            {"zeta": _APPROACH},
-            {"zeta": {"kind": "exp_approach", "c": [0.0, 0.5], "a": 1.3}, "beta": {"kind": "constant", "value": 0.2}},
-        ],
-    )
+def cmd_index(config: ExperimentConfig, out: Path, *, units, b) -> int:
     tol_membership = config.tolerances["membership"]
     non_members = [k for k, unit in enumerate(units) if not membership(unit, tol_membership).in_E]
     if non_members:
@@ -448,21 +465,17 @@ def cmd_index(config: ExperimentConfig, out: Path) -> int:
     write_csv(out / "index_representatives.csv", header, _element_rows(config.grid, representatives))
 
     xi = generator_unit(config.grid)
-    a = config.element("b", {"kind": "exp_approach", "c": 0.5, "a": 1.0})
     worst = 0.0
     for x_unit, y_unit in zip(units, units[1:] or units[:1]):
-        residuals = index_homomorphism_residuals(wrap(x_unit, xi), wrap(y_unit, xi), a, tol_membership)
+        residuals = index_homomorphism_residuals(wrap(x_unit, xi), wrap(y_unit, xi), b, tol_membership)
         worst = max(worst, *residuals.values())
     payload = {"units": len(units), "max_homomorphism_residual": worst}
     return _verdict(config, out / "index_report.json", payload, worst, "index_hom")
 
 
-def cmd_selftest(config: ExperimentConfig, out: Path) -> int:
-    if "tolerances" in config.raw:
-        raise ConfigError("the selftest runs at its pinned tolerances; remove the 'tolerances' block")
+def cmd_selftest(config: ExperimentConfig, out: Path, *, seed) -> int:
     if config.grid.domain_end < MIN_GRID_END:
         raise ConfigError(f"the selftest needs a grid end S >= {MIN_GRID_END}, got S = {config.grid.domain_end}")
-    seed = config.integer("seed", DEFAULT_SEED, 0)
     results = run_selftest(config.grid, seed)
     for row in results:
         print(f"{'PASS' if row.passed else 'FAIL'}  {row.name}: {row.detail}")
@@ -515,6 +528,8 @@ def main(argv=None) -> int:
         else:
             raw, base_dir = {}, Path.cwd()
         config = parse_config(raw, base_dir)
+        _reject_unknown(f"the config of {args.command!r}", raw, _command_keys(args.command))
+        fields = _command_fields(config, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -522,7 +537,7 @@ def main(argv=None) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     try:
-        status = _HANDLERS[args.command](config, out)
+        status = _HANDLERS[args.command](config, out, **fields)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -31,9 +31,6 @@ class PresetError(ValueError):
     """A preset spec names an unknown kind or carries bad parameters."""
 
 
-PRESET_KINDS = ("constant", "exp_approach", "exp_decay", "inverse_decay", "piecewise_linear", "csv", "raw")
-
-
 def _number(value, cast=float):
     """``cast(value)``; a bool is not taken as a number."""
     if isinstance(value, bool):
@@ -96,50 +93,69 @@ def piecewise_linear(grid: GridSpec, knots) -> AlgebraElement:
     return AlgebraElement(grid, re + 1j * im, vs[-1])
 
 
+def _constant(grid: GridSpec, value) -> AlgebraElement:
+    return constant(grid, as_complex(value))
+
+
+def _raw(grid: GridSpec, values, tail) -> AlgebraElement:
+    """The samples ``values``; the tail defaults to the last of them."""
+    values = [as_complex(v) for v in values]
+    if len(values) != grid.size:
+        raise PresetError(f"raw preset needs {grid.size} values, got {len(values)}")
+    return AlgebraElement(grid, np.array(values, dtype=complex), values[-1] if tail is None else as_complex(tail))
+
+
+def _csv(grid: GridSpec, path) -> AlgebraElement:
+    return load_csv(grid, path)  # looked up at call time, so a traced or patched load_csv runs
+
+
+# Kind -> (builder, {parameter: default}); ``...`` marks a required parameter.
+_PRESETS = {
+    "constant": (_constant, {"value": ...}),
+    "exp_approach": (exp_approach, {"c": 1.0, "a": 1.0}),
+    "exp_decay": (exp_decay, {"c": 1.0, "a": 1.0, "d": 0.0}),
+    "inverse_decay": (inverse_decay, {"c": 1.0, "d": 0.0}),
+    "piecewise_linear": (piecewise_linear, {"knots": ...}),
+    "csv": (_csv, {"path": ...}),
+    "raw": (_raw, {"values": ..., "tail": None}),
+}
+PRESET_KINDS = tuple(_PRESETS)
+
+
 def from_spec(grid: GridSpec, spec: dict, base_dir: Path | None = None) -> AlgebraElement:
-    """Build an element from a preset spec dict."""
+    """Build an element from a preset spec dict: its kind's builder, called
+    with the spec's parameters over the kind's defaults. A ``path`` is
+    relative to ``base_dir``."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise PresetError(f"preset spec must be a dict with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _PRESETS:
+        raise PresetError(f"unknown preset kind {kind!r}; known kinds: {', '.join(PRESET_KINDS)}")
+    build, defaults = _PRESETS[kind]
+    params = {**defaults, **spec}
+    del params["kind"]
+    unknown = [name for name in params if name not in defaults]
+    if unknown:
+        raise PresetError(f"preset {kind!r} has no parameter {unknown[0]!r}; it takes: {', '.join(defaults)}")
+    missing = [name for name, value in params.items() if value is ...]
+    if missing:
+        raise PresetError(f"preset {kind!r} is missing parameter {missing[0]!r}")
     try:
-        if kind == "constant":
-            return constant(grid, as_complex(spec["value"]))
-        if kind == "exp_approach":
-            return exp_approach(grid, spec.get("c", 1.0), spec.get("a", 1.0))
-        if kind == "exp_decay":
-            return exp_decay(grid, spec.get("c", 1.0), spec.get("a", 1.0), spec.get("d", 0.0))
-        if kind == "inverse_decay":
-            return inverse_decay(grid, spec.get("c", 1.0), spec.get("d", 0.0))
-        if kind == "piecewise_linear":
-            return piecewise_linear(grid, spec.get("knots", ()))
-        if kind == "raw":
-            return _raw(grid, spec)
-        if kind == "csv":
-            path = Path(spec["path"])
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            return load_csv(grid, path)
+        if "path" in params:
+            params["path"] = Path(base_dir or ".") / params["path"]
+        return build(grid, **params)
     except PresetError:
         raise
-    except KeyError as exc:
-        raise PresetError(f"preset {kind!r} is missing parameter {exc}") from exc
-    except (ValueError, TypeError, IndexError, OSError) as exc:  # a value the preset cannot take, or an unreadable file
+    except (ValueError, TypeError, IndexError, OSError, csv.Error) as exc:  # a value the preset cannot take, or an unreadable file
         raise PresetError(f"preset {kind!r}: {exc}") from exc
-    raise PresetError(f"unknown preset kind {spec['kind']!r}; known kinds: {', '.join(PRESET_KINDS)}")
-
-
-def _raw(grid: GridSpec, spec: dict) -> AlgebraElement:
-    values = [as_complex(v) for v in spec["values"]]
-    if len(values) != grid.size:
-        raise PresetError(f"raw preset needs {grid.size} values, got {len(values)}")
-    return AlgebraElement(grid, np.array(values, dtype=complex), as_complex(spec.get("tail", values[-1])))
 
 
 def load_csv(grid: GridSpec, path) -> AlgebraElement:
     """Load an element from CSV columns (s, re, im).
 
     The header row must read ``s,re,im,tail=<value>``; the declared tail
-    becomes the element's limit at infinity. The s column must match the
+    becomes the element's limit at infinity. Every other row but a blank
+    one holds exactly the three cells, and the s column must match the
     grid points exactly.
     """
     path = Path(path)
@@ -148,26 +164,26 @@ def load_csv(grid: GridSpec, path) -> AlgebraElement:
     if not rows:
         raise PresetError(f"{path}: empty CSV")
     header = [cell.strip() for cell in rows[0]]
-    if len(header) < 4 or header[:3] != ["s", "re", "im"] or not header[3].startswith("tail="):
+    if len(header) != 4 or header[:3] != ["s", "re", "im"] or not header[3].startswith("tail="):
         raise PresetError(f"{path}: header must be 's,re,im,tail=<value>', got {rows[0]!r}")
     tail = as_complex(header[3][len("tail=") :])
     body = [row for row in rows[1:] if row]
     if len(body) != grid.size:
         raise PresetError(f"{path}: expected {grid.size} rows for the declared grid, got {len(body)}")
     points = grid.points()
-    try:  # every (s, re, im) cell in one numpy parse, with the rounding of float()
-        values = np.array([cell for row in body for cell in row[:3]], dtype=float).reshape(len(body), 3)
-        parsed = len(body)
-    except ValueError:  # a short row or a cell that is not a number; the rows before it parse
-        parsed = next(k for k, row in enumerate(body) if len(row) < 3 or not all(map(_is_number, row[:3])))
-        values = np.array([row[:3] for row in body[:parsed]], dtype=float).reshape(parsed, 3)
+    parsed = next((k for k, row in enumerate(body) if len(row) != 3), len(body))  # the rows before the first ragged one
+    try:  # every cell of those rows in one numpy parse, with the rounding of float()
+        values = np.array([cell for row in body[:parsed] for cell in row], dtype=float).reshape(parsed, 3)
+    except ValueError:  # a cell that is not a number; the rows before it parse
+        parsed = next(k for k, row in enumerate(body) if not all(map(_is_number, row)))
+        values = np.array(body[:parsed], dtype=float).reshape(parsed, 3)
     off_grid = np.flatnonzero(np.abs(values[:, 0] - points[:parsed]) > 1e-9)
     if off_grid.size:
         k = off_grid[0]
         raise PresetError(f"{path}: row {k + 2} has s={float(values[k, 0])}, expected grid point {points[k]}")
     if parsed < len(body):
         row = body[parsed]
-        problem = "needs 3 columns" if len(row) < 3 else "needs numbers in its first 3 columns"
+        problem = "needs 3 columns" if len(row) != 3 else "needs numbers in its first 3 columns"
         raise PresetError(f"{path}: row {parsed + 2} {problem}, got {row!r}")
     samples = np.empty(grid.size, dtype=complex)
     samples.real, samples.imag = values[:, 1], values[:, 2]

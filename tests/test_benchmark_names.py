@@ -1,15 +1,19 @@
 """The benchmark pins the names of the selftest checks and of the unitalg
 cases, and fails every op whose report names differ; its tracer reads the
-operator methods it times from the class body. These tests hold the pins
-to the program, so a rename or a move fails here first."""
+operator methods it times from the class body, and every config it writes
+must pass the config schema. These tests hold the pins to the program, so
+a rename, a move or a schema change fails here first."""
 
 import csv
+import json
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fockindex import cli
 from fockindex.algebra import GridSpec
 from fockindex.cli import main
 from fockindex.fock import KernelOperator
@@ -53,3 +57,19 @@ def test_traced_operator_methods_are_defined_on_the_class(method):
     """The tracer wraps only methods in ``KernelOperator.__dict__``, and the
     benchmark's checks need the composition, apply and norm layers."""
     assert method in KernelOperator.__dict__
+
+
+def test_benchmark_configs_pass_the_config_schema(workloads, tmp_path):
+    """Op 0 of every workload, generated at its own grid: each config it
+    writes parses and holds only keys its command reads. A config the
+    schema refused would fail every op of that workload."""
+    for name, workload in workloads.WORKLOADS.items():
+        directory = tmp_path / name
+        directory.mkdir()
+        op = workload.make(np.random.default_rng(0), workload.grid, directory, 0)
+        assert op.calls
+        for command, path in op.calls:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            config = cli.parse_config(raw, Path(path).parent)
+            assert (config.grid.step_denominator, config.grid.domain_end) == workload.grid
+            cli._reject_unknown(f"the config of {command!r}", raw, cli._command_keys(command))

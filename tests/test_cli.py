@@ -2,6 +2,7 @@
 byte-level determinism."""
 
 import contextlib
+import copy
 import ctypes
 import io
 import json
@@ -14,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fockindex
+import fockindex.presets
+from fockindex import cli
 from fockindex.cli import COMMANDS, main
 from fockindex.selftest import DEFAULT_TOLERANCES
 
@@ -138,6 +141,7 @@ def test_integral_float_grid_values_accepted(tmp_path):
         {"psd": [1e-10]},
         {"psd": "tight"},
         {"psd": None},
+        {"psd": 10**400},
     ],
 )
 def test_bad_tolerances_are_config_errors(tmp_path, capsys, tolerances):
@@ -227,6 +231,17 @@ PRESET_GRID = {"grid": {"m": 2, "S": 1}}
         ("membership", {"reference": {"zeta": {"kind": "nonsense"}}}),
         ("membership", {"probe": {"zeta": {"kind": "nonsense"}}}),
         ("kernel", {"unit": {"zeta": {"kind": "nonsense"}}}),
+        # a key the command does not read, at any level, and the retired 'unit' of membership
+        ("membership", {"zetta": {"kind": "constant", "value": 2.0}}),
+        ("membership", {"unit": {"zeta": {"kind": "constant", "value": 2.0}, "betta": {"kind": "constant", "value": 1.0}}}),
+        ("membership", {"zeta": {"kind": "exp_approach", "cc": 5, "aa": -1}}),
+        ("membership", {"grid": {"m": 2, "S": 10, "s": 3}}),
+        ("approx", {"t_values": [3.0]}),
+        ("kernel", {"zeta": {"kind": "constant", "value": 2.0}}),
+        ("membership", {"zeta": {"kind": "constant", "value": 2.0}, "unit": {"zeta": {"kind": "constant", "value": 1.0}}}),
+        # an integer too large for a float
+        ("approx", {"t": 10**400}),
+        ("semigroup", {"t_values": [10**400]}),
     ],
 )
 def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fields):
@@ -517,45 +532,184 @@ PRESETS = mostly(
     ),
 )
 UNITS = mostly(st.fixed_dictionaries({"zeta": PRESETS}, optional={"beta": PRESETS}), ODD)
-CONFIGS = st.fixed_dictionaries(
-    {
-        "grid": st.fixed_dictionaries(
-            {"m": mostly(st.integers(1, 2), ODD_GRID_FIELDS), "S": mostly(st.integers(1, 6), ODD_GRID_FIELDS)}
-        )
-    },
-    optional={
-        "u": UNITS,
-        "v": UNITS,
-        "unit": UNITS,
-        "reference": UNITS,
-        "zeta": PRESETS,
-        "beta": PRESETS,
-        "b": PRESETS,
-        "t_values": mostly(st.lists(NUMBERS, max_size=3), ODD),
-        "t": NUMBERS,
-        "units": mostly(st.lists(UNITS, max_size=3), ODD),
-        "probes": mostly(st.lists(UNITS, max_size=2), ODD),
-        "probe": UNITS,
-        "kappa": mostly(st.lists(PRESETS, max_size=3), ODD),
-        "seed": mostly(st.integers(-1, 5), ODD),
-        "cases": mostly(st.integers(0, 2), ODD),
-        "n": mostly(st.integers(0, 7), ODD),
-        "ns": mostly(st.lists(st.integers(0, 7), max_size=3), ODD),
-        "delta": mostly(st.floats(-0.5, 1.5), ODD),
-        "tolerances": st.dictionaries(st.sampled_from([*DEFAULT_TOLERANCES, "bogus"]), NUMBERS, max_size=2),
-    },
-)
+GRIDS = st.fixed_dictionaries({"m": mostly(st.integers(1, 2), ODD_GRID_FIELDS), "S": mostly(st.integers(1, 6), ODD_GRID_FIELDS)})
+# Values by the type a key is read as (its reader's label in cli._READERS).
+VALUES = {
+    "preset": PRESETS,
+    "presets summing to 1": mostly(st.lists(PRESETS, max_size=3), ODD),
+    "unit": UNITS,
+    "units": mostly(st.lists(UNITS, max_size=3), ODD),
+    "time >= 0": NUMBERS,
+    "times >= 0": mostly(st.lists(NUMBERS, max_size=3), ODD),
+    "integer >= 0": mostly(st.integers(-1, 5), ODD),
+    "integer >= 1": mostly(st.integers(0, 2), ODD),
+    "integer in [1, S]": mostly(st.integers(0, 7), ODD),
+    "integers in [1, S]": mostly(st.lists(st.integers(0, 7), max_size=3), ODD),
+    "number in (0, 1)": mostly(st.floats(-0.5, 1.5), ODD),
+}
+TOLERANCES = st.dictionaries(st.sampled_from([*DEFAULT_TOLERANCES, "bogus"]), NUMBERS, max_size=2)
+
+
+def command_configs(command):
+    """Configs with a grid and some of the keys ``command`` reads, drawn from the schema."""
+    keys = cli._command_keys(command)
+    optional = {key: VALUES[cli._READERS[key].label] for key in keys if key in cli._READERS}
+    if "tolerances" in keys:
+        optional["tolerances"] = TOLERANCES
+    return st.tuples(st.just(command), st.fixed_dictionaries({"grid": GRIDS}, optional=optional))
+
+
+def run_quietly(command, config, tmp):
+    """Exit status, stderr and output directory of one in-process run."""
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("ignore")
+        status = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    return status, stderr.getvalue(), Path(tmp) / "out"
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from([c for c in COMMANDS if c != "selftest"]), CONFIGS)
-def test_random_small_configs_end_in_an_exit_status(command, config):
+@given(st.sampled_from([c for c in COMMANDS if c != "selftest"]).flatmap(command_configs))
+def test_random_small_configs_end_in_an_exit_status(command_and_config):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        stderr = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("ignore")
-            status = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        status, stderr, _ = run_quietly(*command_and_config, tmp)
     assert status in (0, 1, 2)
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in stderr
+
+
+def levels(config):
+    """(level, dict, keys it takes) for each dict below the top of a valid
+    config: the grid, each unit spec and each preset spec."""
+    found = [("grid", config["grid"], cli._GRID_KEYS)]
+    presets = []
+    for key, value in config.items():
+        label = cli._READERS[key].label if key in cli._READERS else None
+        units = [value] if label == "unit" else value if label == "units" else []
+        found += [("unit spec", unit, cli._UNIT_KEYS) for unit in units]
+        presets += [value] if label == "preset" else [spec for unit in units for spec in unit.values()]
+    found += [("preset spec", spec, ("kind", *fockindex.presets._PRESETS[spec["kind"]][1])) for spec in presets]
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(COMMANDS), st.data())
+def test_one_misspelt_key_is_a_config_error_and_writes_nothing(command, data):
+    """A valid config (the command's spec defaults) with one key misspelt
+    at a drawn level: the top, the grid, a unit spec or a preset spec."""
+    defaults = {key: value for key, value in cli._DEFAULTS[command].items() if value is not None and not callable(value)}
+    config = copy.deepcopy({"grid": {"m": 2, "S": 10}, **defaults})
+    level, node, known = data.draw(st.sampled_from([("top", config, cli._command_keys(command)), *levels(config)]))
+    key = data.draw(st.sampled_from(sorted(node)))
+    misspelt = data.draw(st.sampled_from([key + "_", key + key[-1], key.swapcase(), "x" + key]))
+    assume(misspelt not in known)
+    node[misspelt] = node[key]
+    with tempfile.TemporaryDirectory() as tmp:
+        status, stderr, out = run_quietly(command, config, tmp)
+        assert status == 2, (level, misspelt)
+        assert stderr.startswith("config error:") and repr(misspelt) in stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["s,re,im,tail=1.0", "0.0,1,0,9,9", "0.5,1,0", "1.0,1,0"],
+        ["s,re,im,tail=1.0,x", "0.0,1,0", "0.5,1,0", "1.0,1,0"],
+    ],
+    ids=["data_row", "header"],
+)
+def test_csv_with_extra_cells_is_a_config_error(tmp_path, capsys, lines):
+    (tmp_path / "zeta.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, out = run(tmp_path, "membership", {**PRESET_GRID, "zeta": {"kind": "csv", "path": "zeta.csv"}})
+    assert status == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+CELLS = st.text(alphabet="0123456789.-ex ", min_size=1, max_size=4)
+CSV_FAULTS = ("ragged", "s", "header", "bytes", "bom", "blank")
+
+
+@st.composite
+def csv_files(draw):
+    """(bytes, faults, whether a data row has extra cells): the file of the
+    constant 1 on grid (2, 3), with drawn faults."""
+    rows = [[repr(k / 2), "1.0", "0.0"] for k in range(7)]
+    header = "s,re,im,tail=1.0"
+    faults = draw(st.sets(st.sampled_from(CSV_FAULTS)))
+    if "ragged" in faults:
+        rows[draw(st.integers(0, 6))] = draw(st.lists(CELLS, min_size=1, max_size=6))
+    if "s" in faults:
+        rows[draw(st.integers(0, 6))][0] = draw(CELLS)
+    if "header" in faults:
+        header = draw(st.sampled_from(["s,re,im", "s,re,im,1.0", "re,im,s,tail=1.0", "", "s,re,im,tail=x"]))
+    lines = [header] + [",".join(row) for row in rows]
+    if "blank" in faults:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if "bytes" in faults:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x81", b"\xfe,"])) + data[at:]
+    if "bom" in faults:
+        data = b"\xef\xbb\xbf" + data
+    return data, faults, any(len(row) > 3 for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_files())
+def test_random_csv_files_end_in_an_exit_status(file):
+    data, faults, extra_cells = file
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "zeta.csv").write_bytes(data)
+        status, stderr, _ = run_quietly("membership", {"grid": {"m": 2, "S": 3}, "zeta": {"kind": "csv", "path": "zeta.csv"}}, tmp)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in stderr
+    if extra_cells:
+        assert status == 2
+    if faults <= {"blank"}:
+        assert status == 0
+
+
+def test_every_key_with_a_reader_is_read_by_a_command():
+    """parse_config accepts the keys with a reader; each must be one that some command reads."""
+    assert set(cli._READERS) == {key for defaults in cli._DEFAULTS.values() for key in defaults}
+
+
+def readme_table(header):
+    """The rows of the README table whose header row is ``header``, as lists of cells."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index(header) + 2
+    end = next(k for k in range(start, len(lines) + 1) if k == len(lines) or not lines[k].startswith("|"))
+    return [[cell.strip() for cell in line.strip("|").split(" | ")] for line in lines[start:end]]
+
+
+def code(cell):
+    assert cell.startswith("`") and cell.endswith("`"), cell
+    return cell[1:-1]
+
+
+def test_readme_config_table_is_the_schema():
+    """Each row is (command, key, type, default); a default that is a spec
+    is written as its JSON, one the grid or the library decides in words."""
+    rows = readme_table("| Command | Key | Type | Default |")
+    assert [(code(c), code(k)) for c, k, _, _ in rows] == [(c, k) for c, d in cli._DEFAULTS.items() for k in d]
+    for command, key, label, default in rows:
+        value = cli._DEFAULTS[code(command)][code(key)]
+        assert label == cli._READERS[code(key)].label
+        if value is None or callable(value):
+            assert not default.startswith("`"), default
+        else:
+            assert json.loads(code(default)) == value
+
+
+def test_readme_preset_table_is_the_preset_schema():
+    """Each row is (kind, parameters, element); a parameter with a default
+    is written `name` = its JSON."""
+    rows = readme_table("| Kind | Parameters | Element |")
+    parameters = {}
+    for kind, written, _ in rows:
+        names = [part.split(" = ") for part in written.split(", ")]
+        parameters[code(kind)] = {code(name[0]): json.loads(name[1]) if len(name) > 1 else ... for name in names}
+    assert parameters == {kind: defaults for kind, (_, defaults) in fockindex.presets._PRESETS.items()}
