@@ -8,6 +8,7 @@ import types as _types
 
 from .algebra import (
     AlgebraElement,
+    DomainError,
     GridMismatchError,
     GridSpec,
     UnresolvedTailWarning,

@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "TAIL_TOLERANCE",
     "POSITIVITY_TOLERANCE",
+    "DomainError",
     "GridMismatchError",
     "UnresolvedTailWarning",
     "GridSpec",
@@ -36,7 +37,12 @@ POSITIVITY_TOLERANCE = 1e-10
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
-class GridMismatchError(ValueError):
+class DomainError(ValueError):
+    """An input outside the domain of the operation it was passed to: the
+    caller's fault, not a numerical failure."""
+
+
+class GridMismatchError(DomainError):
     """Operands live on different grids, or a shift is not grid-aligned."""
 
 
@@ -275,7 +281,7 @@ class AlgebraElement:
         coords = self.coordinates
         small = np.abs(coords).min()
         if small < min_modulus:
-            raise ValueError(f"element is not invertible: min |value| = {small:.3e}")
+            raise DomainError(f"element is not invertible: min |value| = {small:.3e}")
         return AlgebraElement._wrap(self.grid, 1.0 / self.samples, 1.0 / self.tail)
 
 

@@ -2,8 +2,11 @@
 JSON-configured command, emitting deterministic CSV tables and JSON
 verdicts.
 
-Exit status: 0 when all requested checks pass their tolerances, 1 on a
-tolerance failure, 2 on a configuration error.
+Exit status: 0 when all requested checks pass their tolerances; 1 on a
+tolerance failure or a numerical failure, such as an exponential that
+overflows; 2 on a configuration error, which includes an input outside a
+command's domain (any :class:`DomainError`), such as a witness zeta that
+is not eventually 1 at n, or a truncation pivot zeta(n) = 0.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, GridSpec, constant
+from .algebra import AlgebraElement, DomainError, GridSpec, constant
 from .fock import (
     FockUnit,
     generator_unit,
@@ -30,17 +33,15 @@ from .fock import (
     semigroup_law_residual,
 )
 from .presets import PresetError, from_spec
-from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, MIN_GRID_END, random_element, random_unit, run_selftest
+from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, random_element, random_unit, run_selftest
 from .subsystem import (
     TRUNCATION_NS,
     ConvergenceRow,
-    NotAMemberError,
     convergence_report,
     convexify,
     index_homomorphism_residuals,
     index_representative,
     membership,
-    step1_grid_end,
     step1_positive,
     theta_check,
     witness_step1,
@@ -64,7 +65,7 @@ from .unit_algebra import (
 SCHEMA_VERSION = "1"
 
 
-class ConfigError(ValueError):
+class ConfigError(DomainError):
     """Bad configuration document."""
 
 
@@ -74,7 +75,6 @@ class ExperimentConfig:
     tolerances: dict
     base_dir: Path
     fields: dict = field(default_factory=dict, init=False)  # each given key but grid and tolerances, as _READERS read it
-    elements: dict = field(default_factory=dict, init=False)  # built from preset specs, keyed by repr(spec)
 
 
 class _Reader(NamedTuple):
@@ -92,14 +92,11 @@ def _integer(value, name: str) -> int:
 
 
 def _element(config: ExperimentConfig, key: str, spec) -> AlgebraElement:
-    """The element of a preset spec, built once per distinct spec."""
-    name = repr(spec)
-    if name not in config.elements:
-        try:
-            config.elements[name] = from_spec(config.grid, spec, config.base_dir)
-        except PresetError as exc:
-            raise ConfigError(f"bad {key!r} spec: {exc}") from exc
-    return config.elements[name]
+    """The element of the preset spec given for ``key``."""
+    try:
+        return from_spec(config.grid, spec, config.base_dir)
+    except PresetError as exc:
+        raise ConfigError(f"bad {key!r} spec: {exc}") from exc
 
 
 def _unit(config: ExperimentConfig, key: str, spec) -> FockUnit:
@@ -359,8 +356,6 @@ def cmd_semigroup(config: ExperimentConfig, out: Path, *, u, v, b, t_values) -> 
 
 
 def cmd_gram(config: ExperimentConfig, out: Path, *, units, b, t_values) -> int:
-    if not b.is_positive():
-        raise ConfigError("'b' must be a positive element for the Gram check")
     tol = config.tolerances["psd"]
     results = []
     all_passed = True
@@ -416,12 +411,11 @@ def cmd_membership(config: ExperimentConfig, out: Path, *, zeta, beta) -> int:
 
 
 def cmd_witness(config: ExperimentConfig, out: Path, *, zeta, n, delta, probes) -> int:
-    eligible = step1_positive(zeta, n)
-    if eligible and config.grid.domain_end < step1_grid_end(n):
-        raise ConfigError(f"'n' = {n} needs a grid end S >= 2n for the conjugation witness, got S = {config.grid.domain_end}")
+    witness = witness_step1(zeta, n) if step1_positive(zeta, n) else None
+    alpha, _ = convexify(zeta, n, delta)
+    theta_residual = theta_check(zeta, n, probes, delta)
     conjugation = {"skipped": "zeta is not strictly positive below n"}
-    if eligible:
-        witness = witness_step1(zeta, n)
+    if witness is not None:
         residual = witness.max_identity_residual
         conjugation = {"residual": residual, **_judged(config, residual, "witness")}
         write_csv(
@@ -429,22 +423,17 @@ def cmd_witness(config: ExperimentConfig, out: Path, *, zeta, n, delta, probes) 
             ["s", "b0_re", "b0_im", "b1_re", "b1_im"],
             _element_rows(config.grid, [witness.b0, witness.b1]),
         )
-    alpha, _ = convexify(zeta, n, delta)
-    residual = theta_check(zeta, n, probes, delta)
-    convexified = {"alpha": alpha, "delta": delta, "residual": residual, **_judged(config, residual, "theta")}
+    convexified = {"alpha": alpha, "delta": delta, "residual": theta_residual, **_judged(config, theta_residual, "theta")}
     passed = conjugation.get("passed", True) and convexified["passed"]
     write_json(out / "witness_report.json", {"n": n, "conjugation": conjugation, "convexified": convexified, "passed": passed})
     return 0 if passed else 1
 
 
 def cmd_approx(config: ExperimentConfig, out: Path, *, zeta, ns, t, probe) -> int:
-    try:
-        tolerances = config.tolerances
-        report = convergence_report(
-            zeta, t, ns, probe, target_threshold=tolerances["convergence_threshold"], membership_tol=tolerances["membership"]
-        )
-    except NotAMemberError as exc:
-        raise ConfigError(f"bad 'zeta': {exc}") from exc
+    tolerances = config.tolerances
+    report = convergence_report(
+        zeta, t, ns, probe, target_threshold=tolerances["convergence_threshold"], membership_tol=tolerances["membership"]
+    )
     write_csv(out / "approx_table.csv", [f.name for f in fields(ConvergenceRow)], [astuple(row) for row in report.rows])
     summary = {key: value for key, value in vars(report).items() if key != "rows"}
     write_json(out / "approx_report.json", {"t": t, "ns": ns, **summary, "passed": report.passed})
@@ -474,8 +463,6 @@ def cmd_index(config: ExperimentConfig, out: Path, *, units, b) -> int:
 
 
 def cmd_selftest(config: ExperimentConfig, out: Path, *, seed) -> int:
-    if config.grid.domain_end < MIN_GRID_END:
-        raise ConfigError(f"the selftest needs a grid end S >= {MIN_GRID_END}, got S = {config.grid.domain_end}")
     results = run_selftest(config.grid, seed)
     for row in results:
         print(f"{'PASS' if row.passed else 'FAIL'}  {row.name}: {row.detail}")
@@ -530,7 +517,7 @@ def main(argv=None) -> int:
         config = parse_config(raw, base_dir)
         _reject_unknown(f"the config of {args.command!r}", raw, _command_keys(args.command))
         fields = _command_fields(config, args.command)
-    except ConfigError as exc:
+    except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -538,7 +525,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         status = _HANDLERS[args.command](config, out, **fields)
-    except ConfigError as exc:
+    except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraElement, GridMismatchError, GridSpec, _is_count, constant
+from .algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, _is_count, constant
 
 __all__ = [
     "UnsupportedParameterError",
@@ -91,7 +91,7 @@ __all__ = [
 TAYLOR_TOLERANCE = 1e-12  # the exponential's Taylor sum stops below this share of the running sum
 
 
-class UnsupportedParameterError(ValueError):
+class UnsupportedParameterError(DomainError):
     """A parameter regime the component-level calculus does not cover."""
 
 
@@ -499,7 +499,7 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
     times = sorted({float(t) for t in times})
     for t in times:
         if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+            raise DomainError(f"time must be nonnegative, got {t}")
     generator = kernel(u, v)
     exps: dict = {}
     latest: dict = {}  # scaled bands -> (squarings, latest exponential)
@@ -549,7 +549,7 @@ def gram_matrices(units, times, bs) -> list:
     positive for the positivity check downstream to be meaningful."""
     units, times, bs = list(units), [float(t) for t in times], list(bs)
     if not all(b.is_positive() for b in bs):
-        raise ValueError("gram_matrices needs positive elements b")
+        raise DomainError("gram_matrices needs positive elements b")
     grams = [[[[None] * len(units) for _ in units] for _ in bs] for _ in times]
     for i, ui in enumerate(units):
         for j, uj in enumerate(units):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraElement, GridSpec, constant
+from .algebra import AlgebraElement, DomainError, GridSpec, constant
 
 __all__ = [
     "PresetError",
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-class PresetError(ValueError):
+class PresetError(DomainError):
     """A preset spec names an unknown kind or carries bad parameters."""
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import POSITIVITY_TOLERANCE, AlgebraElement, GridSpec, constant
+from .algebra import POSITIVITY_TOLERANCE, AlgebraElement, DomainError, GridSpec, constant
 from .fock import (
     TAYLOR_TOLERANCE,
     FockUnit,
@@ -472,8 +472,11 @@ CRITERIA = (
 
 
 def run_selftest(grid: GridSpec | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the full property battery and return one row per check."""
+    """Run the full property battery and return one row per check; a grid
+    shorter than MIN_GRID_END is outside its domain and runs no check."""
     grid = grid or DEFAULT_GRID
+    if grid.domain_end < MIN_GRID_END:
+        raise DomainError(f"the selftest needs a grid end S >= {MIN_GRID_END}, got S = {grid.domain_end}")
     results: list[CheckResult] = []
     for label, criterion in CRITERIA:
         for row in criterion(grid, seed):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, _is_count, constant
+from .algebra import AlgebraElement, DomainError, _is_count, constant
 from .fock import FockUnit, generator_unit, kernel, semigroup, unit_component, left_action, vacuum_unit
 from .presets import exp_approach, exp_decay
 from .unit_algebra import (
@@ -67,7 +67,7 @@ TRUNCATION_NS = (2, 4, 6, 8, 10)  # truncation points of the default convergence
 DYADIC_DEPTH = 10
 
 
-class NotAMemberError(ValueError):
+class NotAMemberError(DomainError):
     """A construction that exists only for members got a unit whose zeta
     does not tend to 1."""
 
@@ -150,7 +150,7 @@ class Step1Witness:
 def _require_real(zeta: AlgebraElement, context: str) -> None:
     worst = max(float(np.max(np.abs(zeta.samples.imag))), abs(zeta.tail.imag))
     if worst > REALNESS_TOLERANCE:
-        raise ValueError(f"{context} needs a real-valued zeta; max |imag| = {worst:.3e}")
+        raise DomainError(f"{context} needs a real-valued zeta; max |imag| = {worst:.3e}")
 
 
 def _require_eventually_one(zeta: AlgebraElement, n: int, context: str) -> None:
@@ -158,7 +158,7 @@ def _require_eventually_one(zeta: AlgebraElement, n: int, context: str) -> None:
     from_index = n * m
     bad = np.max(np.abs(zeta.samples[from_index:] - 1.0), initial=0.0)
     if bad > EXACT_ONE_TOLERANCE or abs(zeta.tail - 1.0) > EXACT_ONE_TOLERANCE:
-        raise ValueError(f"{context} needs zeta(s) = 1 for s >= {n}; max deviation {max(bad, abs(zeta.tail - 1.0)):.3e}")
+        raise DomainError(f"{context} needs zeta(s) = 1 for s >= {n}; max deviation {max(bad, abs(zeta.tail - 1.0)):.3e}")
 
 
 def step1_positive(zeta: AlgebraElement, n: int) -> bool:
@@ -177,13 +177,13 @@ def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
     and b1(s+n) * b0(s) reproduces the n-particle component of the unit."""
     grid = zeta.grid
     if not _is_count(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise DomainError(f"n must be a positive integer, got {n!r}")
     if grid.domain_end < step1_grid_end(n):
-        raise ValueError(f"grid end {grid.domain_end} is too short; need at least 2n = {step1_grid_end(n)}")
+        raise DomainError(f"grid end {grid.domain_end} is too short; need at least 2n = {step1_grid_end(n)}")
     _require_real(zeta, "witness_step1")
     _require_eventually_one(zeta, n, "witness_step1")
     if not step1_positive(zeta, n):
-        raise ValueError("witness_step1 needs zeta(s) > 0 for s < n")
+        raise DomainError("witness_step1 needs zeta(s) > 0 for s < n")
 
     component = unit_component(FockUnit(zeta, constant(grid, 0.0)), int(n))
     b0 = component.value
@@ -201,18 +201,18 @@ def convexify(zeta: AlgebraElement, n: int, delta: float) -> tuple[float, Algebr
     """Largest dyadic alpha in (0, 1) with alpha*zeta + (1-alpha) >= delta
     on all samples; returns alpha and the convexified element."""
     if not _is_count(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     _require_real(zeta, "convexify")
     _require_eventually_one(zeta, n, "convexify")
     if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
     values = zeta.samples.real
     denominator = 2**DYADIC_DEPTH
     for k in range(denominator - 1, 0, -1):
         alpha = k / denominator
         if np.min(alpha * values + (1.0 - alpha)) >= delta:
             return alpha, zeta * alpha + (1.0 - alpha)
-    raise ValueError(f"no dyadic alpha in (0, 1) keeps the combination above {delta}")
+    raise DomainError(f"no dyadic alpha in (0, 1) keeps the combination above {delta}")
 
 
 def theta_check(
@@ -246,10 +246,10 @@ def approximate(zeta: AlgebraElement, n: int, min_pivot: float = 1e-8) -> Algebr
     """Truncation approximant: zeta(s)/zeta(n) for s < n, and 1 from n on."""
     grid = zeta.grid
     if not _is_count(n) or n < 1 or n > grid.domain_end:
-        raise ValueError(f"n must be an integer in [1, {grid.domain_end}], got {n!r}")
+        raise DomainError(f"n must be an integer in [1, {grid.domain_end}], got {n!r}")
     pivot = zeta.value_at(n)
     if abs(pivot) < min_pivot:
-        raise ValueError(f"|zeta({n})| = {abs(pivot):.3e} is below {min_pivot}; pick a larger n")
+        raise DomainError(f"|zeta({n})| = {abs(pivot):.3e} is below {min_pivot}; pick a larger n")
     m = grid.step_denominator
     samples = np.ones(grid.size, dtype=complex)
     samples[: n * m] = zeta.samples[: n * m] / pivot

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, GridSpec, constant
+from .algebra import AlgebraElement, DomainError, GridSpec, constant
 from .fock import FockUnit, WeightedShift, kernel, multiplication_operator
 from .presets import exp_approach, exp_decay
 
@@ -74,7 +74,7 @@ class ReferencedUnit:
 
     def __post_init__(self) -> None:
         if self.unit.grid != self.reference.grid:
-            raise ValueError("unit and reference must share one grid")
+            raise DomainError("unit and reference must share one grid")
 
     @property
     def grid(self) -> GridSpec:
@@ -105,7 +105,7 @@ def wrap(unit: FockUnit, reference: FockUnit) -> ReferencedUnit:
 
 def _check_same_reference(x: ReferencedUnit, y: ReferencedUnit) -> None:
     if not _units_equal(x.reference, y.reference):
-        raise ValueError("reference mismatch: operands carry different reference units")
+        raise DomainError("reference mismatch: operands carry different reference units")
 
 
 def default_probe_units(grid: GridSpec) -> list[FockUnit]:
@@ -158,9 +158,9 @@ def _combination(coefficients, units, reference: FockUnit, inner: bool) -> Refer
     coefficients = list(coefficients)
     units = list(units)
     if len(coefficients) != len(units) or not units:
-        raise ValueError("need one coefficient per unit and at least one unit")
+        raise DomainError("need one coefficient per unit and at least one unit")
     if not coefficients_sum_to_one(coefficients):
-        raise ValueError("coefficients must sum to the unit element")
+        raise DomainError("coefficients must sum to the unit element")
     grid = units[0].grid
     zeta = constant(grid, 0.0)
     beta = constant(grid, 0.0)

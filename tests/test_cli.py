@@ -1,6 +1,7 @@
 """Tests for the experiment driver CLI: exit codes, report files and
 byte-level determinism."""
 
+import ast
 import contextlib
 import copy
 import ctypes
@@ -242,6 +243,12 @@ PRESET_GRID = {"grid": {"m": 2, "S": 1}}
         # an integer too large for a float
         ("approx", {"t": 10**400}),
         ("semigroup", {"t_values": [10**400]}),
+        # an input outside the domain of the library operation it reaches
+        ("witness", {"zeta": {"kind": "exp_approach"}}),  # not eventually one at n = 1
+        ("witness", {"zeta": {"kind": "constant", "value": [1, 0.5]}}),  # not real
+        ("witness", {"zeta": {"kind": "piecewise_linear", "knots": [[0, -3000], [1, 1]]}}),  # no dyadic alpha
+        ("witness", {"zeta": {"kind": "piecewise_linear", "knots": [[0, 0.01], [1, 1]]}, "delta": 0.9995}),
+        ("approx", {"zeta": {"kind": "piecewise_linear", "knots": [[0, 1], [2, 0], [3, 1]]}, "ns": [2]}),  # pivot zeta(2) = 0
     ],
 )
 def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fields):
@@ -492,6 +499,16 @@ def test_overflowing_semigroup_time_is_a_one_line_error(tmp_path, t):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_handlers_raise_and_catch_nothing():
+    """Whether an input is outside a command's domain is the library's call:
+    the handlers neither re-check it (``raise``) nor re-map it (``try``)."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(handlers) == len(COMMANDS)
+    for handler in handlers:
+        assert not [node for node in ast.walk(handler) if isinstance(node, (ast.Raise, ast.Try))], handler.name
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, fockindex.cli; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=child_env())
@@ -574,9 +591,11 @@ def run_quietly(command, config, tmp):
 @given(st.sampled_from([c for c in COMMANDS if c != "selftest"]).flatmap(command_configs))
 def test_random_small_configs_end_in_an_exit_status(command_and_config):
     with tempfile.TemporaryDirectory() as tmp:
-        status, stderr, _ = run_quietly(*command_and_config, tmp)
-    assert status in (0, 1, 2)
-    assert "Traceback" not in stderr
+        status, stderr, out = run_quietly(*command_and_config, tmp)
+        assert status in (0, 1, 2)
+        assert "Traceback" not in stderr
+        if status == 2:
+            assert not out.exists() or not any(out.iterdir())
 
 
 def levels(config):

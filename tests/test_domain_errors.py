@@ -1,0 +1,100 @@
+"""Inputs outside an operation's domain raise DomainError, a ValueError;
+numerical failures and internal invariants do not."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fockindex import selftest
+from fockindex.algebra import DomainError, GridMismatchError, GridSpec, constant
+from fockindex.cli import ConfigError, parse_config
+from fockindex.fock import FockUnit, UnsupportedParameterError, gram_matrices, matrix_exponential, semigroups, unit_component
+from fockindex.presets import PresetError, exp_approach, from_spec, piecewise_linear
+from fockindex.subsystem import (
+    NotAMemberError,
+    approximate,
+    convergence_report,
+    convexify,
+    index_representative,
+    witness_step1,
+)
+from fockindex.unit_algebra import add, boxplus_left, wrap
+
+GRID = GridSpec(2, 10)
+ZERO, ONE = constant(GRID, 0.0), constant(GRID, 1.0)
+XI = FockUnit(ONE, ZERO)
+OMEGA = FockUnit(ZERO, ZERO)
+DIP = piecewise_linear(GRID, [[0.0, -3000.0], [1.0, 1.0]])  # eventually one, negative below 1
+ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # subsystem
+        lambda: witness_step1(constant(GRID, 1 + 0.5j), 1),  # _require_real
+        lambda: witness_step1(exp_approach(GRID, 1.0, 1.0), 1),  # _require_eventually_one
+        lambda: witness_step1(ONE, 0),
+        lambda: witness_step1(ONE, 6),  # grid end S = 10 < 2n
+        lambda: witness_step1(DIP, 1),  # not positive below n
+        lambda: convexify(constant(GRID, 1 + 0.5j), 1, 0.1),
+        lambda: convexify(exp_approach(GRID, 1.0, 1.0), 1, 0.1),
+        lambda: convexify(ONE, -1, 0.1),
+        lambda: convexify(ONE, 1, 1.5),
+        lambda: convexify(DIP, 1, 0.1),  # no dyadic alpha
+        lambda: approximate(ONE, 0),
+        lambda: approximate(ONE, 11),
+        lambda: approximate(ZERO_PIVOT, 2),
+        lambda: convergence_report(constant(GRID, 2.0), 1.0, [2]),
+        lambda: index_representative(FockUnit(constant(GRID, 2.0), ZERO)),
+        # fock
+        lambda: semigroups(XI, XI, [-1.0]),
+        lambda: gram_matrices([XI], [0.5], [constant(GRID, -1.0)]),
+        lambda: unit_component(FockUnit(ONE, ONE), 1),
+        # unit_algebra
+        lambda: add(wrap(XI, XI), wrap(XI, OMEGA)),
+        lambda: wrap(XI, FockUnit(constant(GridSpec(2, 11), 1.0), constant(GridSpec(2, 11), 0.0))),
+        lambda: boxplus_left([ONE], [XI, XI], XI),
+        lambda: boxplus_left([ONE, ONE], [XI, XI], XI),
+        # algebra
+        lambda: ZERO.reciprocal(),
+        lambda: ONE + constant(GridSpec(2, 11), 1.0),
+        # presets, the CLI's config reader and the selftest
+        lambda: from_spec(GRID, {"kind": "nonsense"}),
+        lambda: parse_config("not an object", Path(".")),
+        lambda: selftest.run_selftest(GridSpec(3, 5)),
+    ],
+)
+def test_out_of_domain_inputs_raise_domain_error(call):
+    with pytest.raises(DomainError) as error:
+        call()
+    assert isinstance(error.value, ValueError)
+
+
+@pytest.mark.parametrize("cls", [ConfigError, PresetError, NotAMemberError, UnsupportedParameterError, GridMismatchError])
+def test_domain_exceptions_are_domain_errors(cls):
+    assert issubclass(cls, DomainError) and issubclass(DomainError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: matrix_exponential(np.full((2, 2), np.inf)),  # non-finite input
+        lambda: semigroups(FockUnit(constant(GRID, 2.0), ZERO), FockUnit(constant(GRID, 2.0), ZERO), [1e300]),  # overflow
+    ],
+)
+def test_numerical_failures_are_not_domain_errors(call):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert not isinstance(error.value, DomainError)
+
+
+def test_selftest_rejects_a_short_grid_before_any_criterion(monkeypatch):
+    runs = []
+    monkeypatch.setattr(selftest, "CRITERIA", tuple((label, lambda grid, seed, label=label: runs.append(label) or []) for label, _ in selftest.CRITERIA))
+    with pytest.raises(DomainError):
+        selftest.run_selftest(GridSpec(3, 5))
+    assert runs == []
+    selftest.run_selftest(GridSpec(1, selftest.MIN_GRID_END))
+    assert len(runs) == len(selftest.CRITERIA)
