@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "TAIL_TOLERANCE",
     "POSITIVITY_TOLERANCE",
+    "RECIPROCAL_FLOOR",
     "DomainError",
     "GridMismatchError",
     "UnresolvedTailWarning",
@@ -33,6 +34,7 @@ __all__ = [
 
 TAIL_TOLERANCE = 1e-9
 POSITIVITY_TOLERANCE = 1e-10
+RECIPROCAL_FLOOR = 1e-14  # the least modulus AlgebraElement.reciprocal inverts
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -276,7 +278,7 @@ class AlgebraElement:
     def limit_at_infinity(self) -> complex:
         return self.tail
 
-    def reciprocal(self, min_modulus: float = 1e-14) -> "AlgebraElement":
+    def reciprocal(self, min_modulus: float = RECIPROCAL_FLOOR) -> "AlgebraElement":
         """Pointwise inverse; fails if any value is within min_modulus of 0."""
         coords = self.coordinates
         small = np.abs(coords).min()

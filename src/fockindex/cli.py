@@ -1,12 +1,13 @@
 """Batch experiment driver: every operation of the calculus behind one
-JSON-configured command, emitting deterministic CSV tables and JSON
-verdicts.
+JSON-configured command. Each handler returns its CSV tables and its one
+JSON report; :func:`main` alone writes them, once the handler has returned.
 
-Exit status: 0 when all requested checks pass their tolerances; 1 on a
-tolerance failure or a numerical failure, such as an exponential that
-overflows; 2 on a configuration error, which includes an input outside a
-command's domain (any :class:`DomainError`), such as a witness zeta that
-is not eventually 1 at n, or a truncation pivot zeta(n) = 0.
+Exit status: 0 when the report passed or has no verdict; 1 on a tolerance
+failure or a numerical failure, such as an exponential that overflows; 2
+on a configuration error, which includes an input outside a command's
+domain (any :class:`DomainError`), such as a witness zeta that is not
+eventually 1 at n, and on an output directory that cannot be written. A
+run that exits 2, or 1 on a numerical failure, creates no output directory.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .fock import (
     gram_matrices,
     gram_psd_check,
     kernel,
-    kernel_to_csv,
     semigroup_law_residual,
 )
 from .presets import PresetError, from_spec
@@ -42,7 +42,7 @@ from .subsystem import (
     index_homomorphism_residuals,
     index_representative,
     membership,
-    step1_positive,
+    step1_obstacle,
     theta_check,
     witness_step1,
 )
@@ -207,20 +207,35 @@ _DEFAULTS = {
     "selftest": {"seed": DEFAULT_SEED},
 }
 
+# Command -> the tolerance names its handler reads: the only names its
+# 'tolerances' may override. The selftest runs at its pinned tolerances.
+_TOLERANCES = {
+    "kernel": ("hermitian",),
+    "semigroup": ("exp", "semigroup_law"),
+    "gram": ("psd",),
+    "inner": ("inner_hermitian",),
+    "unitalg": ("dual_path",),
+    "membership": ("membership",),
+    "witness": ("witness", "theta"),
+    "approx": ("convergence_threshold", "membership"),
+    "index": ("membership", "index_hom"),
+    "selftest": (),
+}
+
 # The keys one level down: a grid's, with defaults, and a unit spec's (beta defaults to 0).
 _GRID_KEYS = {"m": DEFAULT_GRID.step_denominator, "S": DEFAULT_GRID.domain_end}
 _UNIT_KEYS = ("zeta", "beta")
 
 
 def _command_keys(command: str) -> tuple:
-    """The top-level keys ``command`` reads. The selftest runs at its pinned tolerances, so it reads no 'tolerances'."""
-    return ("grid", *(("tolerances",) if command != "selftest" else ()), *_DEFAULTS[command])
+    """The top-level keys ``command`` reads."""
+    return ("grid", "tolerances", *_DEFAULTS[command])
 
 
 def _reject_unknown(where: str, given: dict, known) -> None:
     unknown = [key for key in given if key not in known]
     if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(known)}")
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(known) or 'none'}")
 
 
 def _tolerance(key: str, value) -> float:
@@ -284,12 +299,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list, rows: list) -> None:
+def write_csv(path: Path, rows) -> None:
+    """A table whose first row is its header, if it has one."""
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        csv.writer(fh, lineterminator="\n").writerows([_fmt(cell) for cell in row] for row in rows)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -303,13 +316,6 @@ def _judged(config: ExperimentConfig, residual: float, tolerance: str) -> dict:
     return {"passed": residual <= tol, "tolerance": tol}
 
 
-def _verdict(config: ExperimentConfig, path: Path, payload: dict, residual: float, tolerance: str) -> int:
-    """Write ``payload`` judged by :func:`_judged`; the exit status is 0 if it passed."""
-    payload = {**payload, **_judged(config, residual, tolerance)}
-    write_json(path, payload)
-    return 0 if payload["passed"] else 1
-
-
 def _json_complex(z: complex):
     z = complex(z)
     if z.imag == 0.0:
@@ -317,66 +323,59 @@ def _json_complex(z: complex):
     return {"im": z.imag, "re": z.real}
 
 
-def _element_rows(grid: GridSpec, elements: list[AlgebraElement]) -> list:
-    points = list(grid.points()) + ["tail"]
-    coords = [e.coordinates for e in elements]
-    rows = []
-    for k, s in enumerate(points):
-        row = [s]
-        for c in coords:
-            row.extend([float(c[k].real), float(c[k].imag)])
-        rows.append(row)
-    return rows
+def _element_table(grid: GridSpec, elements: dict[str, AlgebraElement]) -> list:
+    """``elements`` by grid point, then the tail; the header is s, then <prefix>re, <prefix>im per prefix."""
+    header = ["s", *(f"{prefix}{part}" for prefix in elements for part in ("re", "im"))]
+    coords = [e.coordinates for e in elements.values()]
+    rows = [[s, *(x for c in coords for x in (float(c[k].real), float(c[k].imag)))] for k, s in enumerate([*grid.points(), "tail"])]
+    return [header, *rows]
 
 
 # -- commands ---------------------------------------------------------------
+# Each handler returns file name -> content: the .json report's dict, or a .csv table's rows, header first.
 
 
-def cmd_kernel(config: ExperimentConfig, out: Path, *, u, v, b) -> int:
+def cmd_kernel(config: ExperimentConfig, *, u, v, b) -> dict:
     operator = kernel(u, v)
-    kernel_to_csv(operator, out / "kernel_matrix.csv")
-    applied = operator.apply(b)
-    write_csv(
-        out / "kernel_action.csv",
-        ["s", "b_re", "b_im", "Lb_re", "Lb_im"],
-        _element_rows(config.grid, [b, applied]),
-    )
     adjoint_gap = float(np.max(np.abs(kernel(v, u).bands - np.conj(operator.bands))))
-    payload = {"operator_norm": operator.operator_norm(), "adjoint_symmetry_residual": adjoint_gap}
-    return _verdict(config, out / "kernel_report.json", payload, adjoint_gap, "hermitian")
+    report = {"operator_norm": operator.operator_norm(), "adjoint_symmetry_residual": adjoint_gap}
+    return {
+        "kernel_matrix.csv": operator.to_dense(),
+        "kernel_action.csv": _element_table(config.grid, {"b_": b, "Lb_": operator.apply(b)}),
+        "kernel_report.json": {**report, **_judged(config, adjoint_gap, "hermitian")},
+    }
 
 
-def cmd_semigroup(config: ExperimentConfig, out: Path, *, u, v, b, t_values) -> int:
-    exp_tol = config.tolerances["exp"]
-    worst, exps = semigroup_law_residual(u, v, t_values, rel_tol=exp_tol)
+def cmd_semigroup(config: ExperimentConfig, *, u, v, b, t_values) -> dict:
+    worst, exps = semigroup_law_residual(u, v, t_values, rel_tol=config.tolerances["exp"])
     rows = [[t, exps[t].operator_norm(), exps[t].apply(b).sup_norm()] for t in t_values]
-    write_csv(out / "semigroup_table.csv", ["t", "operator_norm", "applied_sup_norm"], rows)
-    payload = {"t_values": t_values, "law_residual": worst}
-    return _verdict(config, out / "semigroup_report.json", payload, worst, "semigroup_law")
+    return {
+        "semigroup_table.csv": [["t", "operator_norm", "applied_sup_norm"], *rows],
+        "semigroup_report.json": {"t_values": t_values, "law_residual": worst, **_judged(config, worst, "semigroup_law")},
+    }
 
 
-def cmd_gram(config: ExperimentConfig, out: Path, *, units, b, t_values) -> int:
+def cmd_gram(config: ExperimentConfig, *, units, b, t_values) -> dict:
     tol = config.tolerances["psd"]
     results = []
-    all_passed = True
     for t, (gram,) in zip(t_values, gram_matrices(units, t_values, [b])):
         report = gram_psd_check(gram, tol)
-        all_passed = all_passed and report.passed
         results.append({"t": t, **vars(report), "entries": report.json_entries()})
-    write_json(out / "gram_report.json", {"passed": all_passed, "tolerance": tol, "results": results})
-    return 0 if all_passed else 1
+    return {"gram_report.json": {"passed": all(r["passed"] for r in results), "tolerance": tol, "results": results}}
 
 
-def cmd_inner(config: ExperimentConfig, out: Path, *, u, v, b, reference) -> int:
+def cmd_inner(config: ExperimentConfig, *, u, v, b, reference) -> dict:
     x, y = wrap(u, reference), wrap(v, reference)
     value = semi_inner(x, y, b)
-    write_csv(out / "inner_table.csv", ["s", "re", "im"], _element_rows(config.grid, [value]))
     sym_gap = semi_inner_adjoint_residual(x, y, b)
-    payload = {"sup_norm": value.sup_norm(), "adjoint_symmetry_residual": sym_gap}
-    return _verdict(config, out / "inner_report.json", payload, sym_gap, "inner_hermitian")
+    report = {"sup_norm": value.sup_norm(), "adjoint_symmetry_residual": sym_gap}
+    return {
+        "inner_table.csv": _element_table(config.grid, {"": value}),
+        "inner_report.json": {**report, **_judged(config, sym_gap, "inner_hermitian")},
+    }
 
 
-def cmd_unitalg(config: ExperimentConfig, out: Path, *, probes, seed, cases, reference, kappa) -> int:
+def cmd_unitalg(config: ExperimentConfig, *, probes, seed, cases, reference, kappa) -> dict:
     grid = config.grid
     rng = np.random.default_rng(seed)
     one = constant(grid, 1.0)
@@ -397,87 +396,75 @@ def cmd_unitalg(config: ExperimentConfig, out: Path, *, probes, seed, cases, ref
         record(f"addition[{case}]", add(wrap(random_unit(rng, grid), reference), wrap(random_unit(rng, grid), reference)))
         record(f"left_multiplication[{case}]", left_mul(random_element(rng, grid), wrap(random_unit(rng, grid), reference)))
         record(f"right_multiplication[{case}]", right_mul(wrap(random_unit(rng, grid), reference), random_element(rng, grid)))
-    write_csv(out / "unitalg_cases.csv", ["operation", "dual_path_residual"], rows)
     worst = max(row[1] for row in rows)
-    payload = {"seed": seed, "cases": len(rows), "max_residual": worst}
-    return _verdict(config, out / "unitalg_report.json", payload, worst, "dual_path")
+    return {
+        "unitalg_cases.csv": [["operation", "dual_path_residual"], *rows],
+        "unitalg_report.json": {"seed": seed, "cases": len(rows), "max_residual": worst, **_judged(config, worst, "dual_path")},
+    }
 
 
-def cmd_membership(config: ExperimentConfig, out: Path, *, zeta, beta) -> int:
+def cmd_membership(config: ExperimentConfig, *, zeta, beta) -> dict:
     report = membership(FockUnit(zeta, beta), config.tolerances["membership"])
     payload = {**vars(report), "zeta_limit": _json_complex(report.zeta_limit), "witness_kind": report.witness_kind.value}
-    write_json(out / "membership_report.json", payload)
-    return 0
+    return {"membership_report.json": payload}
 
 
-def cmd_witness(config: ExperimentConfig, out: Path, *, zeta, n, delta, probes) -> int:
-    witness = witness_step1(zeta, n) if step1_positive(zeta, n) else None
-    alpha, _ = convexify(zeta, n, delta)
+def cmd_witness(config: ExperimentConfig, *, zeta, n, delta, probes) -> dict:
+    alpha, _ = convexify(zeta, n, delta)  # first, so zeta is known real and eventually 1 at n before b0 is built
+    obstacle = step1_obstacle(zeta, n)
+    witness = witness_step1(zeta, n) if obstacle is None else None
     theta_residual = theta_check(zeta, n, probes, delta)
-    conjugation = {"skipped": "zeta is not strictly positive below n"}
+    outputs = {}
+    conjugation = {"skipped": obstacle}
     if witness is not None:
         residual = witness.max_identity_residual
         conjugation = {"residual": residual, **_judged(config, residual, "witness")}
-        write_csv(
-            out / "witness_elements.csv",
-            ["s", "b0_re", "b0_im", "b1_re", "b1_im"],
-            _element_rows(config.grid, [witness.b0, witness.b1]),
-        )
+        outputs["witness_elements.csv"] = _element_table(config.grid, {"b0_": witness.b0, "b1_": witness.b1})
     convexified = {"alpha": alpha, "delta": delta, "residual": theta_residual, **_judged(config, theta_residual, "theta")}
     passed = conjugation.get("passed", True) and convexified["passed"]
-    write_json(out / "witness_report.json", {"n": n, "conjugation": conjugation, "convexified": convexified, "passed": passed})
-    return 0 if passed else 1
+    outputs["witness_report.json"] = {"n": n, "conjugation": conjugation, "convexified": convexified, "passed": passed}
+    return outputs
 
 
-def cmd_approx(config: ExperimentConfig, out: Path, *, zeta, ns, t, probe) -> int:
+def cmd_approx(config: ExperimentConfig, *, zeta, ns, t, probe) -> dict:
     tolerances = config.tolerances
     report = convergence_report(
         zeta, t, ns, probe, target_threshold=tolerances["convergence_threshold"], membership_tol=tolerances["membership"]
     )
-    write_csv(out / "approx_table.csv", [f.name for f in fields(ConvergenceRow)], [astuple(row) for row in report.rows])
     summary = {key: value for key, value in vars(report).items() if key != "rows"}
-    write_json(out / "approx_report.json", {"t": t, "ns": ns, **summary, "passed": report.passed})
-    return 0 if report.passed else 1
+    return {
+        "approx_table.csv": [[f.name for f in fields(ConvergenceRow)], *map(astuple, report.rows)],
+        "approx_report.json": {"t": t, "ns": ns, **summary, "passed": report.passed},
+    }
 
 
-def cmd_index(config: ExperimentConfig, out: Path, *, units, b) -> int:
+def cmd_index(config: ExperimentConfig, *, units, b) -> dict:
     tol_membership = config.tolerances["membership"]
     non_members = [k for k, unit in enumerate(units) if not membership(unit, tol_membership).in_E]
     if non_members:
-        write_json(
-            out / "index_report.json",
-            {"passed": False, "non_member_units": non_members, "tolerance": tol_membership},
-        )
-        return 1
-    representatives = [index_representative(u, tol_membership) for u in units]
-    header = ["s"] + [f"rep{k}_{part}" for k in range(len(units)) for part in ("re", "im")]
-    write_csv(out / "index_representatives.csv", header, _element_rows(config.grid, representatives))
+        return {"index_report.json": {"passed": False, "non_member_units": non_members, "tolerance": tol_membership}}
+    representatives = {f"rep{k}_": index_representative(u, tol_membership) for k, u in enumerate(units)}
 
     xi = generator_unit(config.grid)
     worst = 0.0
     for x_unit, y_unit in zip(units, units[1:] or units[:1]):
         residuals = index_homomorphism_residuals(wrap(x_unit, xi), wrap(y_unit, xi), b, tol_membership)
         worst = max(worst, *residuals.values())
-    payload = {"units": len(units), "max_homomorphism_residual": worst}
-    return _verdict(config, out / "index_report.json", payload, worst, "index_hom")
+    return {
+        "index_representatives.csv": _element_table(config.grid, representatives),
+        "index_report.json": {"units": len(units), "max_homomorphism_residual": worst, **_judged(config, worst, "index_hom")},
+    }
 
 
-def cmd_selftest(config: ExperimentConfig, out: Path, *, seed) -> int:
+def cmd_selftest(config: ExperimentConfig, *, seed) -> dict:
     results = run_selftest(config.grid, seed)
     for row in results:
         print(f"{'PASS' if row.passed else 'FAIL'}  {row.name}: {row.detail}")
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} checks passed")
-    write_json(
-        out / "selftest_report.json",
-        {
-            "seed": seed,
-            "grid": {"m": config.grid.step_denominator, "S": config.grid.domain_end},
-            "passed": passed == len(results),
-            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
-        },
-    )
-    return 0 if passed == len(results) else 1
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    grid = {"m": config.grid.step_denominator, "S": config.grid.domain_end}
+    return {"selftest_report.json": {"seed": seed, "grid": grid, "passed": passed == len(results), "checks": checks}}
 
 
 _HANDLERS = {
@@ -516,26 +503,29 @@ def main(argv=None) -> int:
             raw, base_dir = {}, Path.cwd()
         config = parse_config(raw, base_dir)
         _reject_unknown(f"the config of {args.command!r}", raw, _command_keys(args.command))
-        fields = _command_fields(config, args.command)
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        status = _HANDLERS[args.command](config, out, **fields)
+        _reject_unknown(f"'tolerances' of {args.command!r}", raw.get("tolerances", {}), _TOLERANCES[args.command])
+        outputs = _HANDLERS[args.command](config, **_command_fields(config, args.command))
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if status == 0:
+
+    out = args.out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in outputs.items():
+            (write_json if name.endswith(".json") else write_csv)(out / name, content)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {out}: {exc}", file=sys.stderr)
+        return 2
+    report = next(content for name, content in outputs.items() if name.endswith(".json"))
+    if report.get("passed", True):
         print(f"{args.command}: all checks passed; reports in {out}")
-    else:
-        print(f"{args.command}: tolerance failure; see reports in {out}", file=sys.stderr)
-    return status
+        return 0
+    print(f"{args.command}: tolerance failure; see reports in {out}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -54,11 +54,9 @@ once.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -84,7 +82,6 @@ __all__ = [
     "gram_matrices",
     "GramReport",
     "gram_psd_check",
-    "kernel_to_csv",
     "TAYLOR_TOLERANCE",
 ]
 
@@ -597,12 +594,3 @@ def gram_psd_check(gram, tol: float) -> GramReport:
     entries = tuple((labels[p], float(minima[p])) for p in range(grid.dim))
     worst = int(np.argmin(minima))
     return GramReport(bool(minima[worst] >= -tol), float(minima[worst]), labels[worst], entries)
-
-
-def kernel_to_csv(operator: KernelOperator | WeightedShift, path) -> None:
-    """Dense matrix dump for debugging; one complex entry per cell."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in operator.to_dense():
-            writer.writerow([str(z) for z in row])

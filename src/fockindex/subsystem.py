@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, DomainError, _is_count, constant
+from .algebra import RECIPROCAL_FLOOR, AlgebraElement, DomainError, _is_count, constant
 from .fock import FockUnit, generator_unit, kernel, semigroup, unit_component, left_action, vacuum_unit
 from .presets import exp_approach, exp_decay
 from .unit_algebra import (
@@ -43,6 +43,7 @@ __all__ = [
     "MembershipReport",
     "Step1Witness",
     "membership",
+    "step1_obstacle",
     "step1_positive",
     "step1_grid_end",
     "witness_step1",
@@ -161,9 +162,29 @@ def _require_eventually_one(zeta: AlgebraElement, n: int, context: str) -> None:
         raise DomainError(f"{context} needs zeta(s) = 1 for s >= {n}; max deviation {max(bad, abs(zeta.tail - 1.0)):.3e}")
 
 
+def _step1_b0(zeta: AlgebraElement, n: int) -> tuple[AlgebraElement, str | None]:
+    """b0(s) = zeta(s) * ... * zeta(s+n-1) of the step-1 witness for n, and
+    why that witness cannot be built, or None if it can: zeta must be
+    strictly positive on [0, n), and b0 at or above the floor of
+    :meth:`AlgebraElement.reciprocal`, which gives b1 = 1/b0."""
+    b0 = unit_component(FockUnit(zeta, constant(zeta.grid, 0.0)), int(n)).value
+    if not np.min(zeta.samples[: n * zeta.grid.step_denominator].real) > 0:
+        return b0, "zeta is not strictly positive below n"
+    small = np.abs(b0.coordinates).min()
+    if small < RECIPROCAL_FLOOR:
+        return b0, f"b0 = zeta(s)...zeta(s+n-1) falls to {small:.3e}, below the reciprocal floor {RECIPROCAL_FLOOR:.0e}"
+    return b0, None
+
+
+def step1_obstacle(zeta: AlgebraElement, n: int) -> str | None:
+    """Why the step-1 witness for n cannot be built from zeta, or None if it can."""
+    return _step1_b0(zeta, n)[1]
+
+
 def step1_positive(zeta: AlgebraElement, n: int) -> bool:
-    """Whether zeta is strictly positive on [0, n), as the step-1 witness needs."""
-    return bool(np.min(zeta.samples[: n * zeta.grid.step_denominator].real) > 0)
+    """Whether the step-1 witness for n can be built from zeta: the one
+    predicate that :func:`witness_step1` checks."""
+    return step1_obstacle(zeta, n) is None
 
 
 def step1_grid_end(n: int) -> int:
@@ -182,17 +203,15 @@ def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
         raise DomainError(f"grid end {grid.domain_end} is too short; need at least 2n = {step1_grid_end(n)}")
     _require_real(zeta, "witness_step1")
     _require_eventually_one(zeta, n, "witness_step1")
-    if not step1_positive(zeta, n):
-        raise DomainError("witness_step1 needs zeta(s) > 0 for s < n")
-
-    component = unit_component(FockUnit(zeta, constant(grid, 0.0)), int(n))
-    b0 = component.value
+    b0, obstacle = _step1_b0(zeta, n)
+    if obstacle is not None:
+        raise DomainError(f"witness_step1: {obstacle}")
     b1 = b0.reciprocal()
     direct = b1.shift(n) * b0
     via_action = left_action(b1, unit_component(generator_unit(grid), int(n))).value * b0
     residual = max(
-        (direct - component.value).sup_norm(),
-        (via_action - component.value).sup_norm(),
+        (direct - b0).sup_norm(),
+        (via_action - b0).sup_norm(),
     )
     return Step1Witness(int(n), b0, b1, residual)
 

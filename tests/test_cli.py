@@ -4,6 +4,7 @@ byte-level determinism."""
 import ast
 import contextlib
 import copy
+import csv
 import ctypes
 import io
 import json
@@ -22,7 +23,9 @@ from hypothesis import strategies as st
 import fockindex
 import fockindex.presets
 from fockindex import cli
+from fockindex.algebra import GridSpec
 from fockindex.cli import COMMANDS, main
+from fockindex.fock import FockUnit, kernel
 from fockindex.selftest import DEFAULT_TOLERANCES
 
 SMALL_GRID = {"grid": {"m": 2, "S": 30}}
@@ -249,13 +252,16 @@ PRESET_GRID = {"grid": {"m": 2, "S": 1}}
         ("witness", {"zeta": {"kind": "piecewise_linear", "knots": [[0, -3000], [1, 1]]}}),  # no dyadic alpha
         ("witness", {"zeta": {"kind": "piecewise_linear", "knots": [[0, 0.01], [1, 1]]}, "delta": 0.9995}),
         ("approx", {"zeta": {"kind": "piecewise_linear", "knots": [[0, 1], [2, 0], [3, 1]]}, "ns": [2]}),  # pivot zeta(2) = 0
+        # a tolerance the command does not read
+        ("gram", {"tolerances": {"exp": 1e-3, "semigroup_law": 1e-300}}),
+        ("kernel", {"tolerances": {"psd": 1e-3}}),
     ],
 )
 def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fields):
     status, out = run(tmp_path, command, {**TINY_GRID, **fields})
     assert status == 2
     assert "config error" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_infinite_time_is_a_config_error(tmp_path, capsys):
@@ -361,6 +367,16 @@ def test_witness_default(tmp_path):
     assert report["conjugation"]["passed"] is True
     assert 0 < report["convexified"]["alpha"] < 1
     assert (out / "witness_elements.csv").exists()
+
+
+def test_witness_below_the_reciprocal_floor_skips_conjugation(tmp_path):
+    config = {**TINY_GRID, "zeta": {"kind": "piecewise_linear", "knots": [[0, 1e-20], [1, 1]]}}
+    status, out = run(tmp_path, "witness", config)
+    assert status == 0
+    report = json.loads((out / "witness_report.json").read_text())
+    assert "reciprocal floor" in report["conjugation"]["skipped"]
+    assert report["convexified"]["passed"] is True
+    assert not (out / "witness_elements.csv").exists()
 
 
 def test_witness_negative_dip_skips_conjugation(tmp_path):
@@ -497,13 +513,66 @@ def test_overflowing_semigroup_time_is_a_one_line_error(tmp_path, t):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_that_is_a_file_is_a_one_line_error(tmp_path, capsys):
+    (tmp_path / "out").write_text("not a directory", encoding="utf-8")
+    status, out = run(tmp_path, "membership", TINY_GRID)
+    assert status == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write outputs to {out}:")
+    assert out.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_kernel_matrix_csv_is_the_dense_kernel(tmp_path):
+    grid = {"m": 2, "S": 4}
+    u = {"zeta": {"kind": "exp_approach", "c": 1.0, "a": 1.0}}
+    v = {"zeta": {"kind": "constant", "value": 0.5}, "beta": {"kind": "constant", "value": [0.2, 0.1]}}
+    status, out = run(tmp_path, "kernel", {"grid": grid, "u": u, "v": v})
+    assert status == 0
+    with (out / "kernel_matrix.csv").open(newline="") as fh:
+        cells = [[complex(cell) for cell in row] for row in csv.reader(fh)]
+    spec = GridSpec(grid["m"], grid["S"])
+
+    def unit(given):
+        zero = {"kind": "constant", "value": 0.0}
+        return FockUnit(*(fockindex.presets.from_spec(spec, given.get(key, zero), tmp_path) for key in ("zeta", "beta")))
+
+    assert np.array_equal(np.array(cells), kernel(unit(u), unit(v)).to_dense())
+
+
+def handler_defs():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+
+
+def test_handlers_touch_no_file():
+    """Each handler returns its outputs; ``main`` alone creates --out, writes
+    them and takes the exit status from the report."""
+    handlers = handler_defs()
+    assert len(handlers) == len(COMMANDS)
+    for handler in handlers:
+        assert "out" not in [arg.arg for arg in handler.args.args + handler.args.kwonlyargs], handler.name
+        calls = [node.func for node in ast.walk(handler) if isinstance(node, ast.Call)]
+        called = {getattr(func, "id", None) or getattr(func, "attr", None) for func in calls}
+        assert not called & {"write_json", "write_csv", "open", "mkdir", "write_text", "write_bytes"}, handler.name
+        returned = [node.value for node in ast.walk(handler) if isinstance(node, ast.Return)]
+        assert not [value for value in returned if isinstance(value, ast.Constant)], handler.name
+
+
+def test_each_handler_reads_the_tolerances_its_command_declares():
+    """The names in a command's _TOLERANCES are exactly the tolerance names its handler mentions."""
+    assert set(cli._TOLERANCES) == set(COMMANDS)
+    for handler in handler_defs():
+        named = {node.value for node in ast.walk(handler) if isinstance(node, ast.Constant) and node.value in DEFAULT_TOLERANCES}
+        assert named == set(cli._TOLERANCES[handler.name.removeprefix("cmd_")]), handler.name
 
 
 def test_handlers_raise_and_catch_nothing():
     """Whether an input is outside a command's domain is the library's call:
     the handlers neither re-check it (``raise``) nor re-map it (``try``)."""
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    handlers = handler_defs()
     assert len(handlers) == len(COMMANDS)
     for handler in handlers:
         assert not [node for node in ast.walk(handler) if isinstance(node, (ast.Raise, ast.Try))], handler.name
@@ -564,15 +633,14 @@ VALUES = {
     "integers in [1, S]": mostly(st.lists(st.integers(0, 7), max_size=3), ODD),
     "number in (0, 1)": mostly(st.floats(-0.5, 1.5), ODD),
 }
-TOLERANCES = st.dictionaries(st.sampled_from([*DEFAULT_TOLERANCES, "bogus"]), NUMBERS, max_size=2)
 
 
 def command_configs(command):
-    """Configs with a grid and some of the keys ``command`` reads, drawn from the schema."""
-    keys = cli._command_keys(command)
-    optional = {key: VALUES[cli._READERS[key].label] for key in keys if key in cli._READERS}
-    if "tolerances" in keys:
-        optional["tolerances"] = TOLERANCES
+    """Configs with a grid and some of the keys ``command`` reads, drawn from
+    the schema; tolerance overrides are mostly of names the command reads."""
+    optional = {key: VALUES[cli._READERS[key].label] for key in cli._DEFAULTS[command]}
+    names = mostly(st.sampled_from(cli._TOLERANCES[command]), st.sampled_from([*DEFAULT_TOLERANCES, "bogus"]))
+    optional["tolerances"] = st.dictionaries(names, NUMBERS, max_size=2)
     return st.tuples(st.just(command), st.fixed_dictionaries({"grid": GRIDS}, optional=optional))
 
 
@@ -595,7 +663,12 @@ def test_random_small_configs_end_in_an_exit_status(command_and_config):
         assert status in (0, 1, 2)
         assert "Traceback" not in stderr
         if status == 2:
-            assert not out.exists() or not any(out.iterdir())
+            assert not out.exists()
+        elif out.exists():
+            (report,) = out.glob("*.json")
+            assert status == (0 if json.loads(report.read_text()).get("passed", True) else 1)
+        else:
+            assert status == 1  # a numerical failure writes nothing
 
 
 def levels(config):
@@ -721,6 +794,12 @@ def test_readme_config_table_is_the_schema():
             assert not default.startswith("`"), default
         else:
             assert json.loads(code(default)) == value
+
+
+def test_readme_tolerance_table_is_the_schema():
+    rows = readme_table("| Command | Tolerances |")
+    written = {code(command): [] if names == "none" else [code(name) for name in names.split(", ")] for command, names in rows}
+    assert written == {command: list(names) for command, names in cli._TOLERANCES.items()}
 
 
 def test_readme_preset_table_is_the_preset_schema():

@@ -1,6 +1,5 @@
 """Tests for units, kernels, semigroups and Gram positivity."""
 
-import csv
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from fockindex.fock import (
     gram_matrices,
     gram_psd_check,
     kernel,
-    kernel_to_csv,
     left_action,
     matrix_exponential,
     module_inner,
@@ -125,14 +123,6 @@ class TestKernelOperatorAlgebra:
         a = exp_decay(GRID, 1.0, 1.0, 0.5)
         b = exp_approach(GRID, 0.3, 2.0)
         assert (multiplication_operator(a).apply(b) - a * b).sup_norm() < 1e-14
-
-    def test_csv_dump(self, tmp_path):
-        operator = kernel(generator_unit(GRID), generator_unit(GRID))
-        path = tmp_path / "kernel.csv"
-        kernel_to_csv(operator, path)
-        with path.open(newline="") as fh:
-            rows = [[complex(cell) for cell in row] for row in csv.reader(fh)]
-        assert np.array_equal(np.array(rows), operator.to_dense())
 
 
 class TestMatrixExponential:

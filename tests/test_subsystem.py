@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fockindex.algebra import AlgebraElement, GridSpec, constant
+from fockindex.algebra import AlgebraElement, DomainError, GridSpec, constant
 from fockindex.fock import FockUnit, generator_unit
 from fockindex.presets import exp_approach, exp_decay, inverse_decay, piecewise_linear
 from fockindex.unit_algebra import add, left_mul, right_mul, semi_inner, wrap
@@ -18,6 +18,7 @@ from fockindex.subsystem import (
     index_homomorphism_residuals,
     index_representative,
     membership,
+    step1_obstacle,
     step1_positive,
     theta_check,
     witness_step1,
@@ -128,6 +129,10 @@ class TestWitness:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             witness_step1(piecewise_linear(GRID, [(0.0, -0.5), (1.0, 1.0)]), 1)  # not positive below n
+        tiny = piecewise_linear(GRID, [(0.0, 1e-20), (1.0, 1.0)])  # positive, but b0 below the reciprocal floor
+        assert not step1_positive(tiny, 1) and "reciprocal floor" in step1_obstacle(tiny, 1)
+        with pytest.raises(DomainError, match="reciprocal floor"):
+            witness_step1(tiny, 1)
         with pytest.raises(ValueError):
             witness_step1(exp_approach(GRID, 1.0, 1.0), 2)  # never exactly 1
         with pytest.raises(ValueError):
