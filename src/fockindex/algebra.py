@@ -15,6 +15,7 @@ and :class:`UnresolvedTailWarning`.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -104,7 +105,9 @@ class GridSpec:
         return k_int
 
 
-def _warn_unresolved(*elements: "AlgebraElement") -> None:
+def _warn_unresolved(*elements: "AlgebraElement", stacklevel: int) -> None:
+    """Warn once per unresolved element; ``stacklevel`` counts from this
+    function to the line that called into the algebra."""
     for e in elements:
         if not e.is_resolved:
             warnings.warn(
@@ -112,7 +115,7 @@ def _warn_unresolved(*elements: "AlgebraElement") -> None:
                 f"{abs(e.samples[-1] - e.tail):.3e} exceeds {TAIL_TOLERANCE:.1e}; "
                 "results that read past the grid edge inherit this error",
                 UnresolvedTailWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
 
@@ -197,34 +200,28 @@ class AlgebraElement:
             return constant(self.grid, complex(other))
         return None
 
-    def __add__(self, other):
+    def _pointwise(self, op, other):
+        """``op`` on the samples and on the tail, with ``other`` lifted to
+        an element; a warning names the line that called the operator."""
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        _warn_unresolved(self, rhs)
-        return AlgebraElement._wrap(self.grid, self.samples + rhs.samples, self.tail + rhs.tail)
+        _warn_unresolved(self, rhs, stacklevel=4)
+        return AlgebraElement._wrap(self.grid, op(self.samples, rhs.samples), op(self.tail, rhs.tail))
+
+    def __add__(self, other):
+        return self._pointwise(operator.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        _warn_unresolved(self, rhs)
-        return AlgebraElement._wrap(self.grid, self.samples - rhs.samples, self.tail - rhs.tail)
+        return self._pointwise(operator.sub, other)
 
     def __rsub__(self, other):
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs.__sub__(self)
+        return self._pointwise(lambda x, y: y - x, other)
 
     def __mul__(self, other):
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        _warn_unresolved(self, rhs)
-        return AlgebraElement._wrap(self.grid, self.samples * rhs.samples, self.tail * rhs.tail)
+        return self._pointwise(operator.mul, other)
 
     __rmul__ = __mul__
 
@@ -235,13 +232,13 @@ class AlgebraElement:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        return self.__mul__(rhs.reciprocal())
+        return self._pointwise(operator.mul, rhs.reciprocal())
 
     def __rtruediv__(self, other):
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        return rhs.__mul__(self.reciprocal())
+        return rhs._pointwise(operator.mul, self.reciprocal())
 
     def star(self) -> "AlgebraElement":
         """Pointwise complex conjugate (the involution of the algebra)."""
@@ -256,7 +253,7 @@ class AlgebraElement:
         offset = self.grid.offset_of(t)
         if offset == 0:
             return self
-        _warn_unresolved(self)
+        _warn_unresolved(self, stacklevel=3)
         n = self.grid.size
         shifted = np.empty(n, dtype=complex)
         if offset < n:

@@ -238,6 +238,16 @@ def _reject_unknown(where: str, given: dict, known) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(known) or 'none'}")
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct; a repeated key would silently keep its last value."""
+    given = {}
+    for key, value in pairs:
+        if key in given:
+            raise ConfigError(f"key {key!r} is given twice in one object")
+        given[key] = value
+    return given
+
+
 def _tolerance(key: str, value) -> float:
     """A tolerance override: a finite number > 0, or a string that parses as one."""
     if isinstance(value, bool):
@@ -495,7 +505,7 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             try:
-                raw = json.loads(args.config.read_text(encoding="utf-8"))
+                raw = json.loads(args.config.read_text(encoding="utf-8"), object_pairs_hook=_distinct_keys)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
             base_dir = args.config.parent

@@ -48,8 +48,7 @@ identity, +0 off the diagonal, so it never holds -0 and its bits are the
 same. The stopping test ||term|| <= rel_tol ||sum|| needs the norm of
 the sum only once ||term|| <= rel_tol (1 + sum of the term norms), a
 bound on ||sum|| taken with a factor 1 + 1e-10 against rounding, so the
-loop stops at the same term. An all-zero stack gives the identity at
-once.
+loop stops at the same term.
 """
 
 from __future__ import annotations
@@ -187,9 +186,10 @@ def _clear_pads(blocks: np.ndarray) -> np.ndarray:
 
 
 class _Operator:
-    """Arithmetic shared by the two operator forms, each a frozen dataclass
-    of ``grid`` and the array that ``_field`` names. Operands of different
-    forms are combined on :attr:`blocks` into a :class:`KernelOperator`."""
+    """Arithmetic and the dense view shared by the two operator forms, each
+    a frozen dataclass of ``grid`` and the array that ``_field`` names.
+    Operands of different forms are combined on :attr:`blocks` into a
+    :class:`KernelOperator`, and :meth:`to_dense` reads the blocks too."""
 
     _field = ""
 
@@ -229,6 +229,18 @@ class _Operator:
         return self._wrap(self.grid, getattr(self, self._field) * complex(scalar))
 
     __rmul__ = __mul__
+
+    def to_dense(self) -> np.ndarray:
+        """The dim x dim matrix acting on coordinate vectors (samples..., tail)."""
+        grid = self.grid
+        n, m = grid.size, grid.step_denominator
+        _, slot = _chain_layout(grid)
+        dense = np.zeros((grid.dim, grid.dim), dtype=complex)
+        for r in range(m):
+            chain = np.arange(r, n, m)
+            index, slots = np.append(chain, n), np.append(slot[chain], grid.domain_end + 1)
+            dense[np.ix_(index, index)] = self.blocks[r][np.ix_(slots, slots)]
+        return dense
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -292,18 +304,6 @@ class KernelOperator(_Operator):
     def operator_norm(self) -> float:
         """Induced sup-norm on coordinates: max absolute row sum."""
         return _inf_norm(self.blocks)
-
-    def to_dense(self) -> np.ndarray:
-        """The dim x dim matrix acting on coordinate vectors (samples..., tail)."""
-        grid = self.grid
-        n, m = grid.size, grid.step_denominator
-        _, slot = _chain_layout(grid)
-        dense = np.zeros((grid.dim, grid.dim), dtype=complex)
-        for r in range(m):
-            chain = np.arange(r, n, m)
-            index, slots = np.append(chain, n), np.append(slot[chain], grid.domain_end + 1)
-            dense[np.ix_(index, index)] = self.blocks[r][np.ix_(slots, slots)]
-        return dense
 
 
 def _inf_norm(matrix: np.ndarray) -> float:
@@ -382,12 +382,6 @@ class WeightedShift(_Operator):
         """Induced sup-norm on coordinates: max absolute row sum |a| + |w|."""
         return float((np.abs(self.bands[0]) + np.abs(self.bands[1])).max())
 
-    def to_dense(self) -> np.ndarray:
-        """The dim x dim matrix acting on coordinate vectors (samples..., tail)."""
-        dense = np.diag(self.bands[0])
-        dense[np.arange(self.grid.size), _next_index(self.grid)] = self.bands[1, :-1]
-        return dense
-
 
 @lru_cache(maxsize=32)
 def _next_index(grid: GridSpec) -> np.ndarray:
@@ -457,8 +451,6 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) ->
         squarings = _scaling(norm)
         result = np.zeros(a.shape, dtype=complex)
         result.reshape(-1, d * d)[:, :: d + 1] = 1.0
-        if norm == 0.0:
-            return result
         scaled = a * math.ldexp(1.0, -squarings)
         term, spare = scaled.copy(), np.empty_like(scaled)  # term 1 is scaled / 1
         term_norms = 0.0

@@ -44,7 +44,6 @@ __all__ = [
     "Step1Witness",
     "membership",
     "step1_obstacle",
-    "step1_positive",
     "step1_grid_end",
     "witness_step1",
     "convexify",
@@ -181,12 +180,6 @@ def step1_obstacle(zeta: AlgebraElement, n: int) -> str | None:
     return _step1_b0(zeta, n)[1]
 
 
-def step1_positive(zeta: AlgebraElement, n: int) -> bool:
-    """Whether the step-1 witness for n can be built from zeta: the one
-    predicate that :func:`witness_step1` checks."""
-    return step1_obstacle(zeta, n) is None
-
-
 def step1_grid_end(n: int) -> int:
     """The shortest grid end S on which the step-1 witness for n is built: 2n."""
     return 2 * n
@@ -313,8 +306,11 @@ def convergence_report(
     (which must equal the sup distance), the kernel and semigroup operator
     distances, and the kernel distance against a probe unit (by default
     u(1 + e^{-s}/2, 0.3)). All columns must be nonincreasing and end below
-    the target threshold.
+    the target threshold. ``ns`` must be strictly increasing, so that
+    "nonincreasing" reads along refinement.
     """
+    if any(later <= earlier for earlier, later in zip(ns, ns[1:])):
+        raise DomainError(f"ns must be strictly increasing, got {list(ns)}")
     grid = zeta.grid
     report = membership(FockUnit(zeta, constant(grid, 0.0)), membership_tol)
     if not report.in_E:

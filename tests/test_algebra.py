@@ -235,6 +235,28 @@ class TestResolution:
         with pytest.warns(UnresolvedTailWarning):
             bad.shift(1)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: a + b,
+            lambda a, b: a - b,
+            lambda a, b: a * b,
+            lambda a, b: 1 - a,
+            lambda a, b: a.shift(1),
+            lambda a, b: a / b,
+            lambda a, b: 1 / a,
+        ],
+        ids=["a + b", "a - b", "a * b", "1 - a", "a.shift(1)", "a / b", "1 / a"],
+    )
+    def test_warning_names_the_calling_line(self, op):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            op(element([1, 1, 1, 1, 1, 1, 1], 0.5), constant(SMALL, 2))
+        assert [w.category for w in caught] == [UnresolvedTailWarning]
+        assert caught[0].filename == __file__
+
     def test_resolved_operations_quiet(self):
         import warnings
 

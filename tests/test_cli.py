@@ -255,6 +255,9 @@ PRESET_GRID = {"grid": {"m": 2, "S": 1}}
         # a tolerance the command does not read
         ("gram", {"tolerances": {"exp": 1e-3, "semigroup_law": 1e-300}}),
         ("kernel", {"tolerances": {"psd": 1e-3}}),
+        # ns out of order: a convergence table must read along refinement
+        ("approx", {"ns": [10, 2]}),
+        ("approx", {"ns": [4, 4]}),
     ],
 )
 def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fields):
@@ -269,6 +272,24 @@ def test_infinite_time_is_a_config_error(tmp_path, capsys):
     path.write_text('{"grid": {"m": 2, "S": 10}, "t_values": [1e400]}', encoding="utf-8")
     assert main(["semigroup", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("membership", '{"zeta": {"kind": "constant", "value": 2.0}, "zeta": {"kind": "constant", "value": 1.0}}'),
+        ("membership", '{"grid": {"m": 2, "S": 10, "S": 12}}'),
+        ("kernel", '{"grid": {"m": 2, "S": 10}, "u": {"zeta": {"kind": "constant", "value": 2.0}, "zeta": {"kind": "constant", "value": 1.0}}}'),
+        ("membership", '{"grid": {"m": 2, "S": 10}, "zeta": {"kind": "constant", "value": 2.0, "value": 1.0}}'),
+    ],
+    ids=["top level", "grid", "unit spec", "preset spec"],
+)
+def test_a_repeated_key_is_a_config_error(tmp_path, capsys, command, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "given twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_floats_and_integer_times_accepted(tmp_path):

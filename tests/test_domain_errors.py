@@ -64,6 +64,9 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         lambda: from_spec(GRID, {"kind": "nonsense"}),
         lambda: parse_config("not an object", Path(".")),
         lambda: selftest.run_selftest(GridSpec(3, 5)),
+        # subsystem, continued: truncation points out of order
+        lambda: convergence_report(ONE, 1.0, [4, 2]),  # ns not strictly increasing
+        lambda: convergence_report(ONE, 1.0, [4, 4]),
     ],
 )
 def test_out_of_domain_inputs_raise_domain_error(call):

@@ -19,7 +19,6 @@ from fockindex.subsystem import (
     index_representative,
     membership,
     step1_obstacle,
-    step1_positive,
     theta_check,
     witness_step1,
 )
@@ -130,7 +129,7 @@ class TestWitness:
         with pytest.raises(ValueError):
             witness_step1(piecewise_linear(GRID, [(0.0, -0.5), (1.0, 1.0)]), 1)  # not positive below n
         tiny = piecewise_linear(GRID, [(0.0, 1e-20), (1.0, 1.0)])  # positive, but b0 below the reciprocal floor
-        assert not step1_positive(tiny, 1) and "reciprocal floor" in step1_obstacle(tiny, 1)
+        assert "reciprocal floor" in step1_obstacle(tiny, 1)
         with pytest.raises(DomainError, match="reciprocal floor"):
             witness_step1(tiny, 1)
         with pytest.raises(ValueError):
@@ -152,7 +151,7 @@ class TestWitness:
         # 1 + 5e-13 counts as one, but b1(s + 1) = 1/(1 + 5e-13) scales the 1000 of b0(s)
         s = GRID.points()
         zeta = AlgebraElement(GRID, np.where(s < 1, 1000.0, 1.0 + 5e-13).astype(complex), 1.0 + 5e-13)
-        assert step1_positive(zeta, 1) and not step1_positive(zeta - constant(GRID, 1000.0), 1)
+        assert step1_obstacle(zeta, 1) is None and step1_obstacle(zeta - constant(GRID, 1000.0), 1) is not None
         assert 1e-12 < witness_step1(zeta, 1).max_identity_residual < 1e-6
 
 
