@@ -21,6 +21,7 @@ from .fock import (
     NParticleVector,
     UnsupportedParameterError,
     WeightedShift,
+    blas_core,
     generator_unit,
     gram_matrices,
     gram_psd_check,

@@ -45,17 +45,19 @@ which on a nonzero part is the complex quotient x / (k + 0j) to the bit.
 Only the sign of a zero part can differ, and a signed zero changes no
 nonzero entry of a later product or sum. The sum starts from the
 identity, +0 off the diagonal, so it never holds -0 and its bits are the
-same. The stopping test ||term|| <= rel_tol ||sum|| needs the norm of
-the sum only once ||term|| <= rel_tol (1 + sum of the term norms), a
-bound on ||sum|| taken with a factor 1 + 1e-10 against rounding, so the
-loop stops at the same term.
+same. The loop stops at the first term with ||term|| <= rel_tol ||sum||,
+and takes those two row-sum norms only for a term whose largest float
+part is at most 2 rel_tol: no other term can pass the test (see
+:func:`matrix_exponential`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +84,7 @@ __all__ = [
     "GramReport",
     "gram_psd_check",
     "TAYLOR_TOLERANCE",
+    "blas_core",
 ]
 
 TAYLOR_TOLERANCE = 1e-12  # the exponential's Taylor sum stops below this share of the running sum
@@ -441,6 +444,20 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) ->
     whole matrix would. Deterministic for fixed input. Raises ValueError
     on non-finite input and when the result overflows. The series runs in
     place (see the module docstring for why its bits do not change).
+
+    The stopping test ||term|| <= rel_tol ||sum|| takes its two row-sum
+    norms only for a term whose largest |real or imaginary part| is at
+    most 2 rel_tol, and this cannot move the stop. The scaled stack has
+    row-sum norm at most 1/2, up to the rounding of log2, so the sum,
+    within rounding of a partial sum of exp(scaled), has a computed norm
+    below e^(1/2) + rounding < 2, and for rel_tol >= 0,
+    rel_tol ||sum|| <= 2 rel_tol in floats (rounding is monotone and
+    doubling exact). A float row sum of moduli is never below one of its
+    moduli, and a modulus, computed by hypot, is never below |real part|
+    or |imaginary part|. So a term with a part above 2 rel_tol has
+    ||term|| > 2 rel_tol >= rel_tol ||sum|| and fails the test. The test alone decides the stop, as before: the
+    retired prefilter ||term|| <= rel_tol (1 + sum of the term norms)
+    (1 + 1e-10) held whenever it did, since that bound exceeds ||sum||.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -453,7 +470,7 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) ->
         result.reshape(-1, d * d)[:, :: d + 1] = 1.0
         scaled = a * math.ldexp(1.0, -squarings)
         term, spare = scaled.copy(), np.empty_like(scaled)  # term 1 is scaled / 1
-        term_norms = 0.0
+        parts = term.view(float)
         for k in range(1, 64):
             if k > 1:
                 np.matmul(term, scaled, out=spare)
@@ -461,15 +478,37 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) ->
                 parts = term.view(float)
                 parts *= 1.0 / k
             result += term
-            term_norm = _inf_norm(term)
-            term_norms += term_norm
-            if term_norm <= rel_tol * (1.0 + term_norms) * (1.0 + 1e-10) and term_norm <= rel_tol * _inf_norm(result):
+            if max(parts.max(), -parts.min()) <= 2.0 * rel_tol and _inf_norm(term) <= rel_tol * _inf_norm(result):
                 break
         else:
             raise RuntimeError("matrix exponential series did not converge in 64 terms")
         for _ in range(squarings):
             result = _square(result, norm)
     return result
+
+
+def blas_core() -> str:
+    """The kernel that numpy's bundled OpenBLAS picked for this host, or
+    "unknown". Products of chain blocks round as that kernel does."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the library numpy already loaded, so its state
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, name):
+                corename = getattr(lib, name)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def _scaled_key(shift: WeightedShift) -> tuple[int, bytes]:
+    """The squaring count s(t) of tL, given as a weighted shift, and the
+    bytes of the scaled bands (tL) 2^-s(t): the key under which
+    :func:`semigroups` reuses an exponential."""
+    squarings = _scaling(shift.operator_norm())
+    return squarings, (shift.bands * math.ldexp(1.0, -squarings)).tobytes()
 
 
 def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE) -> dict:
@@ -495,14 +534,12 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
     with np.errstate(over="ignore", invalid="ignore"):  # matrix_exponential rejects what overflows
         for t in times:
             shift = WeightedShift._wrap(u.grid, t * generator.bands)
-            norm = shift.operator_norm()
-            squarings = _scaling(norm)
-            key = (shift.bands * math.ldexp(1.0, -squarings)).tobytes()
+            squarings, key = _scaled_key(shift)
             earlier, operator = latest.get(key, (squarings, None))
             if operator is None:
                 operator = KernelOperator._wrap(u.grid, _clear_pads(matrix_exponential(shift.blocks, rel_tol=rel_tol)))
             elif squarings > earlier:
-                blocks = operator.blocks
+                blocks, norm = operator.blocks, shift.operator_norm()
                 for _ in range(squarings - earlier):
                     blocks = _square(blocks, norm)
                 operator = KernelOperator._wrap(u.grid, _clear_pads(blocks))
@@ -520,13 +557,23 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAY
     """max over s, t in ``times`` of ||exp((s+t)L) - exp(sL) exp(tL)|| for
     L = kernel(u, v), and the exponentials it took, keyed by time: those
     at ``times``, at their pairwise sums and at ``extra_times``, all
-    taken by one :func:`semigroups` call."""
+    taken by one :func:`semigroups` call.
+
+    A pair (s, s) whose 2sL has the scaled key of sL and one squaring
+    more is skipped: :func:`semigroups` built exp(2sL) as exactly the
+    product exp(sL) exp(sL), so its residual is 0.0 to the bit. Every
+    other pair, those with a zero time included, is formed and measured.
+    """
     times = [float(t) for t in times]
     exps = semigroups(u, v, [*times, *(s + t for s in times for t in times), *extra_times], rel_tol=rel_tol)
+    bands = kernel(u, v).bands
     worst = 0.0
     for s in times:
+        squarings, key = _scaled_key(WeightedShift._wrap(u.grid, s * bands))
+        squared = _scaled_key(WeightedShift._wrap(u.grid, (s + s) * bands)) == (squarings + 1, key)
         for t in times:
-            worst = max(worst, (exps[s + t] - exps[s] @ exps[t]).operator_norm())
+            if not (t == s and squared):
+                worst = max(worst, (exps[s + t] - exps[s] @ exps[t]).operator_norm())
     return worst, exps
 
 

@@ -3,6 +3,9 @@ built here from the unit formulas, against each other, and against
 scipy's expm."""
 
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,13 +19,17 @@ from fockindex.fock import (
     FockUnit,
     KernelOperator,
     WeightedShift,
+    generator_unit,
     kernel,
     matrix_exponential,
     multiplication_operator,
     semigroup,
     semigroup_law_residual,
+    vacuum_unit,
 )
 from fockindex.presets import exp_approach, exp_decay
+from fockindex.selftest import _semigroup_test_pairs
+from test_cli import child_env
 
 TOL = 1e-13
 
@@ -203,19 +210,21 @@ def count_exponentials(monkeypatch):
     return calls
 
 
+def dense_scaled_key(u, v, t):
+    """The squaring count s of the scaling-and-squaring rule for tL and the
+    bytes of the stack (tL) 2^-s, from the dense kernel."""
+    a = t * dense_kernel(u, v)
+    norm = np.max(np.sum(np.abs(a), axis=1))
+    squarings = int(np.ceil(np.log2(norm))) + 1 if norm > 0.5 else 0
+    return squarings, (a * 2.0**-squarings).tobytes()
+
+
 def scaled_generator_count(u, v, times):
-    """The number of distinct stacks (tL) 2^-s over ``times``, with s the
-    squaring count of the scaling-and-squaring rule, from the dense kernel."""
-    stacks = set()
-    for t in times:
-        a = t * dense_kernel(u, v)
-        norm = np.max(np.sum(np.abs(a), axis=1))
-        squarings = int(np.ceil(np.log2(norm))) + 1 if norm > 0.5 else 0
-        stacks.add((a * 2.0**-squarings).tobytes())
-    return len(stacks)
+    """The number of distinct stacks (tL) 2^-s over ``times``."""
+    return len({dense_scaled_key(u, v, t)[1] for t in times})
 
 
-@pytest.mark.parametrize("times", [(0.5, 1.0), (0.3, 0.7, 1.0), (0.0, 0.25, 2.0)])
+@pytest.mark.parametrize("times", [(0.5, 1.0), (0.3, 0.7, 1.0), (0.0, 0.25, 2.0), (0.0, 0.5, 1.0, 1.5, 2.0)])
 def test_law_residual_is_bit_identical_and_memoised(monkeypatch, times):
     grid = GridSpec(4, 12)
     rng = np.random.default_rng(21)
@@ -226,6 +235,43 @@ def test_law_residual_is_bit_identical_and_memoised(monkeypatch, times):
     assert worst == expected
     distinct = set(times) | {s + t for s in times for t in times}
     assert len(calls) == scaled_generator_count(u, v, distinct) and set(exps) == distinct
+
+
+def law_pairs(grid):
+    """Criterion 3's unit pairs, (xi, xi) first, and the zero generator
+    of (vacuum, vacuum)."""
+    xi = generator_unit(grid)
+    return [(xi, xi), *_semigroup_test_pairs(grid), (vacuum_unit(grid), vacuum_unit(grid))]
+
+
+@pytest.mark.parametrize("times", [(0.3, 0.7, 1.0), (0.0, 0.5, 1.0, 1.5, 2.0)])
+@pytest.mark.parametrize("pair", range(6))
+def test_law_residual_skips_exactly_the_squared_pairs(monkeypatch, pair, times):
+    """The residual forms exp(sL) exp(tL) for every pair but the (s, s)
+    whose 2sL has the scaled stack of sL and one squaring more, and for
+    each of those exp(2sL) is that product to the bit. A zero generator
+    keeps every stack at no squaring, so none of its pairs is skipped."""
+    grid = GridSpec(4, 12)
+    u, v = law_pairs(grid)[pair]
+    squared = set()
+    for s in times:
+        squarings, key = dense_scaled_key(u, v, s)
+        if s > 0 and dense_scaled_key(u, v, s + s) == (squarings + 1, key):
+            squared.add(s)
+    products = []
+    original = KernelOperator.__matmul__
+    with monkeypatch.context() as patch:
+        patch.setattr(KernelOperator, "__matmul__", lambda x, y: products.append((x, y)) or original(x, y))
+        worst, exps = semigroup_law_residual(u, v, times)
+    formed = [(exps[s], exps[t]) for s in times for t in times if not (s == t and s in squared)]
+    assert len(products) == len(formed)
+    assert all(x is a and y is b for (x, y), (a, b) in zip(products, formed))
+    for s in squared:
+        assert (exps[s + s] - exps[s] @ exps[s]).operator_norm() == 0.0, s
+    if not kernel(u, v).bands.any():
+        assert not squared and worst == 0.0
+    if pair == 0 and times == (0.3, 0.7, 1.0):
+        assert squared == {0.3, 0.7, 1.0}
 
 
 def fresh_exponential(u, v, t):
@@ -549,8 +595,9 @@ def test_subnormal_entries_match_the_reference():
 
 def taylor_norms(a, terms=None):
     """Per Taylor term of the reference on ``a``: the term norm, the norm
-    of the sum, and 1 + the sum of the term norms; up to the default stop,
-    or for ``terms`` terms."""
+    of the sum, 1 + the sum of the term norms, and the largest |real or
+    imaginary part| of the term; up to the default stop, or for ``terms``
+    terms."""
     _, squarings = reference_scaling(a)
     scaled = a * math.ldexp(1.0, -squarings)
     term = result = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
@@ -560,28 +607,85 @@ def taylor_norms(a, terms=None):
         result = result + term
         term_norm = reference_inf_norm(term)
         bound += term_norm
-        rows.append((term_norm, reference_inf_norm(result), bound))
+        rows.append((term_norm, reference_inf_norm(result), bound, float(np.max(np.abs(term.view(float))))))
         if len(rows) == terms or terms is None and term_norm <= 1e-12 * rows[-1][1]:
             return rows
     raise AssertionError("no stop")
 
 
-def test_stop_at_the_bound_matches_the_reference():
-    """rel_tol at and next to term_norm / sum_norm of each term: the stop
-    is then decided by the test of the sum itself, after the bound
-    1 + sum of the term norms has let it through."""
+def contraction_stack():
+    """0.7 L for a pair of units whose beta makes exp(L) a contraction, so
+    the sum of the series is much smaller than 1 + the sum of the term norms."""
     grid = GridSpec(3, 6)
     zeta = AlgebraElement(grid, np.linspace(0.9, 0.2, grid.size).astype(complex), 0.2)
-    beta = constant(grid, complex(-0.8, 0.3))  # a contraction: the sum is much smaller than the bound
-    a = 0.7 * kernel(FockUnit(zeta, beta), FockUnit(zeta, constant(grid, -0.5))).blocks
-    decided_at_the_bound = 0
-    for term_norm, sum_norm, bound in taylor_norms(a):
+    beta = constant(grid, complex(-0.8, 0.3))
+    return 0.7 * kernel(FockUnit(zeta, beta), FockUnit(zeta, constant(grid, -0.5))).blocks
+
+
+def stop_stacks():
+    """The contraction; exp(1/2) as a 1 x 1 matrix, whose terms are their
+    own largest parts and whose sum is the largest a scaled stack allows;
+    a kernel stack with a unit tail entry; and random complex stacks, full
+    and upper triangular, below and above the 1/2 that needs no squaring."""
+    rng = np.random.default_rng(3)
+    grid = GridSpec(2, 5)
+    yield contraction_stack()
+    yield np.array([[0.5]])
+    yield 0.9 * kernel(random_unit(rng, grid), generator_unit(grid)).blocks
+    for scale in (0.02, 0.3):
+        yield random_stack(rng, (2, 6, 6), scale)
+        yield np.triu(random_stack(rng, (6, 6), scale))
+
+
+def test_stop_at_the_bound_matches_the_reference():
+    """rel_tol at and next to term_norm / sum_norm of each term of the
+    contraction: the stop index is decided by the test of the sum itself,
+    once the largest part of the term has let its norms be taken."""
+    a = contraction_stack()
+    decided_by_the_sum = 0
+    for term_norm, sum_norm, _, largest_part in taylor_norms(a):
         ratio = term_norm / sum_norm
         for rel_tol in (np.nextafter(ratio, 0.0), ratio, np.nextafter(ratio, 1.0)):
             assert_same_exponential(a, float(rel_tol))
-            if term_norm <= rel_tol * bound * (1.0 + 1e-10) and not term_norm <= rel_tol * sum_norm:
-                decided_at_the_bound += 1
-    assert decided_at_the_bound >= 3
+            if largest_part <= 2.0 * rel_tol and not term_norm <= rel_tol * sum_norm:
+                decided_by_the_sum += 1
+    assert decided_by_the_sum >= 3
+
+
+def test_stop_at_the_part_floor_matches_the_reference():
+    """rel_tol one ulp below, at and one ulp above half the largest |part|
+    of each term up to the default stop, the stopping term included: the
+    floor below which a term's norms are not taken. And at and next to
+    term_norm / sum_norm, where the sum of exp(1/2) puts that ratio within
+    a factor 1.65 of the largest part."""
+    floors = 0
+    for a in stop_stacks():
+        for term_norm, sum_norm, _, largest_part in taylor_norms(a):
+            half, ratio = largest_part / 2.0, term_norm / sum_norm
+            for rel_tol in (half, ratio):
+                for tol in (np.nextafter(rel_tol, 0.0), rel_tol, np.nextafter(rel_tol, 1.0)):
+                    assert_same_exponential(a, float(tol))
+            floors += largest_part > 0.0
+    assert floors >= 20
+
+
+@pytest.mark.parametrize("rel_tol", [0.25, 1.0, 10.0])
+def test_large_tolerances_match_the_reference(rel_tol):
+    for a in stop_stacks():
+        assert_same_exponential(a, rel_tol)
+
+
+def test_zero_tolerance_matches_the_reference():
+    """With rel_tol = 0 only a term that is exactly zero stops the series:
+    a nilpotent stack stops, and any other runs out of terms on both sides."""
+    rng = np.random.default_rng(4)
+    nilpotent = np.triu(random_stack(rng, (3, 7, 7), 0.4), 1)
+    assert_same_exponential(nilpotent, 0.0)
+    for a in (contraction_stack(), np.array([[0.3]])):
+        with pytest.raises(RuntimeError):
+            reference_exponential(a, 0.0)
+        with pytest.raises(RuntimeError):
+            matrix_exponential(a, 0.0)
 
 
 @on_small_grids
@@ -612,15 +716,15 @@ def test_band_scaling_is_the_block_scaling(grid, seed):
 
 
 def test_stop_when_the_sum_norm_rounds_above_the_bound():
-    """The computed norm of the sum can exceed the computed 1 + sum of the
-    term norms by rounding. With rel_tol the least number at which the
-    reference stops there, the bound alone would not let the term
-    through; the factor 1 + 1e-10 does."""
+    """Terms at which the computed norm of the sum exceeds the computed
+    1 + sum of the term norms by rounding, with rel_tol the least number
+    at which the reference stops there: the stop lands on that term, the
+    first at which the test of the sum holds."""
     rng = np.random.default_rng(0)
     cases = 0
     for _ in range(200):
         a = np.triu(rng.uniform(0.0, 1.0, (3, 3))) * rng.uniform(0.1, 0.5)
-        for term_norm, sum_norm, bound in taylor_norms(a, terms=8):
+        for term_norm, sum_norm, bound, _ in taylor_norms(a, terms=8):
             if sum_norm <= bound:
                 continue
             rel_tol = term_norm / sum_norm
@@ -632,6 +736,33 @@ def test_stop_when_the_sum_norm_rounds_above_the_bound():
                 assert_same_exponential(a, float(rel_tol))
                 cases += 1
     assert cases >= 3
+
+
+REFERENCE_TESTS = (
+    "test_in_place_exponential_is_byte_identical_to_the_reference",
+    "test_zero_stack_gives_the_identity_of_the_reference",
+    "test_subnormal_entries_match_the_reference",
+    "test_stop_at_the_bound_matches_the_reference",
+    "test_stop_at_the_part_floor_matches_the_reference",
+    "test_large_tolerances_match_the_reference",
+    "test_zero_tolerance_matches_the_reference",
+    "test_stop_when_the_sum_norm_rounds_above_the_bound",
+)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS x86 kernels only")
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_reference_tests_pass_under_a_forced_blas_core(tmp_path, core):
+    """The exponential's byte identity to the reference, once more in a
+    child interpreter whose OpenBLAS is forced onto another kernel and one
+    thread: it must not hang on the kernel that rounds the products."""
+    env = {**child_env(), "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1"}
+    probe = [sys.executable, "-c", "import fockindex; print(fockindex.blas_core())"]
+    assert subprocess.run(probe, capture_output=True, text=True, timeout=60, env=env).stdout.strip() == core
+    tests = [f"{__file__}::{name}" for name in REFERENCE_TESTS]
+    child = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.run(child, capture_output=True, text=True, timeout=600, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout[-3000:]
 
 
 @on_small_grids

@@ -5,7 +5,6 @@ import ast
 import contextlib
 import copy
 import csv
-import ctypes
 import io
 import json
 import os
@@ -25,7 +24,7 @@ import fockindex.presets
 from fockindex import cli
 from fockindex.algebra import GridSpec
 from fockindex.cli import COMMANDS, main
-from fockindex.fock import FockUnit, kernel
+from fockindex.fock import FockUnit, blas_core, kernel
 from fockindex.selftest import DEFAULT_TOLERANCES
 
 SMALL_GRID = {"grid": {"m": 2, "S": 30}}
@@ -39,20 +38,6 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     return env
-
-
-def blas_core():
-    """The kernel that numpy's bundled OpenBLAS picked for this host, or "unknown"."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))  # the library numpy already loaded, so its state
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            if hasattr(lib, name):
-                getattr(lib, name).restype = ctypes.c_char_p
-                return getattr(lib, name)().decode()
-    return "unknown"
 
 
 def run(tmp_path, command, config=None, name="config.json", outdir="out"):
