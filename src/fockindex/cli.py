@@ -367,10 +367,8 @@ def cmd_semigroup(config: ExperimentConfig, *, u, v, b, t_values) -> dict:
 
 def cmd_gram(config: ExperimentConfig, *, units, b, t_values) -> dict:
     tol = config.tolerances["psd"]
-    results = []
-    for t, (gram,) in zip(t_values, gram_matrices(units, t_values, [b])):
-        report = gram_psd_check(gram, tol)
-        results.append({"t": t, **vars(report), "entries": report.json_entries()})
+    grams = gram_matrices(units, t_values, [b])
+    results = [{"t": t, **vars(gram_psd_check(b.grid, gram, tol))} for t, (gram,) in zip(t_values, grams)]
     return {"gram_report.json": {"passed": all(r["passed"] for r in results), "tolerance": tol, "results": results}}
 
 

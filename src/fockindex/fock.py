@@ -455,9 +455,7 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) ->
     doubling exact). A float row sum of moduli is never below one of its
     moduli, and a modulus, computed by hypot, is never below |real part|
     or |imaginary part|. So a term with a part above 2 rel_tol has
-    ||term|| > 2 rel_tol >= rel_tol ||sum|| and fails the test. The test alone decides the stop, as before: the
-    retired prefilter ||term|| <= rel_tol (1 + sum of the term norms)
-    (1 + 1e-10) held whenever it did, since that bound exceeds ||sum||.
+    ||term|| > 2 rel_tol >= rel_tol ||sum|| and fails the test.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -577,59 +575,54 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAY
     return worst, exps
 
 
-def gram_matrices(units, times, bs) -> list:
+def gram_matrices(units, times, bs) -> np.ndarray:
     """The Gram matrices of ``units`` at every t in ``times`` and every b in
-    ``bs``: entry [k][l] has (i, j) entry exp(times[k] * kernel(u_i, u_j))
-    applied to bs[l]. Each pair's exponentials come from one
+    ``bs``, as one complex stack of shape (len(times), len(bs), dim, k, k):
+    entry [a, c, p, i, j] is coordinate p of exp(times[a] * kernel(u_i,
+    u_j)) applied to bs[c]. Each pair's exponentials come from one
     :func:`semigroups` call and are applied to every b. Each b must be
     positive for the positivity check downstream to be meaningful."""
     units, times, bs = list(units), [float(t) for t in times], list(bs)
     if not all(b.is_positive() for b in bs):
         raise DomainError("gram_matrices needs positive elements b")
-    grams = [[[[None] * len(units) for _ in units] for _ in bs] for _ in times]
+    if not units:
+        raise DomainError("gram_matrices needs at least one unit")
+    k = len(units)
+    grams = np.empty((len(times), len(bs), units[0].grid.dim, k, k), dtype=complex)
     for i, ui in enumerate(units):
         for j, uj in enumerate(units):
             exps = semigroups(ui, uj, times)
-            for row, t in zip(grams, times):
-                for gram, b in zip(row, bs):
-                    gram[i][j] = exps[t].apply(b)
+            for a, t in enumerate(times):
+                for c, b in enumerate(bs):
+                    grams[a, c, :, i, j] = exps[t].apply(b).coordinates
     return grams
 
 
 @dataclass(frozen=True)
 class GramReport:
-    """Pointwise minimum eigenvalues of a unit Gram matrix."""
+    """Pointwise minimum eigenvalues of a unit Gram matrix; ``entries``
+    holds one {"grid_point", "min_eigenvalue"} dict per coordinate."""
 
     passed: bool
     min_eigenvalue: float
     argmin_point: object
-    entries: tuple
-
-    def json_entries(self) -> list:
-        return [{"grid_point": point, "min_eigenvalue": value} for point, value in self.entries]
+    entries: list
 
 
-def gram_psd_check(gram, tol: float) -> GramReport:
-    """Check that the numeric matrix [G_ij(s)] is PSD at every grid point
-    and at the tail, up to ``tol``; the input must be Hermitian up to tol."""
-    k = len(gram)
-    if any(len(row) != k for row in gram):
-        raise ValueError("gram matrix must be square")
-    if k == 0:
-        return GramReport(True, 0.0, None, ())
-    grid = gram[0][0].grid
-    for i in range(k):
-        for j in range(k):
-            if (gram[i][j] - gram[j][i].star()).sup_norm() > tol:
-                raise ValueError(f"gram matrix is not Hermitian up to {tol} at entry ({i}, {j})")
-    stacked = np.empty((grid.dim, k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            stacked[:, i, j] = gram[i][j].coordinates
-    hermitized = 0.5 * (stacked + np.conj(np.transpose(stacked, (0, 2, 1))))
-    eigenvalues = np.linalg.eigvalsh(hermitized)
-    minima = eigenvalues[:, 0]
+def gram_psd_check(grid: GridSpec, gram: np.ndarray, tol: float) -> GramReport:
+    """Check that the (grid.dim, k, k) stack ``gram`` of numeric matrices
+    [G_ij(s)] is PSD at every grid point and at the tail, up to ``tol``;
+    it must be Hermitian up to tol at every coordinate."""
+    k = np.shape(gram)[-1] if np.ndim(gram) else 0
+    if not k or np.shape(gram) != (grid.dim, k, k):
+        raise ValueError(f"gram must be a ({grid.dim}, k, k) stack with k >= 1, got shape {np.shape(gram)}")
+    adjoint = np.conj(np.transpose(gram, (0, 2, 1)))
+    offending = np.argwhere(np.abs(gram - adjoint).max(axis=0) > tol)
+    if len(offending):
+        i, j = offending[0]
+        raise ValueError(f"gram matrix is not Hermitian up to {tol} at entry ({i}, {j})")
+    minima = np.linalg.eigvalsh(0.5 * (gram + adjoint))[:, 0]
     labels = [float(s) for s in grid.points()] + ["tail"]
-    entries = tuple((labels[p], float(minima[p])) for p in range(grid.dim))
+    entries = [{"grid_point": label, "min_eigenvalue": float(value)} for label, value in zip(labels, minima)]
     worst = int(np.argmin(minima))
     return GramReport(bool(minima[worst] >= -tol), float(minima[worst]), labels[worst], entries)

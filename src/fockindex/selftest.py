@@ -213,10 +213,8 @@ def criterion_gram_positivity(grid: GridSpec, seed: int) -> list[CheckResult]:
     units = [vacuum_unit(grid), generator_unit(grid), FockUnit(exp_approach(grid, 1.0, 1.0), zero)]
     bs = [constant(grid, 1.0), exp_decay(grid, 1.0, 1.0, 0.1)]
     tol = DEFAULT_TOLERANCES["psd"]
-    worst = 0.0
-    for row in gram_matrices(units, (0.5, 1.0), bs):
-        for gram in row:
-            worst = min(worst, gram_psd_check(gram, tol).min_eigenvalue)
+    grams = gram_matrices(units, (0.5, 1.0), bs)
+    worst = min(0.0, *(gram_psd_check(grid, gram, tol).min_eigenvalue for row in grams for gram in row))
     return [
         CheckResult(
             "gram positivity over the unit family",

@@ -4,7 +4,13 @@ pinned tolerance and prints one pass/fail line per check.
 One test per row of ``selftest.CRITERIA``, named
 ``test_criterion_<label>_<criterion name>``."""
 
+import pytest
+
 from fockindex.selftest import CRITERIA, DEFAULT_GRID, DEFAULT_SEED, run_selftest
+
+# Criterion 12 runs a member whose zeta approaches its limit slowly, so its
+# last sample is off the tail and the centrality probes warn on it.
+UNRESOLVED_MEMBER = pytest.mark.filterwarnings("ignore::fockindex.UnresolvedTailWarning")
 
 
 def _criterion_test(label, criterion):
@@ -15,7 +21,7 @@ def _criterion_test(label, criterion):
         failures = [row.name for row in results if not row.passed]
         assert not failures, f"criterion {label} failed: {failures}"
 
-    return test
+    return UNRESOLVED_MEMBER(test) if label == "12" else test
 
 
 for _label, _criterion in CRITERIA:
@@ -24,6 +30,7 @@ for _label, _criterion in CRITERIA:
     )
 
 
+@UNRESOLVED_MEMBER
 def test_full_battery_reports_thirty_checks():
     results = run_selftest()
     assert len(results) == 30

@@ -316,8 +316,25 @@ def test_tolerance_given_as_a_string_is_parsed(tmp_path):
     assert json.loads((out / "kernel_report.json").read_text())["tolerance"] == 1e-13
 
 
+# The selftest's criterion 12 runs a member whose last sample is off its
+# tail, and the centrality probes warn on it.
+UNRESOLVED_MEMBER = pytest.mark.filterwarnings("ignore::fockindex.UnresolvedTailWarning")
+
+
 @pytest.mark.parametrize(
-    "command", ["kernel", "semigroup", "gram", "inner", "index", "approx", "witness", "membership", "selftest", "unitalg"]
+    "command",
+    [
+        "kernel",
+        "semigroup",
+        "gram",
+        "inner",
+        "index",
+        "approx",
+        "witness",
+        "membership",
+        pytest.param("selftest", marks=UNRESOLVED_MEMBER),
+        "unitalg",
+    ],
 )
 def test_default_reports_match_golden_bytes(tmp_path, command):
     """Default-config reports, byte for byte against reports captured
@@ -446,6 +463,7 @@ def test_gram_report_shape(tmp_path):
     assert result["entries"][-1]["grid_point"] == "tail"
 
 
+@UNRESOLVED_MEMBER
 def test_selftest_command(tmp_path, capsys):
     status, out = run(tmp_path, "selftest", SMALL_GRID)
     assert status == 0

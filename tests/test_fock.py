@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fockindex.algebra import AlgebraElement, GridMismatchError, GridSpec, constant
+from fockindex.algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, constant
 from fockindex.fock import (
     FockUnit,
     KernelOperator,
@@ -251,49 +251,75 @@ class TestComponents:
 class TestGram:
     def test_single_generator(self):
         xi = generator_unit(GRID)
-        gram = gram_matrices([xi], [1.0], [constant(GRID, 1)])[0][0]
-        assert (gram[0][0] - constant(GRID, math.e)).sup_norm() < 1e-12
+        grams = gram_matrices([xi], [1.0], [constant(GRID, 1)])
+        assert grams.shape == (1, 1, GRID.dim, 1, 1)
+        assert np.max(np.abs(grams[0, 0, :, 0, 0] - math.e)) < 1e-12
 
     def test_time_zero_reproduces_b(self):
         rng = np.random.default_rng(15)
         units = [random_unit(rng), random_unit(rng)]
         b = exp_decay(GRID, 1.0, 1.0, 0.1)
-        gram = gram_matrices(units, [0.0], [b])[0][0]
-        for row in gram:
-            for entry in row:
-                assert (entry - b).sup_norm() == 0.0
+        gram = gram_matrices(units, [0.0], [b])[0, 0]
+        for i in range(2):
+            for j in range(2):
+                assert np.max(np.abs(gram[:, i, j] - b.coordinates)) == 0.0
 
     def test_two_unit_closed_form(self):
         omega, xi = vacuum_unit(GRID), generator_unit(GRID)
         one = constant(GRID, 1)
-        gram = gram_matrices([omega, xi], [1.0], [one])[0][0]
+        gram = gram_matrices([omega, xi], [1.0], [one])[0, 0]
         expected = [[1.0, 1.0], [1.0, math.e]]
         for i, u in enumerate([omega, xi]):
             for j, v in enumerate([omega, xi]):
-                assert (gram[i][j] - constant(GRID, expected[i][j])).sup_norm() < 1e-12
+                assert np.max(np.abs(gram[:, i, j] - expected[i][j])) < 1e-12
                 # brute-force matrix exponential route
                 brute = scipy.linalg.expm(kernel(u, v).to_dense()) @ one.coordinates
-                assert np.max(np.abs(gram[i][j].coordinates - brute)) < 1e-12
-        report = gram_psd_check(gram, 1e-10)
+                assert np.max(np.abs(gram[:, i, j] - brute)) < 1e-12
+        report = gram_psd_check(GRID, gram, 1e-10)
         assert report.passed and report.min_eigenvalue > 0
 
     def test_psd_check_trivial_cases(self):
-        one = constant(GRID, 1)
-        assert gram_psd_check([[constant(GRID, math.e)]], 1e-10).passed
-        assert gram_psd_check([[one, constant(GRID, 0)], [constant(GRID, 0), one]], 1e-10).passed
+        assert gram_psd_check(GRID, np.full((GRID.dim, 1, 1), math.e, dtype=complex), 1e-10).passed
+        assert gram_psd_check(GRID, np.broadcast_to(np.eye(2, dtype=complex), (GRID.dim, 2, 2)), 1e-10).passed
 
     def test_psd_check_rejects_non_hermitian(self):
-        one = constant(GRID, 1)
-        with pytest.raises(ValueError):
-            gram_psd_check([[one, constant(GRID, 2)], [constant(GRID, 3), one]], 1e-10)
+        gram = np.broadcast_to(np.array([[1, 2], [3, 1]], dtype=complex), (GRID.dim, 2, 2))
+        with pytest.raises(ValueError, match=r"not Hermitian up to 1e-10 at entry \(0, 1\)$"):
+            gram_psd_check(GRID, gram, 1e-10)
+
+    def test_psd_check_names_the_first_offending_entry(self):
+        gram = np.zeros((GRID.dim, 3, 3), dtype=complex)
+        gram[:] = np.eye(3)
+        gram[-1, 1, 1] = 1j  # the tail's diagonal is not real
+        gram[5, 2, 0] = 0.5  # nor is the stack symmetric in (0, 2), later in row-major order
+        with pytest.raises(ValueError, match=r"at entry \(0, 2\)$"):
+            gram_psd_check(GRID, gram, 1e-3)
+        gram[5, 2, 0] = 0.0
+        with pytest.raises(ValueError, match=r"at entry \(1, 1\)$"):
+            gram_psd_check(GRID, gram, 1e-3)
+        gram[-1, 1, 1] = 1 + 1e-4j  # within the tolerance
+        assert gram_psd_check(GRID, gram, 1e-3).passed
+        gram[-1, 1, 1] = 1 + 0.25j  # a gap of exactly the tolerance passes
+        assert gram_psd_check(GRID, gram, 0.5).passed
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(GRID.dim, 2, 3), (GRID.dim - 1, 2, 2), (GRID.dim, 0, 0), (2, 2), (GRID.dim, 1, 1, 1), ()],
+    )
+    def test_psd_check_rejects_a_stack_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="stack"):
+            gram_psd_check(GRID, np.ones(shape, dtype=complex), 1e-10)
 
     def test_gram_needs_positive_b(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             gram_matrices([generator_unit(GRID)], [1.0], [constant(GRID, -1)])
 
+    def test_gram_needs_a_unit(self):
+        with pytest.raises(DomainError, match="at least one unit"):
+            gram_matrices([], [1.0], [constant(GRID, 1)])
+
     def test_report_entries_labelled(self):
-        report = gram_psd_check([[constant(GRID, 1)]], 1e-10)
+        report = gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), 1e-10)
         assert len(report.entries) == GRID.dim
-        assert report.entries[-1][0] == "tail"
-        payload = report.json_entries()
-        assert payload[0] == {"grid_point": 0.0, "min_eigenvalue": 1.0}
+        assert report.entries[0] == {"grid_point": 0.0, "min_eigenvalue": 1.0}
+        assert report.entries[-1]["grid_point"] == "tail"

@@ -69,3 +69,9 @@ def test_parameter_kernel_is_retired():
     from fockindex.unit_algebra import ReferencedUnit
 
     assert not hasattr(ReferencedUnit, "parameter_kernel")
+
+
+def test_gram_json_entries_is_retired():
+    from fockindex.fock import GramReport
+
+    assert not hasattr(GramReport, "json_entries")
