@@ -23,20 +23,30 @@ Operators come in two forms:
   and each such operator stores one (S+2) x (S+2) block per chain (see
   its docstring for the slots). An exponential is one batched
   scaling-and-squaring over the m blocks. A weighted shift turns into
-  chain blocks when it meets a chain operator or another shift.
+  chain blocks when it meets a chain operator or another shift, or when
+  it is exponentiated, and then only once scaled.
 
 Arithmetic in either form is exact.
 
 :func:`semigroups` takes exp(tL) for many times t at once, and
-:func:`semigroup` is its one-time case. The exponential scales tL by
-2^-s(t), with s(t) the least count that brings the row-sum norm to 1/2
-or below, sums a Taylor series of the scaled stack and squares the sum
-s(t) times. The sum and its stopping test read only the scaled stack, so
-when the scaled stacks of hL and tL are equal to the bit, as scaling by
-a power of two usually makes them for h = t/2^k, exp(tL) is exp(hL)
-squared s(t) - s(h) more times: the very float operations a fresh
-exponential of tL would run. The pad entries that exp(hL) has cleared
-meet only zeros in a product, so they change no bit either.
+:func:`semigroup` is its one-time case. :func:`matrix_exponential` takes
+a dense matrix, a stack of them or a weighted shift, and semigroups
+passes it tL as a weighted shift. The exponential scales tL by 2^-s(t),
+with s(t) the least count that brings the row-sum norm to 1/2 or below,
+sums a Taylor series of the scaled stack and squares the sum s(t) times.
+For a weighted shift it reads the norm from the bands and builds the
+scaled stack straight from the scaled bands, with the bits the chain
+blocks would give (see :func:`matrix_exponential`). At its peak it holds
+four chain stacks: the scaled stack, the sum and two term buffers. The
+squarings run in the sum and one term buffer, and the stopping test
+takes its norms one chain block at a time.
+
+The sum and its stopping test read only the scaled stack, so when the
+scaled stacks of hL and tL are equal to the bit, as scaling by a power
+of two usually makes them for h = t/2^k, exp(tL) is exp(hL) squared
+s(t) - s(h) more times: the very float operations a fresh exponential of
+tL would run. The pad entries that exp(hL) has cleared meet only zeros
+in a product, so they change no bit either.
 
 The Taylor sum runs in place and gives the bits of the plain loop
 term_k = term_{k-1} @ A / k, sum = sum + term_k. Term k is computed into
@@ -314,6 +324,20 @@ def _inf_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(matrix), axis=-1)))
 
 
+def _inf_norm_by_block(stack: np.ndarray, minus: np.ndarray | None = None) -> float:
+    """:func:`_inf_norm` of ``stack``, or of ``stack - minus``, taken one
+    matrix of the stack at a time, so that the difference and the |.|
+    temporary hold one matrix. A row sum lies within one matrix, so the
+    row sums are the same floats, and their max is the same float."""
+    d = stack.shape[-1]
+    blocks = stack.reshape(-1, d, d)
+    others = None if minus is None else minus.reshape(blocks.shape)
+    sums = np.empty(blocks.shape[:2])
+    for i, block in enumerate(blocks):
+        sums[i] = np.sum(np.abs(block if others is None else block - others[i]), axis=-1)
+    return float(np.max(sums))
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class WeightedShift(_Operator):
     """The operator D_a + D_w T on the discretized algebra: multiplication
@@ -423,18 +447,28 @@ def _scaling(norm: float) -> int:
     return int(math.ceil(math.log2(norm))) + 1 if norm > 0.5 else 0
 
 
-def _square(result: np.ndarray, norm: float) -> np.ndarray:
-    """One squaring step; ``norm`` is the row-sum norm of the input, for
-    the message when the square overflows."""
-    result = result @ result
+def _scaled_bands(shift: WeightedShift) -> tuple[float, int, np.ndarray]:
+    """The row-sum norm of a weighted shift, its squaring count s and its
+    bands times 2^-s."""
+    norm = shift.operator_norm()
+    squarings = _scaling(norm)
+    return norm, squarings, shift.bands * math.ldexp(1.0, -squarings)
+
+
+def _square(result: np.ndarray, norm: float, out: np.ndarray | None = None) -> np.ndarray:
+    """One squaring step, into ``out`` if given; ``norm`` is the row-sum
+    norm of the input, for the message when the square overflows."""
+    result = np.matmul(result, result, out=out)
     if not np.isfinite(result.view(float)).all():
         raise ValueError(f"matrix exponential overflows (row-sum norm of the input {norm:.3g})")
     return result
 
 
-def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
+def matrix_exponential(matrix, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
     """Scaling-and-squaring exponential with a truncated Taylor series, of
-    one square matrix or of each matrix of a stack of shape (..., d, d).
+    one square matrix or of each matrix of a stack of shape (..., d, d),
+    or of a :class:`WeightedShift`, whose exponential comes back as chain
+    blocks of shape (m, S+2, S+2).
 
     The input is scaled by a power of two until its row-sum norm is at
     most 1/2, the series is summed until the next term falls below
@@ -444,6 +478,20 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) ->
     whole matrix would. Deterministic for fixed input. Raises ValueError
     on non-finite input and when the result overflows. The series runs in
     place (see the module docstring for why its bits do not change).
+
+    A weighted shift gives the bits of its chain blocks
+    :attr:`WeightedShift.blocks`, which are never built unscaled. Its
+    row-sum norm is read from the bands: a block row has at most the two
+    nonzeros a and w, so its float row sum is |a| + |w| in any order. The
+    scaled stack is built from the bands times 2^-s, the very products of
+    the on-band block entries times 2^-s, and every other entry is +0 in
+    both. ``test_band_scaling_is_the_block_scaling`` and
+    ``test_shift_exponential_is_the_block_exponential`` in
+    ``tests/test_chain_operators.py`` check both bit for bit.
+
+    The working set is the scaled stack, the sum and two term buffers
+    while the series runs; the squarings then run in the sum and one term
+    buffer, and the stopping test takes its norms one matrix at a time.
 
     The stopping test ||term|| <= rel_tol ||sum|| takes its two row-sum
     norms only for a term whose largest |real or imaginary part| is at
@@ -457,16 +505,20 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) ->
     or |imaginary part|. So a term with a part above 2 rel_tol has
     ||term|| > 2 rel_tol >= rel_tol ||sum|| and fails the test.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    d = a.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises ValueError below instead
-        norm = _inf_norm(a)
-        squarings = _scaling(norm)
-        result = np.zeros(a.shape, dtype=complex)
+        if isinstance(matrix, WeightedShift):
+            norm, squarings, bands = _scaled_bands(matrix)
+            scaled = WeightedShift._wrap(matrix.grid, bands).blocks
+        else:
+            a = np.asarray(matrix, dtype=complex)
+            if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+                raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+            norm = _inf_norm(a)
+            squarings = _scaling(norm)
+            scaled = a * math.ldexp(1.0, -squarings)
+        d = scaled.shape[-1]
+        result = np.zeros(scaled.shape, dtype=complex)
         result.reshape(-1, d * d)[:, :: d + 1] = 1.0
-        scaled = a * math.ldexp(1.0, -squarings)
         term, spare = scaled.copy(), np.empty_like(scaled)  # term 1 is scaled / 1
         parts = term.view(float)
         for k in range(1, 64):
@@ -476,12 +528,13 @@ def matrix_exponential(matrix: np.ndarray, rel_tol: float = TAYLOR_TOLERANCE) ->
                 parts = term.view(float)
                 parts *= 1.0 / k
             result += term
-            if max(parts.max(), -parts.min()) <= 2.0 * rel_tol and _inf_norm(term) <= rel_tol * _inf_norm(result):
+            if max(parts.max(), -parts.min()) <= 2.0 * rel_tol and _inf_norm_by_block(term) <= rel_tol * _inf_norm_by_block(result):
                 break
         else:
             raise RuntimeError("matrix exponential series did not converge in 64 terms")
+        del scaled, spare, parts  # the squarings need only the sum and one term buffer
         for _ in range(squarings):
-            result = _square(result, norm)
+            result, term = _square(result, norm, out=term), result
     return result
 
 
@@ -505,8 +558,8 @@ def _scaled_key(shift: WeightedShift) -> tuple[int, bytes]:
     """The squaring count s(t) of tL, given as a weighted shift, and the
     bytes of the scaled bands (tL) 2^-s(t): the key under which
     :func:`semigroups` reuses an exponential."""
-    squarings = _scaling(shift.operator_norm())
-    return squarings, (shift.bands * math.ldexp(1.0, -squarings)).tobytes()
+    _, squarings, bands = _scaled_bands(shift)
+    return squarings, bands.tobytes()
 
 
 def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE) -> dict:
@@ -517,10 +570,14 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
     never falls. A time whose scaled stack (tL) 2^-s(t) equals that of an
     earlier time h to the bit gets exp(hL) squared s(t) - s(h) more
     times, or exp(hL) itself when s(t) = s(h); any other time runs
-    ``matrix_exponential``. Norms and scaled stacks are read from the
+    ``matrix_exponential`` on tL as a weighted shift, which builds only
+    the scaled chain stack. Norms and scaled stacks are read from the
     bands of tL: a block row has at most the two nonzeros a and w, so its
     row sum is |a| + |w| in any order, and the other block entries are +0
-    for every t >= 0.
+    for every t >= 0 (``test_band_scaling_is_the_block_scaling`` in
+    ``tests/test_chain_operators.py``). Each returned operator is one
+    chain stack; a fresh exponential adds at most four while it runs, and
+    a squaring one.
     """
     times = sorted({float(t) for t in times})
     for t in times:
@@ -535,7 +592,7 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
             squarings, key = _scaled_key(shift)
             earlier, operator = latest.get(key, (squarings, None))
             if operator is None:
-                operator = KernelOperator._wrap(u.grid, _clear_pads(matrix_exponential(shift.blocks, rel_tol=rel_tol)))
+                operator = KernelOperator._wrap(u.grid, _clear_pads(matrix_exponential(shift, rel_tol=rel_tol)))
             elif squarings > earlier:
                 blocks, norm = operator.blocks, shift.operator_norm()
                 for _ in range(squarings - earlier):
@@ -557,10 +614,14 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAY
     at ``times``, at their pairwise sums and at ``extra_times``, all
     taken by one :func:`semigroups` call.
 
+    Two kinds of pair are skipped, as their residual is 0.0 to the bit.
     A pair (s, s) whose 2sL has the scaled key of sL and one squaring
-    more is skipped: :func:`semigroups` built exp(2sL) as exactly the
-    product exp(sL) exp(sL), so its residual is 0.0 to the bit. Every
-    other pair, those with a zero time included, is formed and measured.
+    more: :func:`semigroups` built exp(2sL) as exactly the product
+    exp(sL) exp(sL). And a pair with a zero time: exp(0L) is the identity
+    to the bit, so its product with X has the entries of X, up to the
+    sign of a zero, and X = exp((s+t)L) itself. Every other pair is
+    formed and measured, its difference and norm one chain block at a
+    time.
     """
     times = [float(t) for t in times]
     exps = semigroups(u, v, [*times, *(s + t for s in times for t in times), *extra_times], rel_tol=rel_tol)
@@ -570,8 +631,8 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAY
         squarings, key = _scaled_key(WeightedShift._wrap(u.grid, s * bands))
         squared = _scaled_key(WeightedShift._wrap(u.grid, (s + s) * bands)) == (squarings + 1, key)
         for t in times:
-            if not (t == s and squared):
-                worst = max(worst, (exps[s + t] - exps[s] @ exps[t]).operator_norm())
+            if s != 0.0 and t != 0.0 and not (t == s and squared):
+                worst = max(worst, _inf_norm_by_block(exps[s + t].blocks, (exps[s] @ exps[t]).blocks))
     return worst, exps
 
 

@@ -6,6 +6,7 @@ import math
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,10 +248,11 @@ def law_pairs(grid):
 @pytest.mark.parametrize("times", [(0.3, 0.7, 1.0), (0.0, 0.5, 1.0, 1.5, 2.0)])
 @pytest.mark.parametrize("pair", range(6))
 def test_law_residual_skips_exactly_the_squared_pairs(monkeypatch, pair, times):
-    """The residual forms exp(sL) exp(tL) for every pair but the (s, s)
-    whose 2sL has the scaled stack of sL and one squaring more, and for
-    each of those exp(2sL) is that product to the bit. A zero generator
-    keeps every stack at no squaring, so none of its pairs is skipped."""
+    """The residual forms exp(sL) exp(tL) for every pair but those with a
+    zero time and the (s, s) whose 2sL has the scaled stack of sL and one
+    squaring more, and for each of the latter exp(2sL) is that product to
+    the bit. A zero generator keeps every stack at no squaring, so none of
+    its (s, s) pairs is skipped as squared."""
     grid = GridSpec(4, 12)
     u, v = law_pairs(grid)[pair]
     squared = set()
@@ -263,7 +265,7 @@ def test_law_residual_skips_exactly_the_squared_pairs(monkeypatch, pair, times):
     with monkeypatch.context() as patch:
         patch.setattr(KernelOperator, "__matmul__", lambda x, y: products.append((x, y)) or original(x, y))
         worst, exps = semigroup_law_residual(u, v, times)
-    formed = [(exps[s], exps[t]) for s in times for t in times if not (s == t and s in squared)]
+    formed = [(exps[s], exps[t]) for s in times for t in times if s and t and not (s == t and s in squared)]
     assert len(products) == len(formed)
     assert all(x is a and y is b for (x, y), (a, b) in zip(products, formed))
     for s in squared:
@@ -272,6 +274,20 @@ def test_law_residual_skips_exactly_the_squared_pairs(monkeypatch, pair, times):
         assert not squared and worst == 0.0
     if pair == 0 and times == (0.3, 0.7, 1.0):
         assert squared == {0.3, 0.7, 1.0}
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.3, 0.7, 1.0), (0.0, 0.5, 1.0, 1.5, 2.0), (0.0, 2.5, 100.0)])
+@pytest.mark.parametrize("pair", range(6))
+def test_skipped_zero_time_pairs_have_residual_zero(pair, times):
+    """exp(0L) is the identity to the bit, so for every pair (0, t) and
+    (s, 0) the residual the law would measure is exactly 0.0."""
+    grid = GridSpec(4, 12)
+    u, v = law_pairs(grid)[pair]
+    _, exps = semigroup_law_residual(u, v, times)
+    assert exps[0.0].blocks.tobytes() == KernelOperator.identity(grid).blocks.tobytes()
+    for t in times:
+        assert (exps[t] - exps[0.0] @ exps[t]).operator_norm() == 0.0, t
+        assert (exps[t] - exps[t] @ exps[0.0]).operator_norm() == 0.0, t
 
 
 def fresh_exponential(u, v, t):
@@ -391,6 +407,51 @@ def test_semigroups_against_scipy_on_large_grid():
     for t, operator in exps.items():
         expected = scipy.linalg.expm(t * generator)
         assert gap(operator.to_dense(), expected) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+def traced_peak(run):
+    """run() and the peak of the memory traced while it ran, numpy buffers
+    included."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def large_pair(grid):
+    u = FockUnit(exp_approach(grid, complex(0.5, 0.3), 1.2), constant(grid, complex(0.2, -0.1)))
+    v = FockUnit(exp_decay(grid, 0.6, 0.9, complex(0.8, 0.2)), constant(grid, 0.1))
+    return u, v
+
+
+def test_exponential_working_set():
+    """A fresh exponential of a weighted shift holds at most four chain
+    stacks at once (the scaled stack, the sum, two term buffers), plus
+    the temporaries of one block."""
+    grid = GridSpec(8, 80)
+    stack = np.zeros(fock._block_shape(grid), dtype=complex)
+    shift = 1.7 * kernel(*large_pair(grid))
+    assert fock._scaling(shift.operator_norm()) >= 2
+    expected = matrix_exponential(shift.blocks)
+    matrix_exponential(shift)  # layout caches
+    result, peak = traced_peak(lambda: matrix_exponential(shift))
+    assert result.tobytes() == expected.tobytes()
+    assert peak <= 4 * stack.nbytes + stack[0].nbytes, peak / stack.nbytes
+
+
+def test_law_residual_working_set():
+    """The law residual at the semigroup benchmark's times (0.5, 1.0), for
+    a generator whose norm lies in that benchmark's band, holds at most
+    three chain stacks beyond those of the exponentials it returns."""
+    grid = GridSpec(8, 80)
+    stack = np.zeros(fock._block_shape(grid), dtype=complex)
+    u, v = large_pair(grid)
+    assert 2.05 < kernel(u, v).operator_norm() <= 2.6
+    semigroup_law_residual(u, v, (0.5, 1.0))  # layout caches
+    (_, exps), peak = traced_peak(lambda: semigroup_law_residual(u, v, (0.5, 1.0)))
+    assert peak <= (len({id(op) for op in exps.values()}) + 3) * stack.nbytes, peak / stack.nbytes
 
 
 def chain(operator):
@@ -738,7 +799,49 @@ def test_stop_when_the_sum_norm_rounds_above_the_bound():
     assert cases >= 3
 
 
+def exponential_or_error(matrix):
+    """The bytes of matrix_exponential(matrix), or the message it raises."""
+    try:
+        return matrix_exponential(matrix).tobytes()
+    except ValueError as error:
+        return str(error)
+
+
+@on_small_grids
+def test_shift_exponential_is_the_block_exponential(grid, seed):
+    """The exponential of a weighted shift, which reads its norm from the
+    bands and builds only the scaled stack, has the bytes of the
+    exponential of its chain blocks, or raises the same message: at t = 0
+    on bands with negative parts (-0 entries), at subnormal scales, at
+    norms one ulp around 2^j, where log2 may round down, and at times
+    that overflow."""
+    rng = np.random.default_rng(seed)
+    generator = kernel(random_unit(rng, grid), random_unit(rng, grid))
+    norm = generator.operator_norm()
+    times = [0.0, 5e-324, 3.5e-323, 1e-310 / norm, rng.uniform(0.0, 0.5), rng.uniform(0.5, 6.0)]
+    for j in range(-2, 9):
+        t = math.ldexp(1.0, j) / norm
+        times += [float(x) for x in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf))]
+    times += [1e5 / norm, 1e308]
+    signs = (generator.bands, -generator.bands)
+    assert any(np.signbit((0.0 * bands).view(float)).any() for bands in signs)
+    mixed = 3.0 * generator.bands
+    mixed[rng.random(mixed.shape) < 0.4] = complex(3.5e-323, -5e-324)
+    mixed[1, -1] = 0.0
+    doubling = FockUnit(constant(grid, 2.0), constant(grid, 0.0))
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        growing = [t * kernel(doubling, doubling).bands for t in (200.0, 1e3, 1e300, 1e308)]
+        for bands in [t * bands for t in times for bands in signs] + [mixed, *growing]:
+            shift = WeightedShift(grid, bands)
+            outcomes.append(exponential_or_error(shift))
+            assert outcomes[-1] == exponential_or_error(shift.blocks)
+    messages = outcomes[-len(growing) :]
+    assert all("overflows" in x for x in messages[:3]) and "cannot exponentiate" in messages[3]
+
+
 REFERENCE_TESTS = (
+    "test_shift_exponential_is_the_block_exponential",
     "test_in_place_exponential_is_byte_identical_to_the_reference",
     "test_zero_stack_gives_the_identity_of_the_reference",
     "test_subnormal_entries_match_the_reference",
