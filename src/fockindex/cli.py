@@ -25,6 +25,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, DomainError, GridSpec, constant
 from .fock import (
+    TAYLOR_TOLERANCE_FLOOR,
     FockUnit,
     generator_unit,
     gram_matrices,
@@ -249,7 +250,8 @@ def _distinct_keys(pairs: list) -> dict:
 
 
 def _tolerance(key: str, value) -> float:
-    """A tolerance override: a finite number > 0, or a string that parses as one."""
+    """A tolerance override: a finite number > 0, or a string that parses
+    as one; ``exp`` is at least :data:`TAYLOR_TOLERANCE_FLOOR`."""
     if isinstance(value, bool):
         raise ConfigError(f"tolerance {key!r} must be a number, got {value!r}")
     try:
@@ -258,6 +260,8 @@ def _tolerance(key: str, value) -> float:
         raise ConfigError(f"tolerance {key!r} must be a number, got {value!r}") from exc
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance {key!r} must be finite and > 0, got {value!r}")
+    if key == "exp" and tol < TAYLOR_TOLERANCE_FLOOR:
+        raise ConfigError(f"tolerance 'exp' must be at least {TAYLOR_TOLERANCE_FLOOR:g}, or the Taylor series may not stop in 64 terms; got {value!r}")
     return tol
 
 
@@ -418,7 +422,7 @@ def cmd_membership(config: ExperimentConfig, *, zeta, beta) -> dict:
 
 
 def cmd_witness(config: ExperimentConfig, *, zeta, n, delta, probes) -> dict:
-    alpha, _ = convexify(zeta, n, delta)  # first, so zeta is known real and eventually 1 at n before b0 is built
+    alpha, _ = convexify(zeta, n, delta)
     obstacle = step1_obstacle(zeta, n)
     witness = witness_step1(zeta, n) if obstacle is None else None
     theta_residual = theta_check(zeta, n, probes, delta)

@@ -38,8 +38,8 @@ For a weighted shift it reads the norm from the bands and builds the
 scaled stack straight from the scaled bands, with the bits the chain
 blocks would give (see :func:`matrix_exponential`). At its peak it holds
 four chain stacks: the scaled stack, the sum and two term buffers. The
-squarings run in the sum and one term buffer, and the stopping test
-takes its norms one chain block at a time.
+squarings run in the sum and one term buffer, and every row-sum norm of
+a chain stack is taken one chain block at a time.
 
 The sum and its stopping test read only the scaled stack, so when the
 scaled stacks of hL and tL are equal to the bit, as scaling by a power
@@ -94,10 +94,16 @@ __all__ = [
     "GramReport",
     "gram_psd_check",
     "TAYLOR_TOLERANCE",
+    "TAYLOR_TOLERANCE_FLOOR",
     "blas_core",
 ]
 
 TAYLOR_TOLERANCE = 1e-12  # the exponential's Taylor sum stops below this share of the running sum
+# The least tolerance at which the Taylor sum surely stops within its 64 terms. Term k of a
+# scaled stack, row-sum norm <= 1/2, has norm at most 2^-k / k!, and the sum has norm at least
+# e^-1/2, so any tolerance >= 2^-63 / 63! * e^1/2 (about 9.0e-107) stops by term 63. Rounded
+# up, for the rounding of log2 that can leave the scaled norm a little above 1/2.
+TAYLOR_TOLERANCE_FLOOR = 1e-100
 
 
 class UnsupportedParameterError(DomainError):
@@ -217,7 +223,11 @@ class _Operator:
         return operator
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(m={self.grid.step_denominator}, S={self.grid.domain_end}, norm={self.operator_norm():.6g})"
+        try:
+            norm = f"{self.operator_norm():.6g}"
+        except ValueError:  # a NaN norm
+            norm = "nan"
+        return f"{type(self).__name__}(m={self.grid.step_denominator}, S={self.grid.domain_end}, norm={norm})"
 
     def _check(self, other) -> None:
         if self.grid != other.grid:
@@ -319,23 +329,27 @@ class KernelOperator(_Operator):
         return _inf_norm(self.blocks)
 
 
-def _inf_norm(matrix: np.ndarray) -> float:
-    """Max absolute row sum, over every matrix of a stack."""
-    return float(np.max(np.sum(np.abs(matrix), axis=-1)))
-
-
-def _inf_norm_by_block(stack: np.ndarray, minus: np.ndarray | None = None) -> float:
-    """:func:`_inf_norm` of ``stack``, or of ``stack - minus``, taken one
-    matrix of the stack at a time, so that the difference and the |.|
-    temporary hold one matrix. A row sum lies within one matrix, so the
-    row sums are the same floats, and their max is the same float."""
+def _inf_norm(stack: np.ndarray, minus: np.ndarray | None = None) -> float:
+    """Max absolute row sum over every matrix of a stack, or of ``stack -
+    minus``, taken one matrix at a time, so that the difference and the
+    |.| temporary hold one matrix."""
     d = stack.shape[-1]
     blocks = stack.reshape(-1, d, d)
     others = None if minus is None else minus.reshape(blocks.shape)
     sums = np.empty(blocks.shape[:2])
     for i, block in enumerate(blocks):
         sums[i] = np.sum(np.abs(block if others is None else block - others[i]), axis=-1)
-    return float(np.max(sums))
+    return _largest_row_sum(sums)
+
+
+def _largest_row_sum(sums: np.ndarray) -> float:
+    """The largest of the row sums ``sums``. A NaN entry, or inf - inf in a
+    difference, makes it NaN, which passes no bound yet drops out of a
+    later max(), so a NaN norm raises ValueError; inf is kept."""
+    norm = float(np.max(sums))
+    if math.isnan(norm):
+        raise ValueError("row-sum norm is NaN: an entry is NaN, or a difference met inf - inf")
+    return norm
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -407,7 +421,7 @@ class WeightedShift(_Operator):
 
     def operator_norm(self) -> float:
         """Induced sup-norm on coordinates: max absolute row sum |a| + |w|."""
-        return float((np.abs(self.bands[0]) + np.abs(self.bands[1])).max())
+        return _largest_row_sum(np.abs(self.bands[0]) + np.abs(self.bands[1]))
 
 
 @lru_cache(maxsize=32)
@@ -491,7 +505,7 @@ def matrix_exponential(matrix, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
 
     The working set is the scaled stack, the sum and two term buffers
     while the series runs; the squarings then run in the sum and one term
-    buffer, and the stopping test takes its norms one matrix at a time.
+    buffer.
 
     The stopping test ||term|| <= rel_tol ||sum|| takes its two row-sum
     norms only for a term whose largest |real or imaginary part| is at
@@ -528,7 +542,7 @@ def matrix_exponential(matrix, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
                 parts = term.view(float)
                 parts *= 1.0 / k
             result += term
-            if max(parts.max(), -parts.min()) <= 2.0 * rel_tol and _inf_norm_by_block(term) <= rel_tol * _inf_norm_by_block(result):
+            if max(parts.max(), -parts.min()) <= 2.0 * rel_tol and _inf_norm(term) <= rel_tol * _inf_norm(result):
                 break
         else:
             raise RuntimeError("matrix exponential series did not converge in 64 terms")
@@ -554,12 +568,12 @@ def blas_core() -> str:
     return "unknown"
 
 
-def _scaled_key(shift: WeightedShift) -> tuple[int, bytes]:
-    """The squaring count s(t) of tL, given as a weighted shift, and the
-    bytes of the scaled bands (tL) 2^-s(t): the key under which
-    :func:`semigroups` reuses an exponential."""
-    _, squarings, bands = _scaled_bands(shift)
-    return squarings, bands.tobytes()
+def _scaled_key(shift: WeightedShift) -> tuple[float, int, bytes]:
+    """The row-sum norm of tL, given as a weighted shift, its squaring
+    count s(t) and the bytes of the scaled bands (tL) 2^-s(t): the key
+    under which :func:`semigroups` reuses an exponential."""
+    norm, squarings, bands = _scaled_bands(shift)
+    return norm, squarings, bands.tobytes()
 
 
 def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE) -> dict:
@@ -572,12 +586,10 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
     times, or exp(hL) itself when s(t) = s(h); any other time runs
     ``matrix_exponential`` on tL as a weighted shift, which builds only
     the scaled chain stack. Norms and scaled stacks are read from the
-    bands of tL: a block row has at most the two nonzeros a and w, so its
-    row sum is |a| + |w| in any order, and the other block entries are +0
-    for every t >= 0 (``test_band_scaling_is_the_block_scaling`` in
-    ``tests/test_chain_operators.py``). Each returned operator is one
-    chain stack; a fresh exponential adds at most four while it runs, and
-    a squaring one.
+    bands of tL, with the bits of its chain blocks (see
+    :func:`matrix_exponential`). Each returned operator is one chain
+    stack; a fresh exponential adds at most four while it runs, and a
+    squaring one.
     """
     times = sorted({float(t) for t in times})
     for t in times:
@@ -589,12 +601,10 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
     with np.errstate(over="ignore", invalid="ignore"):  # matrix_exponential rejects what overflows
         for t in times:
             shift = WeightedShift._wrap(u.grid, t * generator.bands)
-            squarings, key = _scaled_key(shift)
+            norm, squarings, key = _scaled_key(shift)
             earlier, operator = latest.get(key, (squarings, None))
-            if operator is None:
-                operator = KernelOperator._wrap(u.grid, _clear_pads(matrix_exponential(shift, rel_tol=rel_tol)))
-            elif squarings > earlier:
-                blocks, norm = operator.blocks, shift.operator_norm()
+            if operator is None or squarings > earlier:
+                blocks = matrix_exponential(shift, rel_tol=rel_tol) if operator is None else operator.blocks
                 for _ in range(squarings - earlier):
                     blocks = _square(blocks, norm)
                 operator = KernelOperator._wrap(u.grid, _clear_pads(blocks))
@@ -628,11 +638,11 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAY
     bands = kernel(u, v).bands
     worst = 0.0
     for s in times:
-        squarings, key = _scaled_key(WeightedShift._wrap(u.grid, s * bands))
-        squared = _scaled_key(WeightedShift._wrap(u.grid, (s + s) * bands)) == (squarings + 1, key)
+        _, squarings, key = _scaled_key(WeightedShift._wrap(u.grid, s * bands))
+        squared = _scaled_key(WeightedShift._wrap(u.grid, (s + s) * bands))[1:] == (squarings + 1, key)
         for t in times:
             if s != 0.0 and t != 0.0 and not (t == s and squared):
-                worst = max(worst, _inf_norm_by_block(exps[s + t].blocks, (exps[s] @ exps[t]).blocks))
+                worst = max(worst, _inf_norm(exps[s + t].blocks, (exps[s] @ exps[t]).blocks))
     return worst, exps
 
 

@@ -3,8 +3,12 @@ checked at its pinned tolerance against independently computed values.
 
 Each criterion returns one or more :class:`CheckResult` rows; the CLI
 prints them one per line and the test suite asserts them individually.
-Expected values are computed inline with plain numpy (or closed forms),
-never through the code path under test.
+Most expected values are computed inline with plain numpy (or closed
+forms), never through the code path under test. Criteria 3, 6 and 11
+instead check that two code paths of the calculus agree: exp((s+t)L)
+against exp(sL) exp(tL), the formula path of each bimodule operation
+against its parameter path, and the representative of an operation's
+result against the same operation on the representatives.
 """
 
 from __future__ import annotations

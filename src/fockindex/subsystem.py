@@ -175,8 +175,22 @@ def _step1_b0(zeta: AlgebraElement, n: int) -> tuple[AlgebraElement, str | None]
     return b0, None
 
 
+def _require_step1_domain(zeta: AlgebraElement, n: int, context: str) -> None:
+    """The domain of the step-1 witness for n: n a count >= 1 with 2n <= S,
+    and zeta real and exactly 1 from n on."""
+    if not _is_count(n) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if zeta.grid.domain_end < step1_grid_end(n):
+        raise DomainError(f"grid end {zeta.grid.domain_end} is too short; need at least 2n = {step1_grid_end(n)}")
+    _require_real(zeta, context)
+    _require_eventually_one(zeta, n, context)
+
+
 def step1_obstacle(zeta: AlgebraElement, n: int) -> str | None:
-    """Why the step-1 witness for n cannot be built from zeta, or None if it can."""
+    """Why the step-1 witness for n cannot be built from zeta, or None if
+    it can; raises DomainError for inputs outside its domain, as
+    :func:`witness_step1` does."""
+    _require_step1_domain(zeta, n, "step1_obstacle")
     return _step1_b0(zeta, n)[1]
 
 
@@ -190,12 +204,7 @@ def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
     exactly 1 from n on: b0(s) = zeta(s) * ... * zeta(s+n-1), b1 = 1/b0,
     and b1(s+n) * b0(s) reproduces the n-particle component of the unit."""
     grid = zeta.grid
-    if not _is_count(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if grid.domain_end < step1_grid_end(n):
-        raise DomainError(f"grid end {grid.domain_end} is too short; need at least 2n = {step1_grid_end(n)}")
-    _require_real(zeta, "witness_step1")
-    _require_eventually_one(zeta, n, "witness_step1")
+    _require_step1_domain(zeta, n, "witness_step1")
     b0, obstacle = _step1_b0(zeta, n)
     if obstacle is not None:
         raise DomainError(f"witness_step1: {obstacle}")

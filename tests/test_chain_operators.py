@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import hypothesis.extra.numpy
 import numpy as np
 import pytest
 import scipy.linalg
@@ -747,6 +748,59 @@ def test_zero_tolerance_matches_the_reference():
             reference_exponential(a, 0.0)
         with pytest.raises(RuntimeError):
             matrix_exponential(a, 0.0)
+
+
+def test_the_tolerance_floor_converges():
+    """At TAYLOR_TOLERANCE_FLOOR the series stops within its 64 terms, with
+    the reference's bits, on the 1 x 1 stacks -1/2 and 1/2: terms of the
+    largest norm a scaled stack allows, over the smallest and the largest
+    sum."""
+    for a in (np.array([[-0.5]]), np.array([[0.5]])):
+        assert_same_exponential(a, fock.TAYLOR_TOLERANCE_FLOOR)
+        assert abs(matrix_exponential(a, fock.TAYLOR_TOLERANCE_FLOOR)[0, 0] - math.exp(a[0, 0])) <= 1e-15
+
+
+NORM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 2.0**-1022, math.inf, -math.inf]),
+    st.floats(-4.0, 4.0),
+)
+
+
+def norm_stack(data, shape):
+    """A complex stack whose float parts are drawn from NORM_ENTRIES."""
+    parts = data.draw(hypothesis.extra.numpy.arrays(np.float64, (*shape, 2), elements=NORM_ENTRIES))
+    return parts.view(np.complex128)[..., 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inf_norm_is_the_reference_norm(data):
+    """The one row-sum norm, taken one matrix at a time, equals the
+    stack-wide reference bit for bit on stacks up to (4, 7, 7), contiguous
+    or transposed, and on their differences; a NaN norm raises."""
+    d = data.draw(st.integers(1, 7))
+    shape = data.draw(st.sampled_from([(d, d), *((k, d, d) for k in range(1, 5))]))
+    x, y = norm_stack(data, shape), norm_stack(data, shape)
+    if data.draw(st.booleans()):
+        x, y = x.swapaxes(-1, -2), y.swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):
+        for args, expected in (((x,), reference_inf_norm(x)), ((x, y), reference_inf_norm(x - y))):
+            if math.isnan(expected):
+                with pytest.raises(ValueError, match="NaN"):
+                    fock._inf_norm(*args)
+            else:
+                assert np.array(fock._inf_norm(*args)).view(np.uint64) == np.array(expected).view(np.uint64)
+
+
+def test_a_nan_norm_raises_and_reprs_as_nan():
+    grid = GridSpec(2, 3)
+    bands = np.zeros((2, grid.dim), dtype=complex)
+    bands[0, 0] = complex(np.nan, 0.0)
+    shift = WeightedShift(grid, bands)
+    for operator in (shift, KernelOperator(grid, shift.blocks)):
+        with pytest.raises(ValueError, match="NaN"):
+            operator.operator_norm()
+        assert repr(operator).endswith("norm=nan)")
 
 
 @on_small_grids

@@ -24,7 +24,7 @@ import fockindex.presets
 from fockindex import cli
 from fockindex.algebra import GridSpec
 from fockindex.cli import COMMANDS, main
-from fockindex.fock import FockUnit, blas_core, kernel
+from fockindex.fock import TAYLOR_TOLERANCE_FLOOR, FockUnit, blas_core, kernel
 from fockindex.selftest import DEFAULT_TOLERANCES
 
 SMALL_GRID = {"grid": {"m": 2, "S": 30}}
@@ -538,6 +538,27 @@ def test_overflowing_semigroup_time_is_a_one_line_error(tmp_path, t):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_nan_residual_is_a_numerical_failure(tmp_path):
+    """Kernels against a reference with zeta = 1e300 overflow, and 9 of the
+    18 dual-path residuals would read NaN: the run fails and writes nothing."""
+    config = {"grid": {"m": 2, "S": 4}, "reference": {"zeta": {"kind": "constant", "value": 1e300}}}
+    status, stderr, out = run_quietly("unitalg", config, tmp_path)
+    assert status == 1
+    assert stderr.startswith("error: row-sum norm is NaN") and len(stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exp, status",
+    [(TAYLOR_TOLERANCE_FLOOR, 0), (float(np.nextafter(TAYLOR_TOLERANCE_FLOOR, 0.0)), 2), (1e-300, 2)],
+)
+def test_exp_tolerance_has_a_floor(tmp_path, capsys, exp, status):
+    """Below the floor the Taylor series may not stop in its 64 terms."""
+    assert run(tmp_path, "semigroup", {**TINY_GRID, "tolerances": {"exp": exp}})[0] == status
+    assert ("config error" in capsys.readouterr().err) is (status == 2)
+    assert (tmp_path / "out").exists() is (status == 0)
 
 
 def test_out_that_is_a_file_is_a_one_line_error(tmp_path, capsys):

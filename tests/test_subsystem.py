@@ -142,6 +142,21 @@ class TestWitness:
         with pytest.raises(ValueError):
             witness_step1(constant(short, 1), 2)  # S < 2n
 
+    @pytest.mark.parametrize(
+        "zeta, n",
+        [
+            (lambda grid: constant(grid, 1.0 + 0.5j), 1),
+            (lambda grid: exp_approach(grid, 1.0, 1.0), 1),
+            (lambda grid: constant(grid, 1.0), 6),
+        ],
+        ids=["complex", "never_exactly_one", "grid_shorter_than_2n"],
+    )
+    def test_obstacle_and_witness_share_one_domain(self, zeta, n):
+        grid = GridSpec(2, 10)
+        for step1 in (step1_obstacle, witness_step1):
+            with pytest.raises(DomainError):
+                step1(zeta(grid), n)
+
     def test_inverse_pair(self):
         zeta = piecewise_linear(GRID, [(0.0, 0.2), (1.0, 0.6), (4.0, 1.0)])
         witness = witness_step1(zeta, 4)
@@ -151,7 +166,8 @@ class TestWitness:
         # 1 + 5e-13 counts as one, but b1(s + 1) = 1/(1 + 5e-13) scales the 1000 of b0(s)
         s = GRID.points()
         zeta = AlgebraElement(GRID, np.where(s < 1, 1000.0, 1.0 + 5e-13).astype(complex), 1.0 + 5e-13)
-        assert step1_obstacle(zeta, 1) is None and step1_obstacle(zeta - constant(GRID, 1000.0), 1) is not None
+        negative = AlgebraElement(GRID, np.where(s < 1, -1000.0, 1.0 + 5e-13).astype(complex), 1.0 + 5e-13)
+        assert step1_obstacle(zeta, 1) is None and "not strictly positive" in step1_obstacle(negative, 1)
         assert 1e-12 < witness_step1(zeta, 1).max_identity_residual < 1e-6
 
 

@@ -239,3 +239,13 @@ class TestIndexNormAndEquivalence:
         u, v = unit(1.0, 1.0, 0.3), unit(0.5j, 1.5, -0.2)
         gap = abs(index_norm(subtract(wrap(u, XI), wrap(v, XI))) - (u.zeta - v.zeta).sup_norm())
         assert gap < 1e-10
+
+
+def test_a_nan_residual_raises():
+    """Kernels against a reference with zeta = 1e300 overflow to inf, and
+    the two paths meet inf - inf: the residual raises instead of reading
+    NaN, which a later max() would drop."""
+    grid = GridSpec(2, 4)
+    x = wrap(generator_unit(grid), FockUnit(constant(grid, 1e300), constant(grid, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+        dual_path_residual(add(x, x), default_probe_units(grid))
