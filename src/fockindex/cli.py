@@ -34,7 +34,7 @@ from .fock import (
     semigroup_law_residual,
 )
 from .presets import PresetError, from_spec
-from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, random_element, random_unit, run_selftest
+from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, Pcg64Draws, random_element, random_unit, run_selftest
 from .subsystem import (
     TRUNCATION_NS,
     ConvergenceRow,
@@ -43,9 +43,8 @@ from .subsystem import (
     index_homomorphism_residuals,
     index_representative,
     membership,
-    step1_obstacle,
+    step1_witness_or_obstacle,
     theta_check,
-    witness_step1,
 )
 from .unit_algebra import (
     COEFFICIENT_SUM_TOLERANCE,
@@ -389,7 +388,7 @@ def cmd_inner(config: ExperimentConfig, *, u, v, b, reference) -> dict:
 
 def cmd_unitalg(config: ExperimentConfig, *, probes, seed, cases, reference, kappa) -> dict:
     grid = config.grid
-    rng = np.random.default_rng(seed)
+    rng = Pcg64Draws(seed)
     one = constant(grid, 1.0)
     rows = []
 
@@ -423,12 +422,12 @@ def cmd_membership(config: ExperimentConfig, *, zeta, beta) -> dict:
 
 def cmd_witness(config: ExperimentConfig, *, zeta, n, delta, probes) -> dict:
     alpha, _ = convexify(zeta, n, delta)
-    obstacle = step1_obstacle(zeta, n)
-    witness = witness_step1(zeta, n) if obstacle is None else None
+    witness = step1_witness_or_obstacle(zeta, n)
     theta_residual = theta_check(zeta, n, probes, delta)
     outputs = {}
-    conjugation = {"skipped": obstacle}
-    if witness is not None:
+    if isinstance(witness, str):
+        conjugation = {"skipped": witness}
+    else:
         residual = witness.max_identity_residual
         conjugation = {"residual": residual, **_judged(config, residual, "witness")}
         outputs["witness_elements.csv"] = _element_table(config.grid, {"b0_": witness.b0, "b1_": witness.b1})

@@ -46,6 +46,7 @@ __all__ = [
     "step1_obstacle",
     "step1_grid_end",
     "witness_step1",
+    "step1_witness_or_obstacle",
     "convexify",
     "theta_check",
     "approximate",
@@ -203,11 +204,25 @@ def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
     """Constructive witness for a unit whose zeta is positive below n and
     exactly 1 from n on: b0(s) = zeta(s) * ... * zeta(s+n-1), b1 = 1/b0,
     and b1(s+n) * b0(s) reproduces the n-particle component of the unit."""
+    found = _step1(zeta, n, "witness_step1")
+    if isinstance(found, str):
+        raise DomainError(f"witness_step1: {found}")
+    return found
+
+
+def step1_witness_or_obstacle(zeta: AlgebraElement, n: int) -> Step1Witness | str:
+    """The step-1 witness for n, or why it cannot be built (what
+    :func:`step1_obstacle` returns), from one build of b0; raises
+    DomainError for inputs outside the domain, as both of them do."""
+    return _step1(zeta, n, "step1_witness_or_obstacle")
+
+
+def _step1(zeta: AlgebraElement, n: int, context: str) -> Step1Witness | str:
     grid = zeta.grid
-    _require_step1_domain(zeta, n, "witness_step1")
+    _require_step1_domain(zeta, n, context)
     b0, obstacle = _step1_b0(zeta, n)
     if obstacle is not None:
-        raise DomainError(f"witness_step1: {obstacle}")
+        return obstacle
     b1 = b0.reciprocal()
     direct = b1.shift(n) * b0
     via_action = left_action(b1, unit_component(generator_unit(grid), int(n))).value * b0

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import fockindex
 import fockindex.presets
+import fockindex.subsystem
 from fockindex import cli
 from fockindex.algebra import GridSpec
 from fockindex.cli import COMMANDS, main
@@ -392,6 +393,15 @@ def test_witness_default(tmp_path):
     assert (out / "witness_elements.csv").exists()
 
 
+def test_witness_builds_the_step1_b0_once(tmp_path, monkeypatch):
+    calls = []
+    build = fockindex.subsystem._step1_b0
+    monkeypatch.setattr(fockindex.subsystem, "_step1_b0", lambda *args: calls.append(args) or build(*args))
+    status, _ = run(tmp_path, "witness")
+    assert status == 0
+    assert len(calls) == 1
+
+
 def test_witness_below_the_reciprocal_floor_skips_conjugation(tmp_path):
     config = {**TINY_GRID, "zeta": {"kind": "piecewise_linear", "knots": [[0, 1e-20], [1, 1]]}}
     status, out = run(tmp_path, "witness", config)
@@ -621,6 +631,20 @@ def test_handlers_raise_and_catch_nothing():
     assert len(handlers) == len(COMMANDS)
     for handler in handlers:
         assert not [node for node in ast.walk(handler) if isinstance(node, (ast.Raise, ast.Try))], handler.name
+
+
+def test_seeded_commands_do_not_load_numpy_random(tmp_path):
+    """The battery's and unitalg's seeded draws come from selftest.Pcg64Draws,
+    so a run of either never imports numpy.random."""
+    configs = {"selftest": {"grid": {"m": 4, "S": 40}}, "unitalg": {"grid": {"m": 2, "S": 10}}}
+    runs = []
+    for command, config in configs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(config), encoding="utf-8")
+        runs.append([command, "--config", str(tmp_path / f"{command}.json"), "--out", str(tmp_path / command)])
+    code = f"import sys\nfrom fockindex.cli import main\nassert [main(argv) for argv in {runs!r}] == [0, 0]\nprint('numpy.random' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_import_does_not_load_scipy():

@@ -19,6 +19,7 @@ from fockindex.subsystem import (
     index_representative,
     membership,
     step1_obstacle,
+    step1_witness_or_obstacle,
     theta_check,
     witness_step1,
 )
@@ -153,7 +154,7 @@ class TestWitness:
     )
     def test_obstacle_and_witness_share_one_domain(self, zeta, n):
         grid = GridSpec(2, 10)
-        for step1 in (step1_obstacle, witness_step1):
+        for step1 in (step1_obstacle, witness_step1, step1_witness_or_obstacle):
             with pytest.raises(DomainError):
                 step1(zeta(grid), n)
 
@@ -169,6 +170,14 @@ class TestWitness:
         negative = AlgebraElement(GRID, np.where(s < 1, -1000.0, 1.0 + 5e-13).astype(complex), 1.0 + 5e-13)
         assert step1_obstacle(zeta, 1) is None and "not strictly positive" in step1_obstacle(negative, 1)
         assert 1e-12 < witness_step1(zeta, 1).max_identity_residual < 1e-6
+
+    def test_witness_or_obstacle_agrees_with_both(self):
+        tiny = piecewise_linear(GRID, [(0.0, 1e-20), (1.0, 1.0)])
+        assert step1_witness_or_obstacle(tiny, 1) == step1_obstacle(tiny, 1)
+        zeta = piecewise_linear(GRID, [(0.0, 0.2), (1.0, 0.6), (4.0, 1.0)])
+        found, witness = step1_witness_or_obstacle(zeta, 4), witness_step1(zeta, 4)
+        assert found.max_identity_residual == witness.max_identity_residual
+        assert np.array_equal(found.b1.samples, witness.b1.samples) and found.b1.tail == witness.b1.tail
 
 
 class TestConvexify:
