@@ -43,8 +43,8 @@ from .subsystem import (
     index_homomorphism_residuals,
     index_representative,
     membership,
-    step1_witness_or_obstacle,
     theta_check,
+    witness_step1,
 )
 from .unit_algebra import (
     COEFFICIENT_SUM_TOLERANCE,
@@ -422,7 +422,7 @@ def cmd_membership(config: ExperimentConfig, *, zeta, beta) -> dict:
 
 def cmd_witness(config: ExperimentConfig, *, zeta, n, delta, probes) -> dict:
     alpha, _ = convexify(zeta, n, delta)
-    witness = step1_witness_or_obstacle(zeta, n)
+    witness = witness_step1(zeta, n)
     theta_residual = theta_check(zeta, n, probes, delta)
     outputs = {}
     if isinstance(witness, str):

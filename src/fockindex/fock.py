@@ -59,6 +59,15 @@ same. The loop stops at the first term with ||term|| <= rel_tol ||sum||,
 and takes those two row-sum norms only for a term whose largest float
 part is at most 2 rel_tol: no other term can pass the test (see
 :func:`matrix_exponential`).
+
+BLAS audit: the only BLAS or LAPACK calls whose results reach a report
+all run in numpy's bundled OpenBLAS: np.matmul on chain blocks (zgemm) in
+:meth:`KernelOperator.__matmul__`, the chain-block fallback of
+:meth:`WeightedShift.__matmul__`, :func:`_square` and the Taylor loop, by
+a coordinate column (zgemv) in :meth:`KernelOperator.apply`, and
+np.linalg.eigvalsh (LAPACK) in :func:`gram_psd_check`. On a host whose
+:func:`blas_core` is SkylakeX, at (4, 40) with one thread, forcing the
+Haswell or Sandybridge kernel changed the bits of each.
 """
 
 from __future__ import annotations

@@ -424,13 +424,18 @@ def criterion_dual_path_coherence(grid: GridSpec, seed: int) -> list[CheckResult
 
 
 def criterion_conjugation_witness(grid: GridSpec, seed: int) -> list[CheckResult]:
-    """The conjugating pair identity for eventually-one units."""
+    """The conjugating pair identity for eventually-one units; a witness
+    that cannot be built fails its row with the obstacle as detail."""
     del seed
-    tol = DEFAULT_TOLERANCES["witness"]
-    return [
-        _result(f"conjugation witness identity, n={n}", witness_step1(piecewise_linear(grid, knots), n).max_identity_residual, tol)
-        for n, knots in _WITNESS_KNOTS.items()
-    ]
+    results = []
+    for n, knots in _WITNESS_KNOTS.items():
+        name = f"conjugation witness identity, n={n}"
+        witness = witness_step1(piecewise_linear(grid, knots), n)
+        if isinstance(witness, str):
+            results.append(CheckResult(name, False, witness))
+        else:
+            results.append(_result(name, witness.max_identity_residual, DEFAULT_TOLERANCES["witness"]))
+    return results
 
 
 def _negative_dip_zeta(grid: GridSpec, n: int = 8) -> AlgebraElement:

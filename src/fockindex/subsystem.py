@@ -43,10 +43,8 @@ __all__ = [
     "MembershipReport",
     "Step1Witness",
     "membership",
-    "step1_obstacle",
     "step1_grid_end",
     "witness_step1",
-    "step1_witness_or_obstacle",
     "convexify",
     "theta_check",
     "approximate",
@@ -66,6 +64,8 @@ INDEX_SUP_TOLERANCE = 1e-10  # |index distance - sup distance| of a truncation
 CONVERGENCE_THRESHOLD = 0.05  # bound on every distance at the last truncation point
 TRUNCATION_NS = (2, 4, 6, 8, 10)  # truncation points of the default convergence table
 DYADIC_DEPTH = 10
+MIN_PIVOT = 1e-8  # smallest |zeta(n)| a truncation approximant divides by
+CENTRALITY_TOLERANCE = 1e-10  # largest shift obstruction a central unit may show
 
 
 class NotAMemberError(DomainError):
@@ -162,74 +162,36 @@ def _require_eventually_one(zeta: AlgebraElement, n: int, context: str) -> None:
         raise DomainError(f"{context} needs zeta(s) = 1 for s >= {n}; max deviation {max(bad, abs(zeta.tail - 1.0)):.3e}")
 
 
-def _step1_b0(zeta: AlgebraElement, n: int) -> tuple[AlgebraElement, str | None]:
-    """b0(s) = zeta(s) * ... * zeta(s+n-1) of the step-1 witness for n, and
-    why that witness cannot be built, or None if it can: zeta must be
-    strictly positive on [0, n), and b0 at or above the floor of
-    :meth:`AlgebraElement.reciprocal`, which gives b1 = 1/b0."""
-    b0 = unit_component(FockUnit(zeta, constant(zeta.grid, 0.0)), int(n)).value
-    if not np.min(zeta.samples[: n * zeta.grid.step_denominator].real) > 0:
-        return b0, "zeta is not strictly positive below n"
-    small = np.abs(b0.coordinates).min()
-    if small < RECIPROCAL_FLOOR:
-        return b0, f"b0 = zeta(s)...zeta(s+n-1) falls to {small:.3e}, below the reciprocal floor {RECIPROCAL_FLOOR:.0e}"
-    return b0, None
-
-
-def _require_step1_domain(zeta: AlgebraElement, n: int, context: str) -> None:
-    """The domain of the step-1 witness for n: n a count >= 1 with 2n <= S,
-    and zeta real and exactly 1 from n on."""
-    if not _is_count(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if zeta.grid.domain_end < step1_grid_end(n):
-        raise DomainError(f"grid end {zeta.grid.domain_end} is too short; need at least 2n = {step1_grid_end(n)}")
-    _require_real(zeta, context)
-    _require_eventually_one(zeta, n, context)
-
-
-def step1_obstacle(zeta: AlgebraElement, n: int) -> str | None:
-    """Why the step-1 witness for n cannot be built from zeta, or None if
-    it can; raises DomainError for inputs outside its domain, as
-    :func:`witness_step1` does."""
-    _require_step1_domain(zeta, n, "step1_obstacle")
-    return _step1_b0(zeta, n)[1]
-
-
 def step1_grid_end(n: int) -> int:
     """The shortest grid end S on which the step-1 witness for n is built: 2n."""
     return 2 * n
 
 
-def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness:
+def witness_step1(zeta: AlgebraElement, n: int) -> Step1Witness | str:
     """Constructive witness for a unit whose zeta is positive below n and
     exactly 1 from n on: b0(s) = zeta(s) * ... * zeta(s+n-1), b1 = 1/b0,
-    and b1(s+n) * b0(s) reproduces the n-particle component of the unit."""
-    found = _step1(zeta, n, "witness_step1")
-    if isinstance(found, str):
-        raise DomainError(f"witness_step1: {found}")
-    return found
-
-
-def step1_witness_or_obstacle(zeta: AlgebraElement, n: int) -> Step1Witness | str:
-    """The step-1 witness for n, or why it cannot be built (what
-    :func:`step1_obstacle` returns), from one build of b0; raises
-    DomainError for inputs outside the domain, as both of them do."""
-    return _step1(zeta, n, "step1_witness_or_obstacle")
-
-
-def _step1(zeta: AlgebraElement, n: int, context: str) -> Step1Witness | str:
+    and b1(s+n) * b0(s) reproduces the n-particle component of the unit.
+    Returns why it cannot be built instead when zeta is not strictly
+    positive below n or b0 is below the floor of :meth:`AlgebraElement.reciprocal`.
+    Raises DomainError only outside the domain: n a count >= 1 with
+    2n <= S, and zeta real and exactly 1 from n on."""
+    if not _is_count(n) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
     grid = zeta.grid
-    _require_step1_domain(zeta, n, context)
-    b0, obstacle = _step1_b0(zeta, n)
-    if obstacle is not None:
-        return obstacle
+    if grid.domain_end < step1_grid_end(n):
+        raise DomainError(f"grid end {grid.domain_end} is too short; need at least 2n = {step1_grid_end(n)}")
+    _require_real(zeta, "witness_step1")
+    _require_eventually_one(zeta, n, "witness_step1")
+    if not np.min(zeta.samples[: n * grid.step_denominator].real) > 0:
+        return "zeta is not strictly positive below n"
+    b0 = unit_component(FockUnit(zeta, constant(grid, 0.0)), int(n)).value
+    small = np.abs(b0.coordinates).min()
+    if small < RECIPROCAL_FLOOR:
+        return f"b0 = zeta(s)...zeta(s+n-1) falls to {small:.3e}, below the reciprocal floor {RECIPROCAL_FLOOR:.0e}"
     b1 = b0.reciprocal()
     direct = b1.shift(n) * b0
     via_action = left_action(b1, unit_component(generator_unit(grid), int(n))).value * b0
-    residual = max(
-        (direct - b0).sup_norm(),
-        (via_action - b0).sup_norm(),
-    )
+    residual = max((direct - b0).sup_norm(), (via_action - b0).sup_norm())
     return Step1Witness(int(n), b0, b1, residual)
 
 
@@ -278,14 +240,14 @@ def theta_check(
     return worst
 
 
-def approximate(zeta: AlgebraElement, n: int, min_pivot: float = 1e-8) -> AlgebraElement:
+def approximate(zeta: AlgebraElement, n: int) -> AlgebraElement:
     """Truncation approximant: zeta(s)/zeta(n) for s < n, and 1 from n on."""
     grid = zeta.grid
     if not _is_count(n) or n < 1 or n > grid.domain_end:
         raise DomainError(f"n must be an integer in [1, {grid.domain_end}], got {n!r}")
     pivot = zeta.value_at(n)
-    if abs(pivot) < min_pivot:
-        raise DomainError(f"|zeta({n})| = {abs(pivot):.3e} is below {min_pivot}; pick a larger n")
+    if abs(pivot) < MIN_PIVOT:
+        raise DomainError(f"|zeta({n})| = {abs(pivot):.3e} is below {MIN_PIVOT}; pick a larger n")
     m = grid.step_denominator
     samples = np.ones(grid.size, dtype=complex)
     samples[: n * m] = zeta.samples[: n * m] / pivot
@@ -333,6 +295,8 @@ def convergence_report(
     the target threshold. ``ns`` must be strictly increasing, so that
     "nonincreasing" reads along refinement.
     """
+    if len(ns) == 0:
+        raise DomainError("ns must hold at least one truncation point; an empty one would check nothing")
     if any(later <= earlier for earlier, later in zip(ns, ns[1:])):
         raise DomainError(f"ns must be strictly increasing, got {list(ns)}")
     grid = zeta.grid
@@ -368,8 +332,8 @@ def convergence_report(
         for col in columns
         for i in range(len(rows) - 1)
     )
-    gaps = [abs(row.index_dist - row.sup_dist) for row in rows] or [0.0]
-    below = all(getattr(rows[-1], col) <= target_threshold for col in columns) if rows else True
+    gaps = [abs(row.index_dist - row.sup_dist) for row in rows]
+    below = all(getattr(rows[-1], col) <= target_threshold for col in columns)
     return ConvergenceReport(
         rows=tuple(rows),
         monotone=monotone,
@@ -414,15 +378,11 @@ def default_centrality_probes(grid) -> list[AlgebraElement]:
     ]
 
 
-def centrality_check(
-    u: FockUnit,
-    probes: Sequence[AlgebraElement] | None = None,
-    tol: float = 1e-10,
-) -> bool:
+def centrality_check(u: FockUnit, probes: Sequence[AlgebraElement] | None = None) -> bool:
     """Whether the shift obstruction shift(b, 1)*zeta - b*zeta stays below
-    tol for every probe b. Members always fail against a strictly
+    CENTRALITY_TOLERANCE for every probe b. Members always fail against a strictly
     monotone probe; zeta = 0 passes vacuously."""
     if probes is None:
         probes = default_centrality_probes(u.grid)
     zeta = u.zeta
-    return all(((b.shift(1) - b) * zeta).sup_norm() <= tol for b in probes)
+    return all(((b.shift(1) - b) * zeta).sup_norm() <= CENTRALITY_TOLERANCE for b in probes)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import fockindex
 import fockindex.presets
-import fockindex.subsystem
 from fockindex import cli
 from fockindex.algebra import GridSpec
 from fockindex.cli import COMMANDS, main
@@ -395,8 +394,8 @@ def test_witness_default(tmp_path):
 
 def test_witness_builds_the_step1_b0_once(tmp_path, monkeypatch):
     calls = []
-    build = fockindex.subsystem._step1_b0
-    monkeypatch.setattr(fockindex.subsystem, "_step1_b0", lambda *args: calls.append(args) or build(*args))
+    build = cli.witness_step1
+    monkeypatch.setattr(cli, "witness_step1", lambda *args: calls.append(args) or build(*args))
     status, _ = run(tmp_path, "witness")
     assert status == 0
     assert len(calls) == 1

@@ -37,7 +37,7 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         lambda: witness_step1(exp_approach(GRID, 1.0, 1.0), 1),  # _require_eventually_one
         lambda: witness_step1(ONE, 0),
         lambda: witness_step1(ONE, 6),  # grid end S = 10 < 2n
-        lambda: witness_step1(DIP, 1),  # not positive below n
+        lambda: witness_step1(ONE, 1.5),  # n not a count
         lambda: convexify(constant(GRID, 1 + 0.5j), 1, 0.1),
         lambda: convexify(exp_approach(GRID, 1.0, 1.0), 1, 0.1),
         lambda: convexify(ONE, -1, 0.1),
@@ -67,6 +67,7 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         # subsystem, continued: truncation points out of order
         lambda: convergence_report(ONE, 1.0, [4, 2]),  # ns not strictly increasing
         lambda: convergence_report(ONE, 1.0, [4, 4]),
+        lambda: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, []),  # no truncation point
     ],
 )
 def test_out_of_domain_inputs_raise_domain_error(call):

@@ -26,7 +26,9 @@ RETIRED = [
     ("fock", "operator_norm"),
     ("fock", "gram_matrix"),
     ("fock", "kernel_to_csv"),  # the CLI writes kernel_matrix.csv with write_csv
-    ("subsystem", "step1_positive"),  # step1_obstacle(zeta, n) is None
+    ("subsystem", "step1_positive"),  # witness_step1(zeta, n) returns a Step1Witness, not an obstacle
+    ("subsystem", "step1_obstacle"),  # witness_step1 returns the obstacle string
+    ("subsystem", "step1_witness_or_obstacle"),  # witness_step1 returns the witness or the obstacle
 ]
 
 

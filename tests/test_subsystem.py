@@ -18,8 +18,6 @@ from fockindex.subsystem import (
     index_homomorphism_residuals,
     index_representative,
     membership,
-    step1_obstacle,
-    step1_witness_or_obstacle,
     theta_check,
     witness_step1,
 )
@@ -127,20 +125,22 @@ class TestWitness:
         assert witness.max_identity_residual <= 1e-12
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            witness_step1(piecewise_linear(GRID, [(0.0, -0.5), (1.0, 1.0)]), 1)  # not positive below n
+        # inside the domain, but no witness: the obstacle comes back as the answer
+        negative = piecewise_linear(GRID, [(0.0, -0.5), (1.0, 1.0)])
+        assert witness_step1(negative, 1) == "zeta is not strictly positive below n"
+        dip = piecewise_linear(GridSpec(2, 10), [[0.0, -3000.0], [1.0, 1.0]])
+        assert witness_step1(dip, 1) == "zeta is not strictly positive below n"
         tiny = piecewise_linear(GRID, [(0.0, 1e-20), (1.0, 1.0)])  # positive, but b0 below the reciprocal floor
-        assert "reciprocal floor" in step1_obstacle(tiny, 1)
-        with pytest.raises(DomainError, match="reciprocal floor"):
-            witness_step1(tiny, 1)
-        with pytest.raises(ValueError):
+        assert witness_step1(tiny, 1) == "b0 = zeta(s)...zeta(s+n-1) falls to 1.000e-20, below the reciprocal floor 1e-14"
+        # outside the domain
+        with pytest.raises(DomainError):
             witness_step1(exp_approach(GRID, 1.0, 1.0), 2)  # never exactly 1
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             witness_step1(constant(GRID, 1), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             witness_step1(constant(GRID, 1.0 + 0.5j), 2)  # complex
         short = GridSpec(4, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             witness_step1(constant(short, 1), 2)  # S < 2n
 
     @pytest.mark.parametrize(
@@ -153,10 +153,8 @@ class TestWitness:
         ids=["complex", "never_exactly_one", "grid_shorter_than_2n"],
     )
     def test_obstacle_and_witness_share_one_domain(self, zeta, n):
-        grid = GridSpec(2, 10)
-        for step1 in (step1_obstacle, witness_step1, step1_witness_or_obstacle):
-            with pytest.raises(DomainError):
-                step1(zeta(grid), n)
+        with pytest.raises(DomainError):
+            witness_step1(zeta(GridSpec(2, 10)), n)
 
     def test_inverse_pair(self):
         zeta = piecewise_linear(GRID, [(0.0, 0.2), (1.0, 0.6), (4.0, 1.0)])
@@ -168,16 +166,8 @@ class TestWitness:
         s = GRID.points()
         zeta = AlgebraElement(GRID, np.where(s < 1, 1000.0, 1.0 + 5e-13).astype(complex), 1.0 + 5e-13)
         negative = AlgebraElement(GRID, np.where(s < 1, -1000.0, 1.0 + 5e-13).astype(complex), 1.0 + 5e-13)
-        assert step1_obstacle(zeta, 1) is None and "not strictly positive" in step1_obstacle(negative, 1)
+        assert witness_step1(negative, 1) == "zeta is not strictly positive below n"
         assert 1e-12 < witness_step1(zeta, 1).max_identity_residual < 1e-6
-
-    def test_witness_or_obstacle_agrees_with_both(self):
-        tiny = piecewise_linear(GRID, [(0.0, 1e-20), (1.0, 1.0)])
-        assert step1_witness_or_obstacle(tiny, 1) == step1_obstacle(tiny, 1)
-        zeta = piecewise_linear(GRID, [(0.0, 0.2), (1.0, 0.6), (4.0, 1.0)])
-        found, witness = step1_witness_or_obstacle(zeta, 4), witness_step1(zeta, 4)
-        assert found.max_identity_residual == witness.max_identity_residual
-        assert np.array_equal(found.b1.samples, witness.b1.samples) and found.b1.tail == witness.b1.tail
 
 
 class TestConvexify:
