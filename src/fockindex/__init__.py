@@ -56,7 +56,6 @@ from .unit_algebra import (
     boxplus_right,
     default_probe_units,
     dual_path_residual,
-    equivalent,
     index_norm,
     left_mul,
     power_beta,

@@ -77,10 +77,6 @@ class GridSpec:
             raise ValueError(f"domain_end must be a positive integer, got {self.domain_end!r}")
 
     @property
-    def step(self) -> float:
-        return 1.0 / self.step_denominator
-
-    @property
     def size(self) -> int:
         """Number of samples, S*m + 1."""
         return self.domain_end * self.step_denominator + 1
@@ -174,13 +170,6 @@ class AlgebraElement:
     def coordinates(self) -> np.ndarray:
         """The coordinate vector (samples..., tail), length grid.dim."""
         return np.concatenate([self.samples, [self.tail]])
-
-    @classmethod
-    def from_coordinates(cls, grid: GridSpec, coords: np.ndarray) -> "AlgebraElement":
-        coords = np.asarray(coords, dtype=complex)
-        if coords.shape != (grid.dim,):
-            raise ValueError(f"expected {grid.dim} coordinates, got shape {coords.shape}")
-        return cls(grid, coords[:-1], coords[-1])
 
     def value_at(self, t) -> complex:
         """Sample value at the grid-aligned point ``t``."""

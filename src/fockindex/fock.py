@@ -17,15 +17,16 @@ Operators come in two forms:
   weighted unit shift, stored in coordinate order as two coefficients per
   coordinate. Kernels and multiplication operators have this form, and
   so do their sums and their products with multiplication operators.
-- :class:`KernelOperator` holds everything else: exponentials, products
-  of two shifts, and whatever is mixed with them. T splits the samples
-  into m residue chains r, r+m, r+2m, ... that end in the shared tail,
-  and each such operator stores one (S+2) x (S+2) block per chain (see
-  its docstring for the slots). An exponential is one batched
-  scaling-and-squaring over the m blocks. A weighted shift turns into
-  chain blocks when it meets a chain operator or another shift, or when
-  it is exponentiated, and then only once scaled.
+- :class:`KernelOperator` holds the exponentials and their sums and
+  products. T splits the samples into m residue chains r, r+m, r+2m, ...
+  that end in the shared tail, and each such operator stores one
+  (S+2) x (S+2) block per chain (see its docstring for the slots). An
+  exponential is one batched scaling-and-squaring over the m blocks. A
+  weighted shift becomes chain blocks only when it is viewed dense, or
+  exponentiated, and then only once scaled.
 
+Each form combines only with its own kind, and two shifts multiply only
+when one is a multiplication operator; anything else raises TypeError.
 Arithmetic in either form is exact.
 
 :func:`semigroups` takes exp(tL) for many times t at once, and
@@ -62,8 +63,7 @@ part is at most 2 rel_tol: no other term can pass the test (see
 
 BLAS audit: the only BLAS or LAPACK calls whose results reach a report
 all run in numpy's bundled OpenBLAS: np.matmul on chain blocks (zgemm) in
-:meth:`KernelOperator.__matmul__`, the chain-block fallback of
-:meth:`WeightedShift.__matmul__`, :func:`_square` and the Taylor loop, by
+:meth:`KernelOperator.__matmul__`, :func:`_square` and the Taylor loop, by
 a coordinate column (zgemv) in :meth:`KernelOperator.apply`, and
 np.linalg.eigvalsh (LAPACK) in :func:`gram_psd_check`. On a host whose
 :func:`blas_core` is SkylakeX, at (4, 40) with one thread, forcing the
@@ -216,8 +216,9 @@ def _clear_pads(blocks: np.ndarray) -> np.ndarray:
 class _Operator:
     """Arithmetic and the dense view shared by the two operator forms, each
     a frozen dataclass of ``grid`` and the array that ``_field`` names.
-    Operands of different forms are combined on :attr:`blocks` into a
-    :class:`KernelOperator`, and :meth:`to_dense` reads the blocks too."""
+    Sums and differences take two operands of the same form; an operand of
+    the other form gives NotImplemented, so Python raises TypeError.
+    :meth:`to_dense` reads :attr:`blocks`."""
 
     _field = ""
 
@@ -243,10 +244,10 @@ class _Operator:
             raise GridMismatchError("operands live on different grids")
 
     def _pointwise(self, op, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
-        if type(other) is type(self):
-            return self._wrap(self.grid, op(getattr(self, self._field), getattr(other, self._field)))
-        return KernelOperator._wrap(self.grid, op(self.blocks, other.blocks))
+        return self._wrap(self.grid, op(getattr(self, self._field), getattr(other, self._field)))
 
     def __add__(self, other):
         return self._pointwise(np.add, other)
@@ -286,10 +287,10 @@ class KernelOperator(_Operator):
     tail, a sink whose row holds only its own diagonal entry, the same in
     every block. Chain 0 fills slots 0..S. Chains r >= 1 have S samples in
     slots 1..S, so their slot 0 is a pad whose row and column are exactly
-    zero, in every stored operator. Kernels, multiplication operators, and
-    their sums, products and exponentials all have this form, so the
-    block-wise arithmetic is exact. Arrays passed in are checked, copied
-    and frozen.
+    zero, in every stored operator. The exponentials of kernels have this
+    form, and so do their sums and products, so the block-wise arithmetic
+    is exact; it takes no :class:`WeightedShift` operand. Arrays passed in
+    are checked, copied and frozen.
     """
 
     grid: GridSpec
@@ -310,16 +311,9 @@ class KernelOperator(_Operator):
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 
-    @classmethod
-    def identity(cls, grid: GridSpec) -> "KernelOperator":
-        m, chain, _ = _block_shape(grid)
-        return cls._wrap(grid, _clear_pads(np.tile(np.eye(chain, dtype=complex), (m, 1, 1))))
-
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "KernelOperator":
-        return cls._wrap(grid, np.zeros(_block_shape(grid), dtype=complex))
-
     def __matmul__(self, other: "KernelOperator") -> "KernelOperator":
+        if not isinstance(other, KernelOperator):
+            return NotImplemented
         self._check(other)
         return KernelOperator._wrap(self.grid, np.matmul(self.blocks, other.blocks))
 
@@ -370,9 +364,8 @@ class WeightedShift(_Operator):
     ``bands`` has shape (2, dim) over the coordinates (samples..., tail):
     band 0 holds a and band 1 holds w. Band 1 is zero at the tail, which
     feeds only itself. The form is closed under sums, scalar multiples and
-    products with a multiplication operator on either side; any other
-    product is computed on :attr:`blocks`. Arrays passed in are checked,
-    copied and frozen.
+    products with a multiplication operator on either side, and takes no
+    other product. Arrays passed in are checked, copied and frozen.
     """
 
     grid: GridSpec
@@ -396,7 +389,7 @@ class WeightedShift(_Operator):
 
     @property
     def blocks(self) -> np.ndarray:
-        """The chain blocks of :class:`KernelOperator`: a on the diagonal, w right of it."""
+        """Chain blocks, a on the diagonal and w right of it, for :meth:`to_dense` and :func:`matrix_exponential`."""
         block, slot = _chain_layout(self.grid)
         blocks = np.zeros(_block_shape(self.grid), dtype=complex)
         blocks[block, slot, slot] = self.bands[0, :-1]
@@ -408,18 +401,20 @@ class WeightedShift(_Operator):
     def __matmul__(self, other):
         """D_a (D_d + D_w T) scales rows: D_{ad} + D_{aw} T. (D_d + D_w T) D_a
         scales columns: D_{da} + D_{w Ta} T, band 1 taking a at the next
-        coordinate. Any other product is taken on chain blocks."""
+        coordinate. Any other product, of two general shifts or with a
+        chain operator, gives NotImplemented, so Python raises TypeError."""
+        if not isinstance(other, WeightedShift):
+            return NotImplemented
         self._check(other)
-        if isinstance(other, WeightedShift):
-            if not self.bands[1].any():
-                return WeightedShift._wrap(self.grid, self.bands[0] * other.bands)
-            if not other.bands[1].any():
-                a = other.bands[0]
-                bands = np.zeros_like(self.bands)
-                bands[0] = self.bands[0] * a
-                bands[1, :-1] = self.bands[1, :-1] * a[_next_index(self.grid)]
-                return WeightedShift._wrap(self.grid, bands)
-        return KernelOperator._wrap(self.grid, np.matmul(self.blocks, other.blocks))
+        if not self.bands[1].any():
+            return WeightedShift._wrap(self.grid, self.bands[0] * other.bands)
+        if not other.bands[1].any():
+            a = other.bands[0]
+            bands = np.zeros_like(self.bands)
+            bands[0] = self.bands[0] * a
+            bands[1, :-1] = self.bands[1, :-1] * a[_next_index(self.grid)]
+            return WeightedShift._wrap(self.grid, bands)
+        return NotImplemented
 
     def apply(self, b: AlgebraElement) -> AlgebraElement:
         self._check(b)
@@ -587,7 +582,9 @@ def _scaled_key(shift: WeightedShift) -> tuple[float, int, bytes]:
 
 def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE) -> dict:
     """exp(t * kernel(u, v)) for every t >= 0 in ``times``, taken block by
-    block and keyed by float(t).
+    block and keyed by float(t). A NaN or negative time raises DomainError
+    before any work, +inf after every finite time, so that a law residual
+    whose two huge times sum to +inf reports their overflow (ValueError).
 
     The times are taken in ascending order, so the squaring count s(t)
     never falls. A time whose scaled stack (tL) 2^-s(t) equals that of an
@@ -602,13 +599,15 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
     """
     times = sorted({float(t) for t in times})
     for t in times:
-        if t < 0:
-            raise DomainError(f"time must be nonnegative, got {t}")
+        if not t >= 0:  # a NaN too, which would leave the times unsorted
+            raise DomainError(f"time must be finite and nonnegative, got {t}")
     generator = kernel(u, v)
     exps: dict = {}
     latest: dict = {}  # scaled bands -> (squarings, latest exponential)
     with np.errstate(over="ignore", invalid="ignore"):  # matrix_exponential rejects what overflows
         for t in times:
+            if t == math.inf:  # the last time, so a finite one that overflows raises first
+                raise DomainError(f"time must be finite and nonnegative, got {t}")
             shift = WeightedShift._wrap(u.grid, t * generator.bands)
             norm, squarings, key = _scaled_key(shift)
             earlier, operator = latest.get(key, (squarings, None))

@@ -108,7 +108,10 @@ def _eventually_one_from(zeta: AlgebraElement) -> int | None:
 
 
 def membership(u: FockUnit, tol: float = MEMBERSHIP_TOLERANCE) -> MembershipReport:
-    """Classify a unit: member iff |lim zeta - 1| <= tol. beta is ignored."""
+    """Classify a unit: member iff |lim zeta - 1| <= tol. beta is ignored.
+    A tolerance that is NaN, infinite or negative raises DomainError."""
+    if not 0 <= tol < np.inf:
+        raise DomainError(f"membership tolerance must be finite and nonnegative, got {tol!r}")
     limit = u.zeta.limit_at_infinity()
     distance = abs(limit - 1.0)
     in_e = distance <= tol

@@ -39,7 +39,6 @@ __all__ = [
     "semi_inner_adjoint_residual",
     "coefficients_sum_to_one",
     "index_norm",
-    "equivalent",
     "dual_path_residual",
 ]
 
@@ -79,14 +78,6 @@ class ReferencedUnit:
     @property
     def grid(self) -> GridSpec:
         return self.unit.grid
-
-    @property
-    def zeta(self) -> AlgebraElement:
-        return self.unit.zeta
-
-    @property
-    def beta(self) -> AlgebraElement:
-        return self.unit.beta
 
     def cross_kernel(self, probe: FockUnit) -> WeightedShift:
         if self._cross is None:
@@ -208,9 +199,11 @@ def boxplus_right(
 
 def _signed_kernels(lefts, rights) -> WeightedShift:
     """sum_i sum_j s_i s_j K(u_i, v_j) over signed units (s_i, u_i) and
-    (s_j, v_j), s = +-1, summed row by row from the first term."""
+    (s_j, v_j), s = +-1, summed row by row from the first term. The first
+    unit of each side must carry +1, as it does for every caller, so the
+    sum starts from the first kernel itself."""
     terms = [(si * sj, kernel(u, v)) for si, u in lefts for sj, v in rights]
-    total = terms[0][1] if terms[0][0] > 0 else -terms[0][1]
+    total = terms[0][1]
     for sign, term in terms[1:]:
         total = total + term if sign > 0 else total - term
     return total
@@ -301,23 +294,6 @@ def index_norm(x: ReferencedUnit) -> float:
     null space the index quotients out."""
     one = constant(x.grid, 1.0)
     return float(np.sqrt(semi_inner(x, x, one).sup_norm()))
-
-
-def equivalent(x: ReferencedUnit, y: ReferencedUnit, tol: float) -> bool:
-    """Whether x and y agree in the index quotient: index_norm(x - y) <= tol.
-
-    The index distance must coincide with the sup distance of the zeta
-    parameters; a disagreement beyond rounding indicates an internal
-    inconsistency and raises.
-    """
-    _check_same_reference(x, y)
-    distance = index_norm(subtract(x, y))
-    parameter_distance = (x.unit.zeta - y.unit.zeta).sup_norm()
-    if abs(distance - parameter_distance) > 1e-9 * (1.0 + parameter_distance):
-        raise RuntimeError(
-            f"index distance {distance:.3e} disagrees with parameter distance {parameter_distance:.3e}"
-        )
-    return distance <= tol
 
 
 def dual_path_residual(x: ReferencedUnit, probes: Sequence[FockUnit]) -> float:

@@ -35,7 +35,6 @@ class TestGridSpec:
     def test_counts(self):
         assert GRID.size == 161
         assert GRID.dim == 162
-        assert GRID.step == 0.25
         np.testing.assert_allclose(GRID.points()[:3], [0.0, 0.25, 0.5])
 
     @pytest.mark.parametrize("m,S", [(0, 4), (-1, 4), (4, 0), (2.5, 4), (4, 1.5)])
@@ -91,7 +90,8 @@ class TestConstruction:
 
     def test_coordinates_roundtrip(self):
         b = element([1, 2, 3, 4, 5, 6, 7], 7)
-        back = AlgebraElement.from_coordinates(SMALL, b.coordinates)
+        coords = b.coordinates
+        back = AlgebraElement(SMALL, coords[:-1], coords[-1])
         assert np.array_equal(back.samples, b.samples)
         assert back.tail == b.tail
 

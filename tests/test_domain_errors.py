@@ -17,6 +17,7 @@ from fockindex.subsystem import (
     convergence_report,
     convexify,
     index_representative,
+    membership,
     witness_step1,
 )
 from fockindex.unit_algebra import add, boxplus_left, wrap
@@ -68,6 +69,10 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         lambda: convergence_report(ONE, 1.0, [4, 2]),  # ns not strictly increasing
         lambda: convergence_report(ONE, 1.0, [4, 4]),
         lambda: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, []),  # no truncation point
+        # times and tolerances that are not finite and >= 0
+        lambda: semigroups(XI, XI, [float("nan")]),
+        lambda: semigroups(XI, XI, [float("inf")]),
+        lambda: membership(XI, float("nan")),
     ],
 )
 def test_out_of_domain_inputs_raise_domain_error(call):

@@ -9,7 +9,6 @@ import scipy.linalg
 from fockindex.algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, constant
 from fockindex.fock import (
     FockUnit,
-    KernelOperator,
     NParticleVector,
     UnsupportedParameterError,
     generator_unit,
@@ -25,6 +24,7 @@ from fockindex.fock import (
     vacuum_unit,
 )
 from fockindex.presets import exp_approach, exp_decay
+from test_chain_operators import identity_operator, zero_operator
 
 GRID = GridSpec(4, 25)
 
@@ -112,12 +112,12 @@ class TestKernel:
 class TestKernelOperatorAlgebra:
     def test_identity_and_zero(self):
         b = exp_approach(GRID, 1.0, 1.0)
-        assert (KernelOperator.identity(GRID).apply(b) - b).sup_norm() == 0.0
-        assert KernelOperator.zero(GRID).apply(b).sup_norm() == 0.0
+        assert (identity_operator(GRID).apply(b) - b).sup_norm() == 0.0
+        assert zero_operator(GRID).apply(b).sup_norm() == 0.0
 
     def test_norm_examples(self):
-        assert KernelOperator.identity(GRID).operator_norm() == 1.0
-        assert ((-2.5 + 0j) * KernelOperator.identity(GRID)).operator_norm() == 2.5
+        assert identity_operator(GRID).operator_norm() == 1.0
+        assert ((-2.5 + 0j) * identity_operator(GRID)).operator_norm() == 2.5
 
     def test_multiplication_operator(self):
         a = exp_decay(GRID, 1.0, 1.0, 0.5)
@@ -152,7 +152,7 @@ class TestSemigroup:
     def test_time_zero_is_identity(self):
         rng = np.random.default_rng(13)
         u, v = random_unit(rng), random_unit(rng)
-        assert (semigroup(u, v, 0.0) - KernelOperator.identity(GRID)).operator_norm() == 0.0
+        assert (semigroup(u, v, 0.0) - identity_operator(GRID)).operator_norm() == 0.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ class TestSemigroup:
     def test_vacuum_semigroup_is_identity(self):
         omega = vacuum_unit(GRID)
         for t in (0.5, 1.7):
-            assert (semigroup(omega, omega, t) - KernelOperator.identity(GRID)).operator_norm() == 0.0
+            assert (semigroup(omega, omega, t) - identity_operator(GRID)).operator_norm() == 0.0
 
 
 class TestComponents:

@@ -118,8 +118,9 @@ def away_from_gaps(stack, tol):
 
 
 def elements(grid, stack):
+    """The entries of a (dim, k, k) stack as elements, one per coordinate column."""
     k = stack.shape[-1]
-    return [[AlgebraElement.from_coordinates(grid, stack[:, i, j].copy()) for j in range(k)] for i in range(k)]
+    return [[AlgebraElement(grid, stack[:-1, i, j], stack[-1, i, j]) for j in range(k)] for i in range(k)]
 
 
 def outcome(check):

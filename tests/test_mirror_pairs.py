@@ -229,8 +229,8 @@ def element_bytes(e):
 
 
 def assert_same_unit(got, expected, probes):
-    assert element_bytes(got.zeta) == element_bytes(expected.zeta)
-    assert element_bytes(got.beta) == element_bytes(expected.beta)
+    assert element_bytes(got.unit.zeta) == element_bytes(expected.unit.zeta)
+    assert element_bytes(got.unit.beta) == element_bytes(expected.unit.beta)
     assert got.self_kernel().bands.tobytes() == expected.self_kernel().bands.tobytes()
     for probe in probes:
         assert got.cross_kernel(probe).bands.tobytes() == expected.cross_kernel(probe).bands.tobytes()

@@ -29,6 +29,19 @@ RETIRED = [
     ("subsystem", "step1_positive"),  # witness_step1(zeta, n) returns a Step1Witness, not an obstacle
     ("subsystem", "step1_obstacle"),  # witness_step1 returns the obstacle string
     ("subsystem", "step1_witness_or_obstacle"),  # witness_step1 returns the witness or the obstacle
+    ("unit_algebra", "equivalent"),  # index_norm(subtract(x, y)) is the index distance
+]
+
+# Attributes retired from the classes that keep them, as (module, class, name).
+RETIRED_ATTRIBUTES = [
+    ("unit_algebra", "ReferencedUnit", "parameter_kernel"),
+    ("unit_algebra", "ReferencedUnit", "zeta"),  # x.unit.zeta
+    ("unit_algebra", "ReferencedUnit", "beta"),  # x.unit.beta
+    ("fock", "GramReport", "json_entries"),
+    ("fock", "KernelOperator", "identity"),
+    ("fock", "KernelOperator", "zero"),
+    ("algebra", "AlgebraElement", "from_coordinates"),
+    ("algebra", "GridSpec", "step"),
 ]
 
 
@@ -67,13 +80,6 @@ def test_retired_names_are_gone(short, name):
         exec(f"from fockindex import {name}", {})
 
 
-def test_parameter_kernel_is_retired():
-    from fockindex.unit_algebra import ReferencedUnit
-
-    assert not hasattr(ReferencedUnit, "parameter_kernel")
-
-
-def test_gram_json_entries_is_retired():
-    from fockindex.fock import GramReport
-
-    assert not hasattr(GramReport, "json_entries")
+@pytest.mark.parametrize("short, cls, name", RETIRED_ATTRIBUTES)
+def test_retired_attributes_are_gone(short, cls, name):
+    assert not hasattr(getattr(importlib.import_module(f"fockindex.{short}"), cls), name)
