@@ -58,6 +58,13 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_tolerance(value, name: str) -> None:
+    """Raise DomainError unless the tolerance ``value`` is finite and
+    nonnegative; a NaN is neither."""
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [0, S] with step 1/m, plus one slot for the tail.
@@ -256,19 +263,19 @@ class AlgebraElement:
         """The C*-norm: max of |value| over all samples and the tail."""
         return float(max(np.abs(self.samples).max(), abs(self.tail)))
 
-    def is_positive(self, tol: float = POSITIVITY_TOLERANCE) -> bool:
-        """True iff every value has |imag| <= tol and real part >= -tol."""
+    def is_positive(self) -> bool:
+        """True iff every value has |imag| and -real part at most POSITIVITY_TOLERANCE."""
         coords = self.coordinates
-        return bool((np.abs(coords.imag) <= tol).all() and (coords.real >= -tol).all())
+        return bool((np.abs(coords.imag) <= POSITIVITY_TOLERANCE).all() and (coords.real >= -POSITIVITY_TOLERANCE).all())
 
     def limit_at_infinity(self) -> complex:
         return self.tail
 
-    def reciprocal(self, min_modulus: float = RECIPROCAL_FLOOR) -> "AlgebraElement":
-        """Pointwise inverse; fails if any value is within min_modulus of 0."""
+    def reciprocal(self) -> "AlgebraElement":
+        """Pointwise inverse; fails if any value is within RECIPROCAL_FLOOR of 0."""
         coords = self.coordinates
         small = np.abs(coords).min()
-        if small < min_modulus:
+        if small < RECIPROCAL_FLOOR:
             raise DomainError(f"element is not invertible: min |value| = {small:.3e}")
         return AlgebraElement._wrap(self.grid, 1.0 / self.samples, 1.0 / self.tail)
 

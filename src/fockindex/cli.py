@@ -36,6 +36,7 @@ from .fock import (
 from .presets import PresetError, from_spec
 from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, Pcg64Draws, random_element, random_unit, run_selftest
 from .subsystem import (
+    CONVEXIFY_DELTA,
     TRUNCATION_NS,
     ConvergenceRow,
     convergence_report,
@@ -193,7 +194,7 @@ _DEFAULTS = {
     "witness": {
         "zeta": {"kind": "piecewise_linear", "knots": [[0.0, 0.5], [1.0, 1.0]]},
         "n": 1,
-        "delta": 0.1,
+        "delta": CONVEXIFY_DELTA,
         "probes": default_probe_units,
     },
     "approx": {"zeta": _APPROACH, "ns": _truncation_ns, "t": 1.0, "probe": None},

@@ -80,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, _is_count, constant
+from .algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, _is_count, _require_tolerance, constant
 
 __all__ = [
     "UnsupportedParameterError",
@@ -491,9 +491,11 @@ def matrix_exponential(matrix, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
     The input is scaled by a power of two until its row-sum norm is at
     most 1/2, the series is summed until the next term falls below
     ``rel_tol`` relative to the running sum, and the result is squared
-    back up. Norms are taken over the whole stack, so the diagonal blocks
-    of a block-diagonal matrix get the scaling and the number of terms the
-    whole matrix would. Deterministic for fixed input. Raises ValueError
+    back up. A ``rel_tol`` that is NaN, infinite or negative raises
+    DomainError before any work; at 0 only an exactly zero term stops the
+    series, so most inputs end in RuntimeError. Norms are taken over the
+    whole stack, so the diagonal blocks of a block-diagonal matrix get the
+    scaling and the number of terms the whole matrix would. Deterministic for fixed input. Raises ValueError
     on non-finite input and when the result overflows. The series runs in
     place (see the module docstring for why its bits do not change).
 
@@ -523,6 +525,7 @@ def matrix_exponential(matrix, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
     or |imaginary part|. So a term with a part above 2 rel_tol has
     ||term|| > 2 rel_tol >= rel_tol ||sum|| and fails the test.
     """
+    _require_tolerance(rel_tol, "Taylor tolerance rel_tol")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises ValueError below instead
         if isinstance(matrix, WeightedShift):
             norm, squarings, bands = _scaled_bands(matrix)
@@ -582,9 +585,11 @@ def _scaled_key(shift: WeightedShift) -> tuple[float, int, bytes]:
 
 def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE) -> dict:
     """exp(t * kernel(u, v)) for every t >= 0 in ``times``, taken block by
-    block and keyed by float(t). A NaN or negative time raises DomainError
-    before any work, +inf after every finite time, so that a law residual
-    whose two huge times sum to +inf reports their overflow (ValueError).
+    block and keyed by float(t). A ``rel_tol`` that is NaN, negative or
+    +inf, or a time that is NaN or negative, raises DomainError before any
+    work; a time of +inf raises it after every finite time, so that a law
+    residual whose two huge times sum to +inf reports their overflow
+    (ValueError).
 
     The times are taken in ascending order, so the squaring count s(t)
     never falls. A time whose scaled stack (tL) 2^-s(t) equals that of an
@@ -597,6 +602,7 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
     stack; a fresh exponential adds at most four while it runs, and a
     squaring one.
     """
+    _require_tolerance(rel_tol, "Taylor tolerance rel_tol")
     times = sorted({float(t) for t in times})
     for t in times:
         if not t >= 0:  # a NaN too, which would leave the times unsorted
@@ -621,9 +627,9 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
     return exps
 
 
-def semigroup(u: FockUnit, v: FockUnit, t: float, rel_tol: float = TAYLOR_TOLERANCE) -> KernelOperator:
-    """exp(t * kernel(u, v)) for t >= 0, taken block by block."""
-    return semigroups(u, v, [t], rel_tol=rel_tol)[float(t)]
+def semigroup(u: FockUnit, v: FockUnit, t: float) -> KernelOperator:
+    """exp(t * kernel(u, v)) for t >= 0, taken block by block at TAYLOR_TOLERANCE."""
+    return semigroups(u, v, [t])[float(t)]
 
 
 def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE, extra_times=()) -> tuple[float, dict]:
@@ -691,7 +697,9 @@ class GramReport:
 def gram_psd_check(grid: GridSpec, gram: np.ndarray, tol: float) -> GramReport:
     """Check that the (grid.dim, k, k) stack ``gram`` of numeric matrices
     [G_ij(s)] is PSD at every grid point and at the tail, up to ``tol``;
-    it must be Hermitian up to tol at every coordinate."""
+    it must be Hermitian up to tol at every coordinate. A ``tol`` that is
+    NaN, infinite or negative raises DomainError."""
+    _require_tolerance(tol, "gram tolerance")
     k = np.shape(gram)[-1] if np.ndim(gram) else 0
     if not k or np.shape(gram) != (grid.dim, k, k):
         raise ValueError(f"gram must be a ({grid.dim}, k, k) stack with k >= 1, got shape {np.shape(gram)}")

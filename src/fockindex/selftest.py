@@ -4,11 +4,12 @@ checked at its pinned tolerance against independently computed values.
 Each criterion returns one or more :class:`CheckResult` rows; the CLI
 prints them one per line and the test suite asserts them individually.
 Most expected values are computed inline with plain numpy (or closed
-forms), never through the code path under test. Criteria 3, 6 and 11
-instead check that two code paths of the calculus agree: exp((s+t)L)
-against exp(sL) exp(tL), the formula path of each bimodule operation
-against its parameter path, and the representative of an operation's
-result against the same operation on the representatives.
+forms), never through the code path under test. Criteria 1, 3, 6 and 11
+instead check that two code paths of the calculus agree: the semi-inner
+product against the module inner product of one-particle components,
+exp((s+t)L) against exp(sL) exp(tL), the formula path of each bimodule
+operation against its parameter path, and the representative of an
+operation's result against the same operation on the representatives.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .fock import (
     gram_matrices,
     gram_psd_check,
     kernel,
+    module_inner,
     semigroup_law_residual,
+    unit_component,
     vacuum_unit,
 )
 from .presets import exp_approach, exp_decay, inverse_decay, piecewise_linear
@@ -236,16 +239,18 @@ def _random_member(rng, grid: GridSpec) -> FockUnit:
 
 
 def criterion_inner_product_identity(grid: GridSpec, seed: int) -> list[CheckResult]:
-    """<u(z,b), u(z',b')> at b = 1 relative to the vacuum reduces to
-    conj(z) * z' entrywise."""
+    """<u(z,b), u(z',b')> at b = 1 relative to the vacuum reduces to the
+    module inner product of the one-particle components, conj(z) * z'
+    entrywise."""
     rng = Pcg64Draws(seed)
     omega = vacuum_unit(grid)
-    one = constant(grid, 1.0)
+    zero, one = constant(grid, 0.0), constant(grid, 1.0)
     worst = 0.0
     for _ in range(10):
         u, v = random_unit(rng, grid), random_unit(rng, grid)
         got = semi_inner(wrap(u, omega), wrap(v, omega), one).coordinates
-        expected = np.conj(u.zeta.coordinates) * v.zeta.coordinates
+        x, y = (unit_component(FockUnit(w.zeta, zero), 1) for w in (u, v))  # one-particle components of u(z, 0), u(z', 0)
+        expected = module_inner(x, y).coordinates
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return [_result("inner-product identity at b=1 (vacuum reference)", worst, 1e-12)]
 
@@ -438,9 +443,14 @@ def criterion_conjugation_witness(grid: GridSpec, seed: int) -> list[CheckResult
     return results
 
 
-def _negative_dip_zeta(grid: GridSpec, n: int = 8) -> AlgebraElement:
+# Where the negative-dip zeta of criteria 8 and 10 becomes exactly 1.
+_DIP_END = 8
+
+
+def _negative_dip_zeta(grid: GridSpec) -> AlgebraElement:
+    """1 - 2e^{-s} below _DIP_END, negative near 0, and 1 from there on."""
     s = grid.points()
-    samples = np.where(s < n, 1.0 - 2.0 * np.exp(-s), 1.0).astype(complex)
+    samples = np.where(s < _DIP_END, 1.0 - 2.0 * np.exp(-s), 1.0).astype(complex)
     return AlgebraElement(grid, samples, 1.0)
 
 
@@ -448,7 +458,7 @@ def criterion_convexified_kernel_equality(grid: GridSpec, seed: int) -> list[Che
     """The convexified detour reproduces the kernels of a unit whose zeta
     dips negative near 0."""
     del seed
-    residual = theta_check(_negative_dip_zeta(grid), 8)
+    residual = theta_check(_negative_dip_zeta(grid), _DIP_END)
     return [_result("convexified-combination kernel equality", residual, DEFAULT_TOLERANCES["theta"])]
 
 

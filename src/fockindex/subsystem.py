@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import RECIPROCAL_FLOOR, AlgebraElement, DomainError, _is_count, constant
+from .algebra import RECIPROCAL_FLOOR, AlgebraElement, DomainError, _is_count, _require_tolerance, constant
 from .fock import FockUnit, generator_unit, kernel, semigroup, unit_component, left_action, vacuum_unit
 from .presets import exp_approach, exp_decay
 from .unit_algebra import (
@@ -38,6 +38,7 @@ __all__ = [
     "INDEX_SUP_TOLERANCE",
     "CONVERGENCE_THRESHOLD",
     "TRUNCATION_NS",
+    "CONVEXIFY_DELTA",
     "NotAMemberError",
     "WitnessKind",
     "MembershipReport",
@@ -54,7 +55,6 @@ __all__ = [
     "index_representative",
     "index_homomorphism_residuals",
     "centrality_check",
-    "default_centrality_probes",
 ]
 
 MEMBERSHIP_TOLERANCE = 1e-9
@@ -63,6 +63,7 @@ REALNESS_TOLERANCE = 1e-12
 INDEX_SUP_TOLERANCE = 1e-10  # |index distance - sup distance| of a truncation
 CONVERGENCE_THRESHOLD = 0.05  # bound on every distance at the last truncation point
 TRUNCATION_NS = (2, 4, 6, 8, 10)  # truncation points of the default convergence table
+CONVEXIFY_DELTA = 0.1  # the default floor of convexify's combination, for theta_check and the witness command
 DYADIC_DEPTH = 10
 MIN_PIVOT = 1e-8  # smallest |zeta(n)| a truncation approximant divides by
 CENTRALITY_TOLERANCE = 1e-10  # largest shift obstruction a central unit may show
@@ -110,8 +111,7 @@ def _eventually_one_from(zeta: AlgebraElement) -> int | None:
 def membership(u: FockUnit, tol: float = MEMBERSHIP_TOLERANCE) -> MembershipReport:
     """Classify a unit: member iff |lim zeta - 1| <= tol. beta is ignored.
     A tolerance that is NaN, infinite or negative raises DomainError."""
-    if not 0 <= tol < np.inf:
-        raise DomainError(f"membership tolerance must be finite and nonnegative, got {tol!r}")
+    _require_tolerance(tol, "membership tolerance")
     limit = u.zeta.limit_at_infinity()
     distance = abs(limit - 1.0)
     in_e = distance <= tol
@@ -220,7 +220,7 @@ def theta_check(
     zeta: AlgebraElement,
     n: int,
     probes: Sequence[FockUnit] | None = None,
-    delta: float = 0.1,
+    delta: float = CONVEXIFY_DELTA,
 ) -> float:
     """Kernel residual of the convexified detour: combine the convexified
     unit with the generator using coefficients (1/alpha, 1 - 1/alpha) and
@@ -296,12 +296,14 @@ def convergence_report(
     distances, and the kernel distance against a probe unit (by default
     u(1 + e^{-s}/2, 0.3)). All columns must be nonincreasing and end below
     the target threshold. ``ns`` must be strictly increasing, so that
-    "nonincreasing" reads along refinement.
+    "nonincreasing" reads along refinement, and the threshold finite and
+    nonnegative.
     """
     if len(ns) == 0:
         raise DomainError("ns must hold at least one truncation point; an empty one would check nothing")
     if any(later <= earlier for earlier, later in zip(ns, ns[1:])):
         raise DomainError(f"ns must be strictly increasing, got {list(ns)}")
+    _require_tolerance(target_threshold, "target threshold")
     grid = zeta.grid
     report = membership(FockUnit(zeta, constant(grid, 0.0)), membership_tol)
     if not report.in_E:
@@ -371,7 +373,7 @@ def index_homomorphism_residuals(
     }
 
 
-def default_centrality_probes(grid) -> list[AlgebraElement]:
+def _centrality_probes(grid) -> list[AlgebraElement]:
     """Strictly monotone probes; their unit shift differs from them at
     every grid point, which is what exposes non-central units."""
     return [
@@ -381,11 +383,9 @@ def default_centrality_probes(grid) -> list[AlgebraElement]:
     ]
 
 
-def centrality_check(u: FockUnit, probes: Sequence[AlgebraElement] | None = None) -> bool:
+def centrality_check(u: FockUnit) -> bool:
     """Whether the shift obstruction shift(b, 1)*zeta - b*zeta stays below
-    CENTRALITY_TOLERANCE for every probe b. Members always fail against a strictly
-    monotone probe; zeta = 0 passes vacuously."""
-    if probes is None:
-        probes = default_centrality_probes(u.grid)
-    zeta = u.zeta
+    CENTRALITY_TOLERANCE for every strictly monotone probe b. Members always
+    fail; zeta = 0 passes vacuously."""
+    probes, zeta = _centrality_probes(u.grid), u.zeta
     return all(((b.shift(1) - b) * zeta).sup_norm() <= CENTRALITY_TOLERANCE for b in probes)

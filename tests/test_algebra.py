@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockindex.algebra import (
+    POSITIVITY_TOLERANCE,
+    RECIPROCAL_FLOOR,
     AlgebraElement,
+    DomainError,
     GridMismatchError,
     GridSpec,
     UnresolvedTailWarning,
@@ -213,9 +216,11 @@ class TestNorms:
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, rhs)
 
     def test_is_positive(self):
-        assert constant(SMALL, 1).is_positive(1e-10)
-        assert not constant(SMALL, -1).is_positive(1e-10)
-        assert not constant(SMALL, 1j).is_positive(1e-10)
+        assert constant(SMALL, 1).is_positive()
+        assert constant(SMALL, complex(-POSITIVITY_TOLERANCE, POSITIVITY_TOLERANCE)).is_positive()
+        assert not constant(SMALL, -1).is_positive()
+        assert not constant(SMALL, 1j).is_positive()
+        assert not constant(SMALL, -2 * POSITIVITY_TOLERANCE).is_positive()
 
     def test_limit_at_infinity(self):
         assert constant(SMALL, 2 - 1j).limit_at_infinity() == 2 - 1j
@@ -275,6 +280,11 @@ class TestReciprocal:
         with pytest.raises(ValueError):
             constant(SMALL, 0).reciprocal()
 
+    def test_floor_is_the_least_modulus_inverted(self):
+        assert constant(SMALL, RECIPROCAL_FLOOR).reciprocal().tail == 1 / RECIPROCAL_FLOOR
+        with pytest.raises(DomainError):
+            constant(SMALL, np.nextafter(RECIPROCAL_FLOOR, 0.0)).reciprocal()
+
 
 class TestFiniteFastPath:
     """Elements that the arithmetic computes skip the shape check and the
@@ -289,7 +299,7 @@ class TestFiniteFastPath:
             lambda h: h * 1e200,
             lambda h: (h * 1e108) + (h * 1e108),
             lambda h: (h * 1e108) - (h * -1e108),
-            lambda h: resolved([5e-324] * SMALL.size).reciprocal(min_modulus=0.0),
+            lambda h: 1e308 - (h * -1e108),
             lambda h: multiplication_operator(h).apply(h),
             lambda h: kernel(FockUnit(h, h), FockUnit(h, h)).apply(h),
         ],

@@ -43,19 +43,17 @@ NEVER_CALLED = {
     "cli._integer_in": _IMPORT,
     "cli._list_of": _IMPORT,
     "fock.blas_core": "BLAS provenance for the diagnostics of ROADMAP item 3",
-    "fock.module_inner": "the paper's module inner product, a candidate paper role (ROADMAP item 11)",
 }
 
 
-def defined_functions() -> dict:
-    """(file, first line) -> module.qualname of every def in the package."""
-    found = {}
+def function_defs() -> list:
+    """(file, def node, module.qualname) of every def in the package."""
+    found = []
 
     def visit(node, path, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-                found[(str(path), first)] = f"{path.stem}.{prefix}{child.name}"
+                found.append((path, child, f"{path.stem}.{prefix}{child.name}"))
                 visit(child, path, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 visit(child, path, f"{prefix}{child.name}.")
@@ -65,6 +63,14 @@ def defined_functions() -> dict:
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
     return found
+
+
+def defined_functions() -> dict:
+    """(file, first line) -> module.qualname of every def in the package."""
+    return {
+        (str(path), min([node.lineno, *(d.lineno for d in node.decorator_list)])): name
+        for path, node, name in function_defs()
+    }
 
 
 @pytest.mark.filterwarnings("ignore::fockindex.algebra.UnresolvedTailWarning")

@@ -9,7 +9,16 @@ import pytest
 from fockindex import selftest
 from fockindex.algebra import DomainError, GridMismatchError, GridSpec, constant
 from fockindex.cli import ConfigError, parse_config
-from fockindex.fock import FockUnit, UnsupportedParameterError, gram_matrices, matrix_exponential, semigroups, unit_component
+from fockindex.fock import (
+    FockUnit,
+    UnsupportedParameterError,
+    gram_matrices,
+    gram_psd_check,
+    matrix_exponential,
+    semigroup_law_residual,
+    semigroups,
+    unit_component,
+)
 from fockindex.presets import PresetError, exp_approach, from_spec, piecewise_linear
 from fockindex.subsystem import (
     NotAMemberError,
@@ -73,6 +82,18 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         lambda: semigroups(XI, XI, [float("nan")]),
         lambda: semigroups(XI, XI, [float("inf")]),
         lambda: membership(XI, float("nan")),
+        # the Taylor tolerance, before any work: NaN and -1 would run 64 terms, +inf stop after one
+        lambda: matrix_exponential(np.eye(2), float("nan")),
+        lambda: semigroups(XI, XI, [1.0], rel_tol=-1.0),
+        lambda: semigroups(XI, XI, [1.0], rel_tol=float("inf")),
+        lambda: semigroup_law_residual(XI, XI, [0.5], rel_tol=float("nan")),
+        # thresholds that would read as a failed check
+        lambda: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, [2], target_threshold=float("nan")),
+        lambda: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, [2], target_threshold=float("inf")),
+        lambda: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, [2], target_threshold=-1.0),
+        lambda: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), float("nan")),
+        lambda: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), float("inf")),
+        lambda: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), -1.0),
     ],
 )
 def test_out_of_domain_inputs_raise_domain_error(call):

@@ -29,6 +29,7 @@ RETIRED = [
     ("subsystem", "step1_positive"),  # witness_step1(zeta, n) returns a Step1Witness, not an obstacle
     ("subsystem", "step1_obstacle"),  # witness_step1 returns the obstacle string
     ("subsystem", "step1_witness_or_obstacle"),  # witness_step1 returns the witness or the obstacle
+    ("subsystem", "default_centrality_probes"),  # centrality_check always takes the same three probes
     ("unit_algebra", "equivalent"),  # index_norm(subtract(x, y)) is the index distance
 ]
 

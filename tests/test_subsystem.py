@@ -10,7 +10,9 @@ from fockindex.fock import FockUnit, generator_unit
 from fockindex.presets import exp_approach, exp_decay, inverse_decay, piecewise_linear
 from fockindex.unit_algebra import add, left_mul, right_mul, semi_inner, wrap
 from fockindex.subsystem import (
+    CENTRALITY_TOLERANCE,
     WitnessKind,
+    _centrality_probes,
     approximate,
     centrality_check,
     convergence_report,
@@ -340,8 +342,11 @@ class TestCentrality:
         assert centrality_check(unit(constant(GRID, 0), constant(GRID, 0.7)))
 
     def test_generator_fails_against_exponential_probe(self):
-        probe = exp_decay(GRID, 1.0, 1.0, 0.0)
-        assert not centrality_check(generator_unit(GRID), [probe])
+        """Each of the check's exponential probes alone obstructs the generator."""
+        xi = generator_unit(GRID)
+        for probe in _centrality_probes(GRID):
+            assert ((probe.shift(1) - probe) * xi.zeta).sup_norm() > CENTRALITY_TOLERANCE
+        assert not centrality_check(xi)
 
     def test_members_fail_default_battery(self):
         members = [
