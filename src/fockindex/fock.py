@@ -31,13 +31,12 @@ Arithmetic in either form is exact.
 
 :func:`semigroups` takes exp(tL) for many times t at once, and
 :func:`semigroup` is its one-time case. :func:`matrix_exponential` takes
-a dense matrix, a stack of them or a weighted shift, and semigroups
-passes it tL as a weighted shift. The exponential scales tL by 2^-s(t),
-with s(t) the least count that brings the row-sum norm to 1/2 or below,
-sums a Taylor series of the scaled stack and squares the sum s(t) times.
-For a weighted shift it reads the norm from the bands and builds the
-scaled stack straight from the scaled bands, with the bits the chain
-blocks would give (see :func:`matrix_exponential`). At its peak it holds
+tL as a weighted shift. It scales tL by 2^-s(t), with s(t) the least
+count that brings the row-sum norm to 1/2 or below, sums a Taylor series
+of the scaled chain stack and squares the sum s(t) times. It reads the
+norm from the bands and builds the scaled stack straight from the scaled
+bands, with the bits the chain blocks would give (see
+:func:`matrix_exponential`). At its peak it holds
 four chain stacks: the scaled stack, the sum and two term buffers. The
 squarings run in the sum and one term buffer, and every row-sum norm of
 a chain stack is taken one chain block at a time.
@@ -185,8 +184,8 @@ def unit_component(u: FockUnit, n: int) -> NParticleVector:
         raise UnsupportedParameterError("components are only available for units with beta = 0")
     if not _is_count(n) or n < 0:
         raise ValueError(f"particle count must be a nonnegative integer, got {n!r}")
-    value = constant(u.grid, 1.0)
-    for k in range(n):
+    value = u.zeta if n else constant(u.grid, 1.0)
+    for k in range(1, n):
         value = value * u.zeta.shift(k)
     return NParticleVector(int(n), value)
 
@@ -482,32 +481,31 @@ def _square(result: np.ndarray, norm: float, out: np.ndarray | None = None) -> n
     return result
 
 
-def matrix_exponential(matrix, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
-    """Scaling-and-squaring exponential with a truncated Taylor series, of
-    one square matrix or of each matrix of a stack of shape (..., d, d),
-    or of a :class:`WeightedShift`, whose exponential comes back as chain
-    blocks of shape (m, S+2, S+2).
+def matrix_exponential(shift: WeightedShift, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
+    """Scaling-and-squaring exponential with a truncated Taylor series of a
+    :class:`WeightedShift`, returned as chain blocks of shape (m, S+2, S+2).
+    Any other input raises TypeError.
 
-    The input is scaled by a power of two until its row-sum norm is at
+    The shift is scaled by a power of two until its row-sum norm is at
     most 1/2, the series is summed until the next term falls below
     ``rel_tol`` relative to the running sum, and the result is squared
     back up. A ``rel_tol`` that is NaN, infinite or negative raises
     DomainError before any work; at 0 only an exactly zero term stops the
     series, so most inputs end in RuntimeError. Norms are taken over the
-    whole stack, so the diagonal blocks of a block-diagonal matrix get the
-    scaling and the number of terms the whole matrix would. Deterministic for fixed input. Raises ValueError
-    on non-finite input and when the result overflows. The series runs in
-    place (see the module docstring for why its bits do not change).
+    whole stack, so every chain block gets the scaling and the number of
+    terms of the whole operator. Deterministic for fixed input. Raises
+    ValueError on non-finite input and when the result overflows. The
+    series runs in place (see the module docstring for why its bits do
+    not change).
 
-    A weighted shift gives the bits of its chain blocks
-    :attr:`WeightedShift.blocks`, which are never built unscaled. Its
+    The result has the bits of the plain loop on the chain blocks
+    :attr:`WeightedShift.blocks`, which are never built unscaled. The
     row-sum norm is read from the bands: a block row has at most the two
     nonzeros a and w, so its float row sum is |a| + |w| in any order. The
     scaled stack is built from the bands times 2^-s, the very products of
     the on-band block entries times 2^-s, and every other entry is +0 in
-    both. ``test_band_scaling_is_the_block_scaling`` and
-    ``test_shift_exponential_is_the_block_exponential`` in
-    ``tests/test_chain_operators.py`` check both bit for bit.
+    both. ``test_band_scaling_is_the_block_scaling`` and the reference
+    tests in ``tests/test_chain_operators.py`` check both bit for bit.
 
     The working set is the scaled stack, the sum and two term buffers
     while the series runs; the squarings then run in the sum and one term
@@ -525,18 +523,12 @@ def matrix_exponential(matrix, rel_tol: float = TAYLOR_TOLERANCE) -> np.ndarray:
     or |imaginary part|. So a term with a part above 2 rel_tol has
     ||term|| > 2 rel_tol >= rel_tol ||sum|| and fails the test.
     """
+    if not isinstance(shift, WeightedShift):
+        raise TypeError(f"matrix_exponential takes a WeightedShift, got {type(shift).__name__}")
     _require_tolerance(rel_tol, "Taylor tolerance rel_tol")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises ValueError below instead
-        if isinstance(matrix, WeightedShift):
-            norm, squarings, bands = _scaled_bands(matrix)
-            scaled = WeightedShift._wrap(matrix.grid, bands).blocks
-        else:
-            a = np.asarray(matrix, dtype=complex)
-            if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-                raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-            norm = _inf_norm(a)
-            squarings = _scaling(norm)
-            scaled = a * math.ldexp(1.0, -squarings)
+        norm, squarings, bands = _scaled_bands(shift)
+        scaled = WeightedShift._wrap(shift.grid, bands).blocks
         d = scaled.shape[-1]
         result = np.zeros(scaled.shape, dtype=complex)
         result.reshape(-1, d * d)[:, :: d + 1] = 1.0
@@ -575,14 +567,6 @@ def blas_core() -> str:
     return "unknown"
 
 
-def _scaled_key(shift: WeightedShift) -> tuple[float, int, bytes]:
-    """The row-sum norm of tL, given as a weighted shift, its squaring
-    count s(t) and the bytes of the scaled bands (tL) 2^-s(t): the key
-    under which :func:`semigroups` reuses an exponential."""
-    norm, squarings, bands = _scaled_bands(shift)
-    return norm, squarings, bands.tobytes()
-
-
 def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE) -> dict:
     """exp(t * kernel(u, v)) for every t >= 0 in ``times``, taken block by
     block and keyed by float(t). A ``rel_tol`` that is NaN, negative or
@@ -615,7 +599,8 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
             if t == math.inf:  # the last time, so a finite one that overflows raises first
                 raise DomainError(f"time must be finite and nonnegative, got {t}")
             shift = WeightedShift._wrap(u.grid, t * generator.bands)
-            norm, squarings, key = _scaled_key(shift)
+            norm, squarings, scaled = _scaled_bands(shift)
+            key = scaled.tobytes()
             earlier, operator = latest.get(key, (squarings, None))
             if operator is None or squarings > earlier:
                 blocks = matrix_exponential(shift, rel_tol=rel_tol) if operator is None else operator.blocks
@@ -639,7 +624,7 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAY
     taken by one :func:`semigroups` call.
 
     Two kinds of pair are skipped, as their residual is 0.0 to the bit.
-    A pair (s, s) whose 2sL has the scaled key of sL and one squaring
+    A pair (s, s) whose 2sL has the scaled bands of sL and one squaring
     more: :func:`semigroups` built exp(2sL) as exactly the product
     exp(sL) exp(sL). And a pair with a zero time: exp(0L) is the identity
     to the bit, so its product with X has the entries of X, up to the
@@ -652,8 +637,9 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAY
     bands = kernel(u, v).bands
     worst = 0.0
     for s in times:
-        _, squarings, key = _scaled_key(WeightedShift._wrap(u.grid, s * bands))
-        squared = _scaled_key(WeightedShift._wrap(u.grid, (s + s) * bands))[1:] == (squarings + 1, key)
+        _, squarings, scaled = _scaled_bands(WeightedShift._wrap(u.grid, s * bands))
+        _, doubled, scaled_2s = _scaled_bands(WeightedShift._wrap(u.grid, (s + s) * bands))
+        squared = doubled == squarings + 1 and scaled_2s.tobytes() == scaled.tobytes()
         for t in times:
             if s != 0.0 and t != 0.0 and not (t == s and squared):
                 worst = max(worst, _inf_norm(exps[s + t].blocks, (exps[s] @ exps[t]).blocks))

@@ -79,12 +79,15 @@ def piecewise_linear(grid: GridSpec, knots) -> AlgebraElement:
     """Linear interpolation through (s, value) knots, constant past the last.
 
     Before the first knot the value is the first knot's; after the last it
-    is the last knot's, which also becomes the tail.
+    is the last knot's, which also becomes the tail. The knot positions s
+    must be finite and strictly increasing.
     """
     if not knots:
         raise PresetError("piecewise_linear needs at least one knot")
     xs = [_number(k[0]) for k in knots]
     vs = [as_complex(k[1]) for k in knots]
+    if not np.isfinite(xs).all():
+        raise PresetError(f"piecewise_linear knots must have finite s, got {xs}")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise PresetError("piecewise_linear knots must have strictly increasing s")
     s = grid.points()
@@ -156,7 +159,7 @@ def load_csv(grid: GridSpec, path) -> AlgebraElement:
     The header row must read ``s,re,im,tail=<value>``; the declared tail
     becomes the element's limit at infinity. Every other row but a blank
     one holds exactly the three cells, and the s column must match the
-    grid points exactly.
+    grid points to 1e-9; a NaN or infinite s matches none.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -177,7 +180,7 @@ def load_csv(grid: GridSpec, path) -> AlgebraElement:
     except ValueError:  # a cell that is not a number; the rows before it parse
         parsed = next(k for k, row in enumerate(body) if not all(map(_is_number, row)))
         values = np.array(body[:parsed], dtype=float).reshape(parsed, 3)
-    off_grid = np.flatnonzero(np.abs(values[:, 0] - points[:parsed]) > 1e-9)
+    off_grid = np.flatnonzero(~(np.abs(values[:, 0] - points[:parsed]) <= 1e-9))  # a NaN s too
     if off_grid.size:
         k = off_grid[0]
         raise PresetError(f"{path}: row {k + 2} has s={float(values[k, 0])}, expected grid point {points[k]}")

@@ -1,6 +1,7 @@
 """Chain-block kernel operators and weighted shifts against dense matrices
 built here from the unit formulas, against each other, and against
-scipy's expm."""
+scipy's expm. The exponential of a weighted shift is held to the plain
+loop ``reference_exponential`` on its chain blocks, bit for bit."""
 
 import math
 import platform
@@ -121,7 +122,7 @@ def test_semigroup_matches_dense_exponential(grid, seed):
     u, v = random_unit(rng, grid), random_unit(rng, grid)
     t = rng.uniform(0.0, 1.0)
     operator = semigroup(u, v, t)
-    assert gap(operator.to_dense(), matrix_exponential(t * dense_kernel(u, v))) <= TOL
+    assert gap(operator.to_dense(), reference_exponential(t * dense_kernel(u, v))) <= TOL
     assert np.all(operator.blocks[1:, 0, :] == 0) and np.all(operator.blocks[1:, :, 0] == 0)
 
 
@@ -135,13 +136,15 @@ def test_semigroup_against_scipy_on_large_grid():
         assert gap(semigroup(u, v, t).to_dense(), expected) <= 1e-12
 
 
-def test_stacked_exponential_against_scipy():
+def test_shift_exponential_against_scipy():
     rng = np.random.default_rng(3)
-    stack = rng.uniform(-1, 1, (4, 6, 6)) + 1j * rng.uniform(-1, 1, (4, 6, 6))
-    got = matrix_exponential(stack)
-    assert got.shape == stack.shape
-    for block, expected in zip(got, (scipy.linalg.expm(a) for a in stack)):
-        assert gap(block, expected) <= 1e-11 * np.max(np.abs(expected))
+    for grid in (GridSpec(4, 4), GridSpec(1, 10), GridSpec(3, 1)):
+        for scale in (0.3, 1.0, 3.0):
+            shift = random_shift(rng, grid, scale)
+            expected = scipy.linalg.expm(shift.to_dense())
+            got = exponential_operator(shift)
+            assert got.blocks.shape == fock._block_shape(grid)
+            assert gap(got.to_dense(), expected) <= 1e-11 * np.max(np.abs(expected))
 
 
 class TestPads:
@@ -180,21 +183,30 @@ class TestPads:
             KernelOperator(self.GRID, np.eye(self.GRID.dim))
 
 
+def shift_with(grid, entries):
+    """The zero shift of ``grid`` with ``entries``, {(band, coordinate):
+    value}, set."""
+    bands = np.zeros((2, grid.dim), dtype=complex)
+    for index, value in entries.items():
+        bands[index] = value
+    return WeightedShift(grid, bands)
+
+
 class TestNonFinite:
+    GRID = GridSpec(2, 1)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
     def test_rejected_before_scaling(self, value):
-        matrix = np.zeros((3, 3), dtype=complex)
-        matrix[1, 2] = value
-        with pytest.raises(ValueError):
-            matrix_exponential(matrix)
+        with pytest.raises(ValueError, match="cannot exponentiate|NaN"):
+            matrix_exponential(shift_with(self.GRID, {(1, 1): value}))
 
     def test_row_sum_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.full((2, 2), 1e308))
+        with pytest.raises(ValueError, match="cannot exponentiate"):
+            matrix_exponential(shift_with(self.GRID, {(0, 1): 1e308, (1, 1): 1e308}))
 
     def test_finite_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
-            matrix_exponential(np.array([[1e300]]))
+            matrix_exponential(shift_with(self.GRID, {(0, -1): 1e300}))
 
     def test_large_time_rejected(self):
         grid = GridSpec(2, 5)
@@ -303,11 +315,21 @@ def test_skipped_zero_time_pairs_have_residual_zero(pair, times):
         assert (exps[t] - exps[t] @ exps[0.0]).operator_norm() == 0.0, t
 
 
+def times_kernel(u, v, t):
+    """tL as a weighted shift, its bands the products semigroups takes."""
+    return WeightedShift(u.grid, t * kernel(u, v).bands)
+
+
+def exponential_operator(shift):
+    """matrix_exponential(shift), pads cleared, through the checked constructor."""
+    blocks = matrix_exponential(shift)
+    blocks[1:, 0, 0] = 0.0
+    return KernelOperator(shift.grid, blocks)
+
+
 def fresh_exponential(u, v, t):
     """exp(tL) as one call of matrix_exponential, pads cleared."""
-    blocks = matrix_exponential(t * kernel(u, v).blocks)
-    blocks[1:, 0, 0] = 0.0
-    return blocks
+    return exponential_operator(times_kernel(u, v, t)).blocks
 
 
 DOUBLING = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -396,7 +418,7 @@ def test_overflowing_time_raises_the_same_error(monkeypatch, times):
     grid = GridSpec(2, 5)
     u = FockUnit(constant(grid, 2.0), constant(grid, 0.0))
     with pytest.raises(ValueError) as fresh:
-        matrix_exponential(times[-1] * kernel(u, u).blocks)
+        matrix_exponential(times_kernel(u, u, times[-1]))
     calls = count_exponentials(monkeypatch)
     with pytest.raises(ValueError) as shared:
         fock.semigroups(u, u, times)
@@ -447,7 +469,7 @@ def test_exponential_working_set():
     stack = np.zeros(fock._block_shape(grid), dtype=complex)
     shift = 1.7 * kernel(*large_pair(grid))
     assert fock._scaling(shift.operator_norm()) >= 2
-    expected = matrix_exponential(shift.blocks)
+    expected = reference_exponential(shift.blocks)
     matrix_exponential(shift)  # layout caches
     result, peak = traced_peak(lambda: matrix_exponential(shift))
     assert result.tobytes() == expected.tobytes()
@@ -571,7 +593,9 @@ class TestWeightedShiftConstruction:
 
 
 # The exponential before its Taylor loop ran in place, verbatim, as the
-# reference the in-place loop must match byte for byte.
+# reference the in-place loop must match byte for byte. It takes any square
+# matrix or stack of them; matrix_exponential takes a weighted shift, and
+# is held to the reference on the shift's chain blocks.
 
 
 def reference_inf_norm(matrix: np.ndarray) -> float:
@@ -619,9 +643,9 @@ def reference_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndar
     return result
 
 
-def assert_same_exponential(a, rel_tol=1e-12):
-    expected = reference_exponential(a, rel_tol)
-    got = matrix_exponential(a, rel_tol)
+def assert_same_exponential(shift, rel_tol=1e-12):
+    expected = reference_exponential(shift.blocks, rel_tol)
+    got = matrix_exponential(shift, rel_tol)
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
 
@@ -634,45 +658,60 @@ def random_stack(rng, shape, scale):
     return a
 
 
+def random_shift(rng, grid, scale, bands=(0, 1)):
+    """A weighted shift whose ``bands`` hold random_stack entries; any
+    other band is zero."""
+    entries = np.zeros((2, grid.dim), dtype=complex)
+    entries[list(bands)] = random_stack(rng, (len(bands), grid.dim), scale)
+    entries[1, -1] = 0.0
+    return WeightedShift(grid, entries)
+
+
 @on_small_grids
 def test_in_place_exponential_is_byte_identical_to_the_reference(grid, seed):
     rng = np.random.default_rng(seed)
-    u, v = random_unit(rng, grid), random_unit(rng, grid)
-    generator = kernel(u, v)
+    generator = kernel(random_unit(rng, grid), random_unit(rng, grid))
     for t in (0.0, rng.uniform(0.0, 0.5), rng.uniform(0.5, 4.0), rng.uniform(4.0, 60.0)):
-        assert_same_exponential(t * generator.blocks)
-        assert_same_exponential(t * dense_kernel(u, v))  # 2-D input
-    d = grid.domain_end + 2
+        assert_same_exponential(WeightedShift(grid, t * generator.bands))
     for scale in (1e-3, 0.3, 3.0):
         rel_tol = 10.0 ** rng.uniform(-16, -4)
-        assert_same_exponential(random_stack(rng, (grid.step_denominator, d, d), scale), rel_tol)
-        assert_same_exponential(np.triu(random_stack(rng, (d, d), scale)), rel_tol)
+        assert_same_exponential(random_shift(rng, grid, scale), rel_tol)
+        assert_same_exponential(random_shift(rng, grid, scale, bands=(1,)), rel_tol)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 5, 5), (2, 3, 2, 2)])
+@pytest.mark.parametrize("shape", [(1, 3, 3), (3, 3, 3), (4, 5, 5), (2, 7, 7)])
 def test_zero_stack_gives_the_identity_of_the_reference(shape):
-    assert_same_exponential(np.zeros(shape))
-    assert_same_exponential(np.full(shape, complex(-0.0, -0.0)))
-    identity = matrix_exponential(np.zeros(shape))
+    """The zero shift whose chain stack has ``shape``, and the shift whose
+    every entry is -0."""
+    grid = GridSpec(shape[0], shape[-1] - 2)
+    assert_same_exponential(WeightedShift.zero(grid))
+    assert_same_exponential(WeightedShift(grid, np.full((2, grid.dim), complex(-0.0, -0.0))))
+    identity = matrix_exponential(WeightedShift.zero(grid))
     assert np.array_equal(identity, np.broadcast_to(np.eye(shape[-1]), shape))
     assert identity.flags.writeable
 
 
 def test_subnormal_entries_match_the_reference():
-    a = np.zeros((2, 3, 3), dtype=complex)
-    a[0, 0, 1] = complex(3.5e-323, -5e-324)
-    assert_same_exponential(a)
-    a[1, 1, 2] = 0.9
-    a[1, 2, 2] = complex(0.0, -2.0)
-    assert_same_exponential(a)
-    assert_same_exponential(np.array([[5e-324]]))
+    grid = GridSpec(2, 1)
+    entries = {(1, 0): complex(3.5e-323, -5e-324)}
+    assert_same_exponential(shift_with(grid, entries))
+    entries.update({(1, 1): 0.9, (0, 3): complex(0.0, -2.0)})
+    assert_same_exponential(shift_with(grid, entries))
+    assert_same_exponential(shift_with(grid, {(0, -1): 5e-324}))
 
 
-def taylor_norms(a, terms=None):
-    """Per Taylor term of the reference on ``a``: the term norm, the norm
-    of the sum, 1 + the sum of the term norms, and the largest |real or
-    imaginary part| of the term; up to the default stop, or for ``terms``
-    terms."""
+def constant_shift(value, grid=GridSpec(1, 1)):
+    """value times the identity, as a weighted shift: every Taylor term is
+    its own largest part."""
+    return multiplication_operator(constant(grid, value))
+
+
+def taylor_norms(shift, terms=None):
+    """Per Taylor term of the reference on the chain blocks of ``shift``:
+    the term norm, the norm of the sum, 1 + the sum of the term norms, and
+    the largest |real or imaginary part| of the term; up to the default
+    stop, or for ``terms`` terms."""
+    a = shift.blocks
     _, squarings = reference_scaling(a)
     scaled = a * math.ldexp(1.0, -squarings)
     term = result = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
@@ -694,22 +733,23 @@ def contraction_stack():
     grid = GridSpec(3, 6)
     zeta = AlgebraElement(grid, np.linspace(0.9, 0.2, grid.size).astype(complex), 0.2)
     beta = constant(grid, complex(-0.8, 0.3))
-    return 0.7 * kernel(FockUnit(zeta, beta), FockUnit(zeta, constant(grid, -0.5))).blocks
+    return WeightedShift(grid, 0.7 * kernel(FockUnit(zeta, beta), FockUnit(zeta, constant(grid, -0.5))).bands)
 
 
 def stop_stacks():
-    """The contraction; exp(1/2) as a 1 x 1 matrix, whose terms are their
+    """The contraction; exp(1/2) times the identity, whose terms are their
     own largest parts and whose sum is the largest a scaled stack allows;
-    a kernel stack with a unit tail entry; and random complex stacks, full
-    and upper triangular, below and above the 1/2 that needs no squaring."""
+    a kernel with a unit tail entry; and random complex shifts, with both
+    bands and with band 1 alone, below and above the 1/2 that needs no
+    squaring."""
     rng = np.random.default_rng(3)
     grid = GridSpec(2, 5)
     yield contraction_stack()
-    yield np.array([[0.5]])
-    yield 0.9 * kernel(random_unit(rng, grid), generator_unit(grid)).blocks
+    yield constant_shift(0.5)
+    yield WeightedShift(grid, 0.9 * kernel(random_unit(rng, grid), generator_unit(grid)).bands)
     for scale in (0.02, 0.3):
-        yield random_stack(rng, (2, 6, 6), scale)
-        yield np.triu(random_stack(rng, (6, 6), scale))
+        yield random_shift(rng, grid, scale)
+        yield random_shift(rng, grid, scale, bands=(1,))
 
 
 def test_stop_at_the_bound_matches_the_reference():
@@ -754,23 +794,24 @@ def test_zero_tolerance_matches_the_reference():
     """With rel_tol = 0 only a term that is exactly zero stops the series:
     a nilpotent stack stops, and any other runs out of terms on both sides."""
     rng = np.random.default_rng(4)
-    nilpotent = np.triu(random_stack(rng, (3, 7, 7), 0.4), 1)
+    nilpotent = random_shift(rng, GridSpec(3, 5), 0.4, bands=(1,))
     assert_same_exponential(nilpotent, 0.0)
-    for a in (contraction_stack(), np.array([[0.3]])):
+    for a in (contraction_stack(), constant_shift(0.3)):
         with pytest.raises(RuntimeError):
-            reference_exponential(a, 0.0)
+            reference_exponential(a.blocks, 0.0)
         with pytest.raises(RuntimeError):
             matrix_exponential(a, 0.0)
 
 
 def test_the_tolerance_floor_converges():
     """At TAYLOR_TOLERANCE_FLOOR the series stops within its 64 terms, with
-    the reference's bits, on the 1 x 1 stacks -1/2 and 1/2: terms of the
+    the reference's bits, on -1/2 and 1/2 times the identity: terms of the
     largest norm a scaled stack allows, over the smallest and the largest
     sum."""
-    for a in (np.array([[-0.5]]), np.array([[0.5]])):
+    for value in (-0.5, 0.5):
+        a = constant_shift(value)
         assert_same_exponential(a, fock.TAYLOR_TOLERANCE_FLOOR)
-        assert abs(matrix_exponential(a, fock.TAYLOR_TOLERANCE_FLOOR)[0, 0] - math.exp(a[0, 0])) <= 1e-15
+        assert abs(matrix_exponential(a, fock.TAYLOR_TOLERANCE_FLOOR)[0, 0, 0] - math.exp(value)) <= 1e-15
 
 
 NORM_ENTRIES = st.one_of(
@@ -849,9 +890,12 @@ def test_stop_when_the_sum_norm_rounds_above_the_bound():
     at which the reference stops there: the stop lands on that term, the
     first at which the test of the sum holds."""
     rng = np.random.default_rng(0)
+    grid = GridSpec(1, 1)
     cases = 0
     for _ in range(200):
-        a = np.triu(rng.uniform(0.0, 1.0, (3, 3))) * rng.uniform(0.1, 0.5)
+        bands = rng.uniform(0.0, 1.0, (2, grid.dim)) * rng.uniform(0.1, 0.5)
+        bands[1, -1] = 0.0
+        a = WeightedShift(grid, bands)
         for term_norm, sum_norm, bound, _ in taylor_norms(a, terms=8):
             if sum_norm <= bound:
                 continue
@@ -866,10 +910,10 @@ def test_stop_when_the_sum_norm_rounds_above_the_bound():
     assert cases >= 3
 
 
-def exponential_or_error(matrix):
-    """The bytes of matrix_exponential(matrix), or the message it raises."""
+def exponential_or_error(exponential, argument):
+    """The bytes of exponential(argument), or the message it raises."""
     try:
-        return matrix_exponential(matrix).tobytes()
+        return exponential(argument).tobytes()
     except ValueError as error:
         return str(error)
 
@@ -877,7 +921,7 @@ def exponential_or_error(matrix):
 @on_small_grids
 def test_shift_exponential_is_the_block_exponential(grid, seed):
     """The exponential of a weighted shift, which reads its norm from the
-    bands and builds only the scaled stack, has the bytes of the
+    bands and builds only the scaled stack, has the bytes of the reference
     exponential of its chain blocks, or raises the same message: at t = 0
     on bands with negative parts (-0 entries), at subnormal scales, at
     norms one ulp around 2^j, where log2 may round down, and at times
@@ -901,8 +945,8 @@ def test_shift_exponential_is_the_block_exponential(grid, seed):
         growing = [t * kernel(doubling, doubling).bands for t in (200.0, 1e3, 1e300, 1e308)]
         for bands in [t * bands for t in times for bands in signs] + [mixed, *growing]:
             shift = WeightedShift(grid, bands)
-            outcomes.append(exponential_or_error(shift))
-            assert outcomes[-1] == exponential_or_error(shift.blocks)
+            outcomes.append(exponential_or_error(matrix_exponential, shift))
+            assert outcomes[-1] == exponential_or_error(reference_exponential, shift.blocks)
     messages = outcomes[-len(growing) :]
     assert all("overflows" in x for x in messages[:3]) and "cannot exponentiate" in messages[3]
 
@@ -918,6 +962,13 @@ REFERENCE_TESTS = (
     "test_zero_tolerance_matches_the_reference",
     "test_stop_when_the_sum_norm_rounds_above_the_bound",
 )
+
+
+def test_reference_tests_are_tests_of_this_module():
+    """A stale name in REFERENCE_TESTS would show only in the forced-core
+    child run, which runs on x86 alone."""
+    for name in REFERENCE_TESTS:
+        assert name.startswith("test_") and callable(globals().get(name)), name
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS x86 kernels only")

@@ -243,6 +243,8 @@ PRESET_GRID = {"grid": {"m": 2, "S": 1}}
         # ns out of order: a convergence table must read along refinement
         ("approx", {"ns": [10, 2]}),
         ("approx", {"ns": [4, 4]}),
+        # a knot at s = +inf, which once gave the constant first value
+        ("membership", {"zeta": {"kind": "piecewise_linear", "knots": [[0, 0.5], [float("inf"), 1.0]]}}),
     ],
 )
 def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fields):
@@ -308,6 +310,15 @@ def test_csv_cell_that_is_not_finite_is_a_config_error(tmp_path, capsys):
     status, _ = run(tmp_path, "membership", {**PRESET_GRID, "zeta": {"kind": "csv", "path": "zeta.csv"}})
     assert status == 2
     assert "samples must be finite" in capsys.readouterr().err
+
+
+def test_csv_s_that_is_nan_is_a_config_error(tmp_path, capsys):
+    lines = ["s,re,im,tail=1.0", "0.0,1.0,0.0", "nan,1.0,0.0", "1.0,1.0,0.0"]
+    (tmp_path / "zeta.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, out = run(tmp_path, "membership", {**PRESET_GRID, "zeta": {"kind": "csv", "path": "zeta.csv"}})
+    assert status == 2
+    assert "row 3 has s=nan, expected grid point 0.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tolerance_given_as_a_string_is_parsed(tmp_path):

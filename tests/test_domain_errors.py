@@ -12,6 +12,7 @@ from fockindex.cli import ConfigError, parse_config
 from fockindex.fock import (
     FockUnit,
     UnsupportedParameterError,
+    WeightedShift,
     gram_matrices,
     gram_psd_check,
     matrix_exponential,
@@ -83,7 +84,7 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         lambda: semigroups(XI, XI, [float("inf")]),
         lambda: membership(XI, float("nan")),
         # the Taylor tolerance, before any work: NaN and -1 would run 64 terms, +inf stop after one
-        lambda: matrix_exponential(np.eye(2), float("nan")),
+        lambda: matrix_exponential(WeightedShift.zero(GRID), float("nan")),
         lambda: semigroups(XI, XI, [1.0], rel_tol=-1.0),
         lambda: semigroups(XI, XI, [1.0], rel_tol=float("inf")),
         lambda: semigroup_law_residual(XI, XI, [0.5], rel_tol=float("nan")),
@@ -110,7 +111,7 @@ def test_domain_exceptions_are_domain_errors(cls):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: matrix_exponential(np.full((2, 2), np.inf)),  # non-finite input
+        lambda: matrix_exponential(WeightedShift(GRID, [[np.inf] * GRID.dim, [0.0] * GRID.dim])),  # non-finite input
         lambda: semigroups(FockUnit(constant(GRID, 2.0), ZERO), FockUnit(constant(GRID, 2.0), ZERO), [1e300]),  # overflow
     ],
 )

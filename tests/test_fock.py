@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fockindex.algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, constant
+from fockindex.algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, _is_count, constant
 from fockindex.fock import (
     FockUnit,
     NParticleVector,
     UnsupportedParameterError,
+    WeightedShift,
     generator_unit,
     gram_matrices,
     gram_psd_check,
@@ -24,7 +27,7 @@ from fockindex.fock import (
     vacuum_unit,
 )
 from fockindex.presets import exp_approach, exp_decay
-from test_chain_operators import identity_operator, zero_operator
+from test_chain_operators import exponential_operator, identity_operator, zero_operator
 
 GRID = GridSpec(4, 25)
 
@@ -127,25 +130,29 @@ class TestKernelOperatorAlgebra:
 
 class TestMatrixExponential:
     def test_zero_matrix(self):
-        assert np.array_equal(matrix_exponential(np.zeros((4, 4))), np.eye(4))
+        grid = GridSpec(1, 2)
+        assert np.array_equal(matrix_exponential(WeightedShift.zero(grid)), np.eye(4)[None])
 
     def test_against_scipy_random(self):
         rng = np.random.default_rng(11)
-        for size in (5, 30):
-            a = rng.uniform(-1, 1, (size, size)) + 1j * rng.uniform(-1, 1, (size, size))
-            got = matrix_exponential(a)
-            expected = scipy.linalg.expm(a)
-            assert np.max(np.abs(got - expected)) < 1e-11 * np.max(np.abs(expected))
+        for grid in (GridSpec(1, 3), GridSpec(4, 7)):
+            bands = rng.uniform(-1, 1, (2, grid.dim)) + 1j * rng.uniform(-1, 1, (2, grid.dim))
+            bands[1, -1] = 0.0
+            shift = WeightedShift(grid, bands)
+            expected = scipy.linalg.expm(shift.to_dense())
+            assert np.max(np.abs(exponential_operator(shift).to_dense() - expected)) < 1e-11 * np.max(np.abs(expected))
 
     def test_against_scipy_on_kernels(self):
         rng = np.random.default_rng(12)
         u, v = random_unit(rng), random_unit(rng)
-        a = 1.3 * kernel(u, v).to_dense()
-        assert np.max(np.abs(matrix_exponential(a) - scipy.linalg.expm(a))) < 1e-10
+        shift = 1.3 * kernel(u, v)
+        assert np.max(np.abs(exponential_operator(shift).to_dense() - scipy.linalg.expm(shift.to_dense()))) < 1e-10
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.zeros((2, 3)))
+    def test_rejects_anything_but_a_weighted_shift(self):
+        xi = generator_unit(GRID)
+        for operand in (np.zeros((4, 4)), np.zeros((2, 3)), kernel(xi, xi).blocks, identity_operator(GRID)):
+            with pytest.raises(TypeError, match="takes a WeightedShift"):
+                matrix_exponential(operand)
 
 
 class TestSemigroup:
@@ -323,3 +330,44 @@ class TestGram:
         assert len(report.entries) == GRID.dim
         assert report.entries[0] == {"grid_point": 0.0, "min_eigenvalue": 1.0}
         assert report.entries[-1]["grid_point"] == "tail"
+
+
+# -- unit_component before it started its product from zeta, verbatim ----------
+
+
+def reference_unit_component(u: FockUnit, n: int) -> NParticleVector:
+    """The n-particle component of a unit with beta = 0:
+    value(s) = zeta(s) * zeta(s+1) * ... * zeta(s+n-1); n = 0 gives 1."""
+    if (u.beta.samples != 0).any() or u.beta.tail != 0:
+        raise UnsupportedParameterError("components are only available for units with beta = 0")
+    if not _is_count(n) or n < 0:
+        raise ValueError(f"particle count must be a nonnegative integer, got {n!r}")
+    value = constant(u.grid, 1.0)
+    for k in range(n):
+        value = value * u.zeta.shift(k)
+    return NParticleVector(int(n), value)
+
+
+PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]), st.floats(-2.0, 2.0))
+
+
+@pytest.mark.filterwarnings("ignore::fockindex.algebra.UnresolvedTailWarning")
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_unit_component_is_the_old_product(m, end, data):
+    """Starting from zeta rather than 1 * zeta changes no value. Only the
+    sign of a zero part can differ, and only where a part of zeta is -0:
+    1 * (a + bi) is (a - 0b) + (b + 0a)i. A zeta without a -0 part gives
+    the old bytes."""
+    grid = GridSpec(m, end)
+    parts = data.draw(st.lists(PARTS, min_size=2 * grid.dim, max_size=2 * grid.dim))
+    coordinates = np.array(parts).view(complex)
+    zeta = AlgebraElement(grid, coordinates[:-1], complex(coordinates[-1]))
+    unit = FockUnit(zeta, constant(grid, 0.0))
+    negative_zero = any(part == 0 and math.copysign(1.0, part) < 0 for part in parts)
+    for n in range(end + 2):
+        got, expected = unit_component(unit, n), reference_unit_component(unit, n)
+        assert got.n == expected.n == n
+        assert np.array_equal(got.value.coordinates, expected.value.coordinates), n
+        if not negative_zero:
+            assert got.value.coordinates.tobytes() == expected.value.coordinates.tobytes(), n

@@ -1,6 +1,7 @@
 """Tests for preset builders and CSV input."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,9 @@ def test_piecewise_linear_bad_knots():
         piecewise_linear(GRID, [])
     with pytest.raises(PresetError):
         piecewise_linear(GRID, [(0.0, 1.0), (0.0, 2.0)])
+    for knots in ([(0.0, 0.5), (math.inf, 1.0)], [(-math.inf, 0.5), (0.0, 1.0)], [(0.0, 0.5), (math.nan, 1.0)]):
+        with pytest.raises(PresetError, match="finite s"):
+            piecewise_linear(GRID, knots)
 
 
 def test_from_spec_dispatch():
@@ -200,6 +204,7 @@ def test_load_csv_samples_match_the_per_row_parse_byte_for_byte(tmp_path_factory
         (["0.0,1", "0.6,1,0", "1.0,1,0"], "row 2 needs 3 columns, got ['0.0', '1']"),
         (["0.0,1,0", "", "0.5,1,0", "1.0,x,0"], "row 4 needs numbers in its first 3 columns, got ['1.0', 'x', '0']"),
         (["0.0,1,0", "0.7,1,0", "x,1,0"], "row 3 has s=0.7, expected grid point 0.5"),
+        (["0.0,1,0", "nan,1,0", "1.0,1,0"], "row 3 has s=nan, expected grid point 0.5"),
     ],
 )
 def test_load_csv_names_the_first_bad_row(tmp_path, rows, message):
