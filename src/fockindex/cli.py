@@ -3,8 +3,9 @@ JSON-configured command. Each handler returns its CSV tables and its one
 JSON report; :func:`main` alone writes them, once the handler has returned.
 
 Exit status: 0 when the report passed or has no verdict; 1 on a tolerance
-failure or a numerical failure, such as an exponential that overflows; 2
-on a configuration error, which includes an input outside a command's
+failure or a numerical failure, such as an exponential that overflows or
+any floating-point overflow in a command, which numpy raises; 2 on a
+configuration error, which includes an input outside a command's
 domain (any :class:`DomainError`), such as a witness zeta that is not
 eventually 1 at n, and on an output directory that cannot be written. A
 run that exits 2, or 1 on a numerical failure, creates no output directory.
@@ -516,11 +517,12 @@ def main(argv=None) -> int:
         config = parse_config(raw, base_dir)
         _reject_unknown(f"the config of {args.command!r}", raw, _command_keys(args.command))
         _reject_unknown(f"'tolerances' of {args.command!r}", raw.get("tolerances", {}), _TOLERANCES[args.command])
-        outputs = _HANDLERS[args.command](config, **_command_fields(config, args.command))
+        with np.errstate(over="raise", invalid="raise"):
+            outputs = _HANDLERS[args.command](config, **_command_fields(config, args.command))
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -539,6 +541,3 @@ def main(argv=None) -> int:
     print(f"{args.command}: tolerance failure; see reports in {out}", file=sys.stderr)
     return 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

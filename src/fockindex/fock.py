@@ -37,9 +37,9 @@ of the scaled chain stack and squares the sum s(t) times. It reads the
 norm from the bands and builds the scaled stack straight from the scaled
 bands, with the bits the chain blocks would give (see
 :func:`matrix_exponential`). At its peak it holds
-four chain stacks: the scaled stack, the sum and two term buffers. The
-squarings run in the sum and one term buffer, and every row-sum norm of
-a chain stack is taken one chain block at a time.
+four chain stacks: the scaled stack, the sum and two term buffers. Each
+squaring holds only the sum and its square, and every row-sum norm of a
+chain stack is taken one chain block at a time.
 
 The sum and its stopping test read only the scaled stack, so when the
 scaled stacks of hL and tL are equal to the bit, as scaling by a power
@@ -132,9 +132,6 @@ class FockUnit:
     @property
     def grid(self) -> GridSpec:
         return self.zeta.grid
-
-    def __repr__(self) -> str:
-        return f"FockUnit(zeta={self.zeta!r}, beta={self.beta!r})"
 
 
 def vacuum_unit(grid: GridSpec) -> FockUnit:
@@ -472,10 +469,10 @@ def _scaled_bands(shift: WeightedShift) -> tuple[float, int, np.ndarray]:
     return norm, squarings, shift.bands * math.ldexp(1.0, -squarings)
 
 
-def _square(result: np.ndarray, norm: float, out: np.ndarray | None = None) -> np.ndarray:
-    """One squaring step, into ``out`` if given; ``norm`` is the row-sum
-    norm of the input, for the message when the square overflows."""
-    result = np.matmul(result, result, out=out)
+def _square(result: np.ndarray, norm: float) -> np.ndarray:
+    """One squaring step into a new stack; ``norm`` is the row-sum norm of
+    the input, for the message when the square overflows."""
+    result = np.matmul(result, result)
     if not np.isfinite(result.view(float)).all():
         raise ValueError(f"matrix exponential overflows (row-sum norm of the input {norm:.3g})")
     return result
@@ -508,8 +505,7 @@ def matrix_exponential(shift: WeightedShift, rel_tol: float = TAYLOR_TOLERANCE) 
     tests in ``tests/test_chain_operators.py`` check both bit for bit.
 
     The working set is the scaled stack, the sum and two term buffers
-    while the series runs; the squarings then run in the sum and one term
-    buffer.
+    while the series runs; each squaring then holds the sum and its square.
 
     The stopping test ||term|| <= rel_tol ||sum|| takes its two row-sum
     norms only for a term whose largest |real or imaginary part| is at
@@ -545,9 +541,9 @@ def matrix_exponential(shift: WeightedShift, rel_tol: float = TAYLOR_TOLERANCE) 
                 break
         else:
             raise RuntimeError("matrix exponential series did not converge in 64 terms")
-        del scaled, spare, parts  # the squarings need only the sum and one term buffer
+        del scaled, term, spare, parts  # the squarings need only the sum
         for _ in range(squarings):
-            result, term = _square(result, norm, out=term), result
+            result = _square(result, norm)
     return result
 
 

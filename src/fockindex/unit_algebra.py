@@ -62,14 +62,14 @@ class ReferencedUnit:
 
     ``unit`` is the parameter-path representation. ``cross_kernel`` gives
     the formula-path kernel against an arbitrary probe unit, and
-    ``self_kernel`` the formula-path diagonal kernel; for a plain wrapped
-    unit both fall back to the kernel of ``unit`` itself.
+    ``self_kernel`` the formula-path diagonal kernel; :func:`wrap` gives a
+    plain unit its own kernels.
     """
 
     unit: FockUnit
     reference: FockUnit
-    _cross: Callable[[FockUnit], WeightedShift] | None = field(default=None, repr=False, compare=False)
-    _self: Callable[[], WeightedShift] | None = field(default=None, repr=False, compare=False)
+    _cross: Callable[[FockUnit], WeightedShift] = field(repr=False)
+    _self: Callable[[], WeightedShift] = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.unit.grid != self.reference.grid:
@@ -80,18 +80,14 @@ class ReferencedUnit:
         return self.unit.grid
 
     def cross_kernel(self, probe: FockUnit) -> WeightedShift:
-        if self._cross is None:
-            return kernel(self.unit, probe)
         return self._cross(probe)
 
     def self_kernel(self) -> WeightedShift:
-        if self._self is None:
-            return kernel(self.unit, self.unit)
         return self._self()
 
 
 def wrap(unit: FockUnit, reference: FockUnit) -> ReferencedUnit:
-    return ReferencedUnit(unit, reference)
+    return ReferencedUnit(unit, reference, lambda probe: kernel(unit, probe), lambda: kernel(unit, unit))
 
 
 def _check_same_reference(x: ReferencedUnit, y: ReferencedUnit) -> None:

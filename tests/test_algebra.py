@@ -132,6 +132,15 @@ class TestPointwise:
         assert np.array_equal((2 * b).samples, 2 * b.samples)
         assert np.array_equal((1 - b).samples, 1 - b.samples)
 
+    @pytest.mark.parametrize(
+        "op",
+        [lambda a: a + "1", lambda a: "1" + a, lambda a: a / "1", lambda a: "1" / a],
+        ids=["a + str", "str + a", "a / str", "str / a"],
+    )
+    def test_a_string_operand_is_a_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(constant(SMALL, 1))
+
     @given(small_samples, small_samples)
     @settings(max_examples=25, deadline=None)
     def test_mul_commutative(self, xs, ys):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import fockindex
 import fockindex.presets
 from fockindex import cli
-from fockindex.algebra import GridSpec
+from fockindex.algebra import GridSpec, UnresolvedTailWarning
 from fockindex.cli import COMMANDS, main
 from fockindex.fock import TAYLOR_TOLERANCE_FLOOR, FockUnit, blas_core, kernel
 from fockindex.selftest import DEFAULT_TOLERANCES
@@ -80,6 +80,35 @@ def test_approx_columns_nonincreasing(tmp_path):
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     report = json.loads((out / "approx_report.json").read_text())
     assert report["passed"] is True
+
+
+def test_approx_probe_moves_only_its_column(tmp_path):
+    config = {**SMALL_GRID, "ns": [2, 4, 6, 8, 10]}
+    _, default = run(tmp_path, "approx", config, outdir="default")
+    probe = {"zeta": {"kind": "exp_approach", "c": [0.5, 0.5], "a": 1.0}, "beta": {"kind": "constant", "value": 1.0}}
+    status, given_probe = run(tmp_path, "approx", {**config, "probe": probe}, outdir="probe")
+    assert status == 0
+    before, after = (list(csv.reader(io.StringIO((out / "approx_table.csv").read_text()))) for out in (default, given_probe))
+    assert before[0] == after[0] and before[0][-1] == "probe_kernel_dist"
+    for old, new in zip(before[1:], after[1:], strict=True):
+        assert old[:-1] == new[:-1] and old[-1] != new[-1]
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [[{"kind": "constant", "value": 0.25}, {"kind": "constant", "value": 0.75}], [{"kind": "constant", "value": 1.0}]],
+    ids=["two coefficients", "one coefficient"],
+)
+def test_unitalg_takes_kappa_for_the_coefficient_draws(tmp_path, kappa):
+    """``kappa`` replaces only the coefficient draws, so the first case,
+    drawn before them, is the default run's."""
+    _, default = run(tmp_path, "unitalg", SMALL_GRID, outdir="default")
+    status, given_kappa = run(tmp_path, "unitalg", {**SMALL_GRID, "kappa": kappa}, outdir="kappa")
+    assert status == 0
+    before, after = (list(csv.reader(io.StringIO((out / "unitalg_cases.csv").read_text()))) for out in (default, given_kappa))
+    assert [row[0] for row in after] == [row[0] for row in before]
+    assert all(float(residual) <= 1e-11 for _, residual in after[1:])
+    assert after[1] == before[1] and after[1][0] == "beta_shift[0]"
 
 
 def test_deterministic_outputs(tmp_path):
@@ -566,7 +595,7 @@ def test_a_nan_residual_is_a_numerical_failure(tmp_path):
     config = {"grid": {"m": 2, "S": 4}, "reference": {"zeta": {"kind": "constant", "value": 1e300}}}
     status, stderr, out = run_quietly("unitalg", config, tmp_path)
     assert status == 1
-    assert stderr.startswith("error: row-sum norm is NaN") and len(stderr.splitlines()) == 1
+    assert stderr.startswith("error: overflow encountered in") and len(stderr.splitlines()) == 1
     assert not out.exists()
 
 
@@ -729,7 +758,7 @@ def run_quietly(command, config, tmp):
     path.write_text(json.dumps(config), encoding="utf-8")
     stderr = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UnresolvedTailWarning)
         status = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
     return status, stderr.getvalue(), Path(tmp) / "out"
 

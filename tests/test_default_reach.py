@@ -22,7 +22,6 @@ _IMPORT = "runs only while cli is imported, to build the schema table, before th
 
 NEVER_CALLED = {
     "algebra.AlgebraElement.__repr__": "a repr, for debugging",
-    "fock.FockUnit.__repr__": "a repr, for debugging",
     "fock._Operator.__repr__": "a repr, for debugging",
     "fock.KernelOperator.__post_init__": "checks arrays passed in from outside; the package wraps its own",
     "fock.WeightedShift.__post_init__": "checks arrays passed in from outside; the package wraps its own",

@@ -11,11 +11,15 @@ from fockindex.algebra import DomainError, GridMismatchError, GridSpec, constant
 from fockindex.cli import ConfigError, parse_config
 from fockindex.fock import (
     FockUnit,
+    NParticleVector,
     UnsupportedParameterError,
     WeightedShift,
     gram_matrices,
     gram_psd_check,
+    kernel,
+    left_action,
     matrix_exponential,
+    module_inner,
     semigroup_law_residual,
     semigroups,
     unit_component,
@@ -34,6 +38,7 @@ from fockindex.unit_algebra import add, boxplus_left, wrap
 
 GRID = GridSpec(2, 10)
 ZERO, ONE = constant(GRID, 0.0), constant(GRID, 1.0)
+OTHER_ONE = constant(GridSpec(2, 11), 1.0)
 XI = FockUnit(ONE, ZERO)
 OMEGA = FockUnit(ZERO, ZERO)
 DIP = piecewise_linear(GRID, [[0.0, -3000.0], [1.0, 1.0]])  # eventually one, negative below 1
@@ -63,6 +68,9 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         lambda: semigroups(XI, XI, [-1.0]),
         lambda: gram_matrices([XI], [0.5], [constant(GRID, -1.0)]),
         lambda: unit_component(FockUnit(ONE, ONE), 1),
+        lambda: left_action(ONE, NParticleVector(1, OTHER_ONE)),  # grid mismatches
+        lambda: module_inner(NParticleVector(1, ONE), NParticleVector(1, OTHER_ONE)),
+        lambda: kernel(XI, FockUnit(OTHER_ONE, OTHER_ONE)),
         # unit_algebra
         lambda: add(wrap(XI, XI), wrap(XI, OMEGA)),
         lambda: wrap(XI, FockUnit(constant(GridSpec(2, 11), 1.0), constant(GridSpec(2, 11), 0.0))),
@@ -74,6 +82,8 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         # presets, the CLI's config reader and the selftest
         lambda: from_spec(GRID, {"kind": "nonsense"}),
         lambda: parse_config("not an object", Path(".")),
+        lambda: parse_config({"grid": [2, 10]}, Path(".")),
+        lambda: parse_config({"tolerances": 1e-9}, Path(".")),
         lambda: selftest.run_selftest(GridSpec(3, 5)),
         # subsystem, continued: truncation points out of order
         lambda: convergence_report(ONE, 1.0, [4, 2]),  # ns not strictly increasing

@@ -62,6 +62,13 @@ class TestUnits:
         with pytest.raises(GridMismatchError):
             FockUnit(constant(GRID, 1), constant(GridSpec(2, 10), 0))
 
+    def test_repr_is_the_dataclass_repr(self):
+        grid = GridSpec(1, 2)
+        assert repr(FockUnit(constant(grid, 1.0), constant(grid, 0.5j))) == (
+            "FockUnit(zeta=AlgebraElement(m=1, S=2, samples[0]=1+0j, samples[-1]=1+0j, tail=1+0j), "
+            "beta=AlgebraElement(m=1, S=2, samples[0]=0+0.5j, samples[-1]=0+0.5j, tail=0+0.5j))"
+        )
+
 
 class TestKernel:
     def test_vacuum_kernel_vanishes(self):

@@ -147,6 +147,10 @@ def test_load_csv_rejects_bad_header(tmp_path):
     path.write_text("s,re,im\n0.0,1.0,0.0\n", encoding="utf-8")
     with pytest.raises(PresetError):
         load_csv(GridSpec(1, 1), path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    with pytest.raises(PresetError, match="empty CSV"):
+        load_csv(GridSpec(1, 1), empty)
 
 
 def test_load_csv_rejects_wrong_grid(tmp_path):
