@@ -26,6 +26,7 @@ from .fock import (
     gram_matrices,
     gram_psd_check,
     kernel,
+    kernel_stack,
     left_action,
     matrix_exponential,
     module_inner,

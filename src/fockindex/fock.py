@@ -29,6 +29,18 @@ Each form combines only with its own kind, and two shifts multiply only
 when one is a multiplication operator; anything else raises TypeError.
 Arithmetic in either form is exact.
 
+:func:`kernel` builds one kernel; :func:`kernel_stack` builds the bands
+of K(u_i, v_j) for two lists of units as one (len(lefts), len(rights),
+2, dim) array, which is how the bimodule operations take their formula
+path over a whole probe battery. Both write the sample entries with one
+formula, and numpy's array complex product gives the same bits however
+its operands are stacked, broadcast or sliced. The tail entry is the
+exception: numpy's array complex product can round differently from its
+scalar one (on an AVX-512 host it did for about half of random pairs),
+so every tail entry, in a stack too, is taken pair by pair in scalar
+arithmetic, as :func:`kernel` takes it. ``tests/test_fock.py`` pins that
+rule with tails drawn where the two products disagree.
+
 :func:`semigroups` takes exp(tL) for many times t at once, and
 :func:`semigroup` is its one-time case. :func:`matrix_exponential` takes
 tL as a weighted shift. It scales tL by 2^-s(t), with s(t) the least
@@ -94,6 +106,7 @@ __all__ = [
     "unit_component",
     "multiplication_operator",
     "kernel",
+    "kernel_stack",
     "matrix_exponential",
     "semigroup",
     "semigroups",
@@ -379,10 +392,6 @@ class WeightedShift(_Operator):
         bands.setflags(write=False)
         object.__setattr__(self, "bands", bands)
 
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "WeightedShift":
-        return cls._wrap(grid, np.zeros((2, grid.dim), dtype=complex))
-
     @property
     def blocks(self) -> np.ndarray:
         """Chain blocks, a on the diagonal and w right of it, for :meth:`to_dense` and :func:`matrix_exponential`."""
@@ -396,20 +405,16 @@ class WeightedShift(_Operator):
 
     def __matmul__(self, other):
         """D_a (D_d + D_w T) scales rows: D_{ad} + D_{aw} T. (D_d + D_w T) D_a
-        scales columns: D_{da} + D_{w Ta} T, band 1 taking a at the next
-        coordinate. Any other product, of two general shifts or with a
-        chain operator, gives NotImplemented, so Python raises TypeError."""
+        scales columns (see :func:`_scale_input`). Any other product, of two
+        general shifts or with a chain operator, gives NotImplemented, so
+        Python raises TypeError."""
         if not isinstance(other, WeightedShift):
             return NotImplemented
         self._check(other)
+        if not other.bands[1].any():
+            return WeightedShift._wrap(self.grid, _scale_input(np.array(self.bands[None]), other.bands, self.grid)[0])
         if not self.bands[1].any():
             return WeightedShift._wrap(self.grid, self.bands[0] * other.bands)
-        if not other.bands[1].any():
-            a = other.bands[0]
-            bands = np.zeros_like(self.bands)
-            bands[0] = self.bands[0] * a
-            bands[1, :-1] = self.bands[1, :-1] * a[_next_index(self.grid)]
-            return WeightedShift._wrap(self.grid, bands)
         return NotImplemented
 
     def apply(self, b: AlgebraElement) -> AlgebraElement:
@@ -432,11 +437,52 @@ def _next_index(grid: GridSpec) -> np.ndarray:
     return index
 
 
+def _scale_input(bands: np.ndarray, mul: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(D_d + D_w T) D_a for each weighted shift of a stack ``bands``
+    (..., 2, dim), taken in place, and multiplications ``mul`` (band 1
+    zero) that broadcast against it: D_{da} + D_{w Ta} T, band 1 taking a
+    at the next coordinate. Both bands are scaled by one product with the
+    weights (a, a at the next coordinate), over the contiguous bands. A
+    shift whose band 1 is zero is itself a multiplication D_d and scales
+    the rows of D_a instead, its band 1 becoming d times band 1 of D_a, as
+    ``WeightedShift.__matmul__`` has always taken it; the two differ in
+    the signs of zeros and where d is infinite."""
+    a = mul[..., 0, :]
+    flat = ~bands[..., 1, :].view(float).any(axis=-1)
+    flat_shift = bands[flat, 0] * np.broadcast_to(mul[..., 1, :], flat.shape + a.shape[-1:])[flat]
+    weights = np.concatenate((a, a[..., _next_index(grid)], np.zeros(a.shape[:-1] + (1,))), axis=-1)
+    joined = bands.reshape(bands.shape[:-2] + (-1,))
+    np.multiply(joined, weights, out=joined)
+    bands[..., 1, -1] = 0.0
+    bands[flat, 1] = flat_shift
+    return bands
+
+
 def multiplication_operator(a: AlgebraElement) -> WeightedShift:
     """The operator b |-> a*b (equal to b |-> b*a; the algebra is commutative)."""
     bands = np.zeros((2, a.grid.dim), dtype=complex)
     bands[0] = a.coordinates
     return WeightedShift._wrap(a.grid, bands)
+
+
+def _kernel_samples(bands: np.ndarray, conj_zeta, zeta, conj_beta, beta) -> None:
+    """Write the kernel formula into bands (..., 2, dim), all but the tail
+    entry of band 0, which is left 0: conj(zeta_u) zeta_v in band 1,
+    conj(beta_u) + beta_v in band 0, and 0 at the tail of band 1. Then +0
+    is added to every entry, so that signed zeros come out as +0, as from
+    a sum that starts from zeros. The operands broadcast, and numpy's
+    array complex product rounds alike however it is stacked, so every
+    kernel has the same bits."""
+    np.multiply(conj_zeta, zeta, out=bands[..., 1, :-1])
+    np.add(conj_beta, beta, out=bands[..., 0, :-1])
+    bands[..., -1] = 0.0
+    bands += 0.0
+
+
+def _kernel_tail(u: FockUnit, v: FockUnit) -> complex:
+    """The tail entry of the kernel formula, in scalar arithmetic: numpy's
+    array complex product can round differently from the scalar one."""
+    return np.conj(u.zeta.tail) * v.zeta.tail + np.conj(u.beta.tail) + v.beta.tail
 
 
 def kernel(u: FockUnit, v: FockUnit) -> WeightedShift:
@@ -445,12 +491,33 @@ def kernel(u: FockUnit, v: FockUnit) -> WeightedShift:
     with the tail row acting on tails only; b(s+1) past the grid end is the tail."""
     if u.grid != v.grid:
         raise GridMismatchError("units live on different grids")
-    bands = np.zeros((2, u.grid.dim), dtype=complex)
-    # Added to zeros rather than assigned, so signed zeros come out as +0.
-    bands[1, :-1] += np.conj(u.zeta.samples) * v.zeta.samples
-    bands[0, :-1] += np.conj(u.beta.samples) + v.beta.samples
-    bands[0, -1] = np.conj(u.zeta.tail) * v.zeta.tail + np.conj(u.beta.tail) + v.beta.tail
+    bands = np.empty((2, u.grid.dim), dtype=complex)
+    _kernel_samples(bands, np.conj(u.zeta.samples), v.zeta.samples, np.conj(u.beta.samples), v.beta.samples)
+    bands[0, -1] = _kernel_tail(u, v)
     return WeightedShift._wrap(u.grid, bands)
+
+
+def kernel_stack(lefts, rights) -> np.ndarray:
+    """The bands of K(u_i, v_j) for every u_i in ``lefts`` and v_j in
+    ``rights``, as one array of shape (len(lefts), len(rights), 2, dim):
+    entry [i, j] is ``kernel(u_i, v_j).bands`` to the bit. The sample
+    entries of each left unit are taken against all of ``rights`` in one
+    array pass; the tail entries pair by pair in scalar arithmetic, as
+    :func:`kernel` takes them."""
+    lefts, rights = list(lefts), list(rights)
+    if not lefts:
+        raise DomainError("kernel_stack needs at least one left unit")
+    grid = lefts[0].grid
+    if any(w.grid != grid for w in (*lefts, *rights)):
+        raise GridMismatchError("units live on different grids")
+    bands = np.empty((len(lefts), len(rights), 2, grid.dim), dtype=complex)
+    zeta = np.array([v.zeta.samples for v in rights]).reshape(len(rights), grid.size)
+    beta = np.array([v.beta.samples for v in rights]).reshape(zeta.shape)
+    for i, u in enumerate(lefts):
+        _kernel_samples(bands[i], np.conj(u.zeta.samples), zeta, np.conj(u.beta.samples), beta)
+        for j, v in enumerate(rights):
+            bands[i, j, 0, -1] = _kernel_tail(u, v)
+    return bands
 
 
 def _scaling(norm: float) -> int:

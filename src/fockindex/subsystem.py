@@ -21,6 +21,7 @@ from .fock import FockUnit, generator_unit, kernel, semigroup, unit_component, l
 from .presets import exp_approach, exp_decay
 from .unit_algebra import (
     ReferencedUnit,
+    _largest_gap,
     add,
     boxplus_left,
     default_probe_units,
@@ -236,11 +237,8 @@ def theta_check(
     coefficients = [constant(grid, 1.0 / alpha), constant(grid, 1.0 - 1.0 / alpha)]
     theta = boxplus_left(coefficients, [eta_prime, xi], xi)
     eta = FockUnit(zeta, constant(grid, 0.0))
-    worst = 0.0
-    for probe in probes:
-        gap = (theta.cross_kernel(probe) - kernel(eta, probe)).operator_norm()
-        worst = max(worst, gap)
-    return worst
+    probes = list(probes)
+    return _largest_gap(theta.cross_kernels(probes), eta, probes)
 
 
 def approximate(zeta: AlgebraElement, n: int) -> AlgebraElement:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, DomainError, GridSpec, constant
-from .fock import FockUnit, WeightedShift, kernel, multiplication_operator
+from .fock import FockUnit, WeightedShift, _largest_row_sum, _scale_input, kernel, kernel_stack, multiplication_operator
 from .presets import exp_approach, exp_decay
 
 __all__ = [
@@ -60,16 +60,17 @@ class ReferencedUnit:
     """A unit together with the reference against which the bimodule
     operations and the semi-inner product are formed.
 
-    ``unit`` is the parameter-path representation. ``cross_kernel`` gives
-    the formula-path kernel against an arbitrary probe unit, and
+    ``unit`` is the parameter-path representation. ``cross_kernels`` gives
+    the formula-path kernel bands against every unit of a probe battery as
+    one stack, ``cross_kernel`` its one-probe case as an operator, and
     ``self_kernel`` the formula-path diagonal kernel; :func:`wrap` gives a
     plain unit its own kernels.
     """
 
     unit: FockUnit
     reference: FockUnit
-    _cross: Callable[[FockUnit], WeightedShift] = field(repr=False)
-    _self: Callable[[], WeightedShift] = field(repr=False)
+    _cross: Callable[[Sequence[FockUnit]], np.ndarray] = field(repr=False)
+    _self: Callable[[], np.ndarray] = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.unit.grid != self.reference.grid:
@@ -79,15 +80,19 @@ class ReferencedUnit:
     def grid(self) -> GridSpec:
         return self.unit.grid
 
+    def cross_kernels(self, probes: Sequence[FockUnit]) -> np.ndarray:
+        """The formula-path bands against each probe, a new array of shape (len(probes), 2, dim)."""
+        return self._cross(probes)
+
     def cross_kernel(self, probe: FockUnit) -> WeightedShift:
-        return self._cross(probe)
+        return WeightedShift._wrap(self.grid, self._cross((probe,))[0])
 
     def self_kernel(self) -> WeightedShift:
-        return self._self()
+        return WeightedShift._wrap(self.grid, self._self())
 
 
 def wrap(unit: FockUnit, reference: FockUnit) -> ReferencedUnit:
-    return ReferencedUnit(unit, reference, lambda probe: kernel(unit, probe), lambda: kernel(unit, unit))
+    return ReferencedUnit(unit, reference, lambda probes: kernel_stack((unit,), probes)[0], lambda: kernel(unit, unit).bands)
 
 
 def _check_same_reference(x: ReferencedUnit, y: ReferencedUnit) -> None:
@@ -114,16 +119,15 @@ def power_beta(x: ReferencedUnit, beta: AlgebraElement) -> ReferencedUnit:
     against a probe, conj(beta)*id; on the diagonal, conj(beta)*id + id*beta."""
     base = x.unit
     candidate = FockUnit(base.zeta, base.beta + beta)
-    mul_conj = multiplication_operator(beta.star())
-    mul_plain = multiplication_operator(beta)
+    mul_conj = multiplication_operator(beta.star()).bands
+    mul_plain = multiplication_operator(beta).bands
 
-    def cross(probe: FockUnit) -> WeightedShift:
-        return kernel(base, probe) + mul_conj
+    def cross(probes: Sequence[FockUnit]) -> np.ndarray:
+        kernels = kernel_stack((base,), probes)[0]
+        kernels += mul_conj
+        return kernels
 
-    def diagonal() -> WeightedShift:
-        return kernel(base, base) + mul_conj + mul_plain
-
-    return ReferencedUnit(candidate, x.reference, cross, diagonal)
+    return ReferencedUnit(candidate, x.reference, cross, lambda: kernel(base, base).bands + mul_conj + mul_plain)
 
 
 def coefficients_sum_to_one(coefficients: Sequence[AlgebraElement]) -> bool:
@@ -132,9 +136,41 @@ def coefficients_sum_to_one(coefficients: Sequence[AlgebraElement]) -> bool:
     return (sum(coefficients, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() <= COEFFICIENT_SUM_TOLERANCE
 
 
-def _act(mul: WeightedShift, k: WeightedShift, inner: bool) -> WeightedShift:
-    """A multiplication composed with a kernel on its input side (inner) or its output side."""
-    return k @ mul if inner else mul @ k
+def _act(muls: np.ndarray, kernels: np.ndarray, inner: bool, grid: GridSpec) -> np.ndarray:
+    """The bands of ``kernel @ mul`` (inner) or ``mul @ kernel`` for each
+    kernel of a stack (k, 2, dim) that the caller owns, and multiplications
+    ``muls`` of shape (2, dim) or (k, 2, dim). On the output side the
+    product is taken in place."""
+    if inner:
+        return _scale_input(kernels, muls, grid)
+    return np.multiply(muls[..., 0, None, :], kernels, out=kernels)
+
+
+def _accumulate(terms: np.ndarray, signs: Sequence[int] | None = None, from_zero: bool = False) -> np.ndarray:
+    """The terms of a stack that the caller owns summed in order along its
+    first axis, in place in the first: a term whose sign in ``signs`` is
+    -1 is subtracted, and the first term's sign must be +1. ``from_zero``
+    takes 0 + terms[0] + ..., the sum of operators that started from
+    WeightedShift.zero; it differs from the sum from the first term only
+    where that term has a -0 entry, which the zero turns into +0, and
+    x + 0 has the bits of 0 + x."""
+    total = terms[0]
+    if from_zero:
+        total += 0.0
+    for k in range(1, len(terms)):
+        if signs is not None and signs[k] < 0:
+            total -= terms[k]
+        else:
+            total += terms[k]
+    return total
+
+
+def _multiplications(elements: Sequence[AlgebraElement]) -> np.ndarray:
+    """The bands of ``multiplication_operator(e)`` for each element,
+    stacked: its coordinates in band 0, band 1 zero."""
+    bands = np.zeros((len(elements), 2, elements[0].grid.dim), dtype=complex)
+    bands[:, 0] = [e.coordinates for e in elements]
+    return bands
 
 
 def _combination(coefficients, units, reference: FockUnit, inner: bool) -> ReferencedUnit:
@@ -156,18 +192,16 @@ def _combination(coefficients, units, reference: FockUnit, inner: bool) -> Refer
         beta = beta + c * u.beta
     candidate = FockUnit(zeta, beta)
 
-    def cross(probe: FockUnit) -> WeightedShift:
-        total = WeightedShift.zero(grid)
-        for c, u in zip(coefficients, units):
-            total = total + _act(multiplication_operator(c.star()), kernel(u, probe), inner)
-        return total
+    def cross(probes: Sequence[FockUnit]) -> np.ndarray:
+        muls = _multiplications([c.star() for c in coefficients])
+        terms = _act(muls[:, None], kernel_stack(units, probes), inner, grid)
+        return _accumulate(terms, from_zero=True)
 
-    def diagonal() -> WeightedShift:
-        total = WeightedShift.zero(grid)
-        for ci, ui in zip(coefficients, units):
-            for cj, uj in zip(coefficients, units):
-                total = total + _act(multiplication_operator(ci.star() * cj), kernel(ui, uj), inner)
-        return total
+    def diagonal() -> np.ndarray:
+        stars = [c.star() for c in coefficients]
+        muls = _multiplications([si * cj for si in stars for cj in coefficients])
+        terms = _act(muls, kernel_stack(units, units).reshape(muls.shape), inner, grid)
+        return _accumulate(terms, from_zero=True)
 
     return ReferencedUnit(candidate, reference, cross, diagonal)
 
@@ -193,16 +227,13 @@ def boxplus_right(
     return _combination(coefficients, units, reference, inner=True)
 
 
-def _signed_kernels(lefts, rights) -> WeightedShift:
-    """sum_i sum_j s_i s_j K(u_i, v_j) over signed units (s_i, u_i) and
-    (s_j, v_j), s = +-1, summed row by row from the first term. The first
-    unit of each side must carry +1, as it does for every caller, so the
-    sum starts from the first kernel itself."""
-    terms = [(si * sj, kernel(u, v)) for si, u in lefts for sj, v in rights]
-    total = terms[0][1]
-    for sign, term in terms[1:]:
-        total = total + term if sign > 0 else total - term
-    return total
+def _signed_sum(lefts, rights, signs) -> np.ndarray:
+    """sum_i sum_j s_i s_j K(u_i, v_j) over one kernel stack, the signs
+    s = +-1 the same on both sides, summed row by row from the first term.
+    s_0 must be +1, as it is for every caller, so the sum starts from the
+    first kernel itself."""
+    kernels = kernel_stack(lefts, rights)
+    return _accumulate(kernels.reshape(-1, *kernels.shape[2:]), [si * sj for si in signs for sj in signs])
 
 
 def add(x: ReferencedUnit, y: ReferencedUnit) -> ReferencedUnit:
@@ -212,10 +243,12 @@ def add(x: ReferencedUnit, y: ReferencedUnit) -> ReferencedUnit:
     omega = x.reference
     xu, yu = x.unit, y.unit
     candidate = FockUnit(xu.zeta + yu.zeta - omega.zeta, xu.beta + yu.beta - omega.beta)
-    signed = ((1, xu), (1, yu), (-1, omega))
-    return ReferencedUnit(
-        candidate, omega, lambda probe: _signed_kernels(signed, ((1, probe),)), lambda: _signed_kernels(signed, signed)
-    )
+    units, signs = (xu, yu, omega), (1, 1, -1)
+
+    def cross(probes: Sequence[FockUnit]) -> np.ndarray:
+        return _accumulate(kernel_stack(units, probes), signs)
+
+    return ReferencedUnit(candidate, omega, cross, lambda: _signed_sum(units, units, signs))
 
 
 def _module_mul(a: AlgebraElement, x: ReferencedUnit, inner: bool) -> ReferencedUnit:
@@ -235,16 +268,18 @@ def _module_mul(a: AlgebraElement, x: ReferencedUnit, inner: bool) -> Referenced
         times(a_zeta, xu.zeta) + times(one - a_zeta, omega.zeta),
         times(a, xu.beta) + times(rest, omega.beta),
     )
-    mul_a = multiplication_operator(a.star())
-    mul_rest = multiplication_operator(rest.star())
+    stars = (a.star(), rest.star())
+    muls = _multiplications(stars)
+    units = (xu, omega)
 
-    def cross(probe: FockUnit) -> WeightedShift:
-        return _act(mul_a, kernel(xu, probe), inner) + _act(mul_rest, kernel(omega, probe), inner)
+    def cross(probes: Sequence[FockUnit]) -> np.ndarray:
+        return _accumulate(_act(muls[:, None], kernel_stack(units, probes), inner, a.grid))
 
-    def diagonal() -> WeightedShift:
-        pairs = ((a, xu), (rest, omega))
-        terms = [_act(multiplication_operator(ci.star() * cj), kernel(ui, uj), inner) for cj, uj in pairs for ci, ui in pairs]
-        return sum(terms[1:], terms[0])
+    def diagonal() -> np.ndarray:
+        # Summed column by column, (i, j) = (0, 0), (1, 0), (0, 1), (1, 1), from the first term.
+        pair_muls = _multiplications([si * cj for cj in (a, rest) for si in stars])
+        kernels = kernel_stack(units, units).swapaxes(0, 1).reshape(pair_muls.shape)
+        return _accumulate(_act(pair_muls, kernels, inner, a.grid))
 
     return ReferencedUnit(candidate, omega, cross, diagonal)
 
@@ -277,7 +312,7 @@ def semi_inner(x: ReferencedUnit, y: ReferencedUnit, b: AlgebraElement) -> Algeb
     (K(x,y) - K(x,ref) - K(ref,y) + K(ref,ref)) applied to b."""
     _check_same_reference(x, y)
     omega = x.reference
-    return _signed_kernels(((1, x.unit), (-1, omega)), ((1, y.unit), (-1, omega))).apply(b)
+    return WeightedShift._wrap(x.grid, _signed_sum((x.unit, omega), (y.unit, omega), (1, -1))).apply(b)
 
 
 def semi_inner_adjoint_residual(x: ReferencedUnit, y: ReferencedUnit, b: AlgebraElement) -> float:
@@ -292,12 +327,25 @@ def index_norm(x: ReferencedUnit) -> float:
     return float(np.sqrt(semi_inner(x, x, one).sup_norm()))
 
 
+def _largest_gap(formula: np.ndarray, unit: FockUnit, rights: Sequence[FockUnit]) -> float:
+    """Largest operator-norm gap between a stack of formula-path bands,
+    which the caller owns, and the kernels K(unit, r) for r in ``rights``,
+    row for row: one difference, taken in place, and one abs over the
+    whole stack; 0.0 for no rows. A NaN gap raises ValueError, as
+    ``WeightedShift.operator_norm`` does."""
+    if not rights:
+        return 0.0
+    formula -= kernel_stack((unit,), rights)[0]
+    gap = np.abs(formula)
+    return _largest_row_sum(gap[:, 0] + gap[:, 1])
+
+
 def dual_path_residual(x: ReferencedUnit, probes: Sequence[FockUnit]) -> float:
     """Largest operator-norm gap between the formula-path kernels and the
-    kernels of the parameter-path candidate, over a probe battery and the
-    diagonal."""
-    worst = (x.self_kernel() - kernel(x.unit, x.unit)).operator_norm()
-    for probe in probes:
-        gap = (x.cross_kernel(probe) - kernel(x.unit, probe)).operator_norm()
-        worst = max(worst, gap)
-    return worst
+    kernels of the parameter-path candidate, over the diagonal and a probe
+    battery."""
+    probes = list(probes)
+    formula = np.empty((1 + len(probes), 2, x.grid.dim), dtype=complex)
+    formula[0] = x.self_kernel().bands
+    formula[1:] = x.cross_kernels(probes)
+    return _largest_gap(formula, x.unit, [x.unit, *probes])

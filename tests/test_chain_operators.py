@@ -561,7 +561,7 @@ class TestWeightedShiftConstruction:
     GRID = GridSpec(3, 4)
 
     def test_zero(self):
-        zero = WeightedShift.zero(self.GRID)
+        zero = WeightedShift(self.GRID, np.zeros((2, self.GRID.dim)))
         assert zero.operator_norm() == 0.0
         assert np.array_equal(zero.to_dense(), np.zeros((self.GRID.dim, self.GRID.dim)))
 
@@ -684,9 +684,9 @@ def test_zero_stack_gives_the_identity_of_the_reference(shape):
     """The zero shift whose chain stack has ``shape``, and the shift whose
     every entry is -0."""
     grid = GridSpec(shape[0], shape[-1] - 2)
-    assert_same_exponential(WeightedShift.zero(grid))
+    assert_same_exponential(WeightedShift(grid, np.zeros((2, grid.dim))))
     assert_same_exponential(WeightedShift(grid, np.full((2, grid.dim), complex(-0.0, -0.0))))
-    identity = matrix_exponential(WeightedShift.zero(grid))
+    identity = matrix_exponential(WeightedShift(grid, np.zeros((2, grid.dim))))
     assert np.array_equal(identity, np.broadcast_to(np.eye(shape[-1]), shape))
     assert identity.flags.writeable
 

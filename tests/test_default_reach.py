@@ -29,8 +29,11 @@ NEVER_CALLED = {
     "algebra.AlgebraElement.__rsub__": _ARITHMETIC,
     "algebra.AlgebraElement.__truediv__": _ARITHMETIC,
     "algebra.AlgebraElement.__rtruediv__": _ARITHMETIC,
+    "fock._Operator.__add__": _ARITHMETIC,
     "fock._Operator.__neg__": _ARITHMETIC,
     "fock._Operator.__mul__": _ARITHMETIC,
+    "fock.WeightedShift.__matmul__": _ARITHMETIC,
+    "unit_algebra.ReferencedUnit.cross_kernel": "the one-probe case of cross_kernels, as an operator; public, and the benchmark's tracer times it",
     "cli._coefficients": _CONFIG,
     "cli._distinct_keys": _CONFIG,
     "cli._tolerance": _CONFIG,

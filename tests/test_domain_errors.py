@@ -94,7 +94,7 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         lambda: semigroups(XI, XI, [float("inf")]),
         lambda: membership(XI, float("nan")),
         # the Taylor tolerance, before any work: NaN and -1 would run 64 terms, +inf stop after one
-        lambda: matrix_exponential(WeightedShift.zero(GRID), float("nan")),
+        lambda: matrix_exponential(WeightedShift(GRID, np.zeros((2, GRID.dim))), float("nan")),
         lambda: semigroups(XI, XI, [1.0], rel_tol=-1.0),
         lambda: semigroups(XI, XI, [1.0], rel_tol=float("inf")),
         lambda: semigroup_law_residual(XI, XI, [0.5], rel_tol=float("nan")),

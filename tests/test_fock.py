@@ -18,6 +18,7 @@ from fockindex.fock import (
     gram_matrices,
     gram_psd_check,
     kernel,
+    kernel_stack,
     left_action,
     matrix_exponential,
     module_inner,
@@ -118,6 +119,46 @@ class TestKernel:
         got = kernel(xi, xi).apply(constant(GRID, 1))
         assert (got - constant(GRID, 1)).sup_norm() == 0.0
 
+    def test_stack_entries_are_the_pair_kernels(self):
+        rng = np.random.default_rng(10)
+        lefts = [random_unit(rng) for _ in range(3)] + [vacuum_unit(GRID)]
+        rights = [random_unit(rng) for _ in range(2)] + [generator_unit(GRID)]
+        stack = kernel_stack(lefts, rights)
+        assert stack.shape == (4, 3, 2, GRID.dim)
+        for i, u in enumerate(lefts):
+            for j, v in enumerate(rights):
+                assert stack[i, j].tobytes() == kernel(u, v).bands.tobytes()
+        assert kernel_stack(lefts, []).shape == (4, 0, 2, GRID.dim)
+        with pytest.raises(GridMismatchError):
+            kernel_stack(lefts, [vacuum_unit(GridSpec(1, 3))])
+
+    def test_stacked_tails_are_the_scalar_tails(self):
+        """The tail entries of a stack are taken pair by pair in scalar
+        arithmetic, as kernel takes them. numpy's array complex product
+        can round differently from its scalar one, and these tails are
+        drawn where it does, so a stack whose tails came from one array
+        product would fail here."""
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400)
+        b = rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400)
+        array_product = np.conj(a) * b
+        scalar_product = np.array([np.conj(x) * y for x, y in zip(a.tolist(), b.tolist())])
+        differ = np.flatnonzero(array_product != scalar_product)[:8]
+        if not len(differ):
+            pytest.skip("numpy's array and scalar complex products agree on every drawn pair here")
+        grid = GridSpec(1, 2)
+
+        def unit(tail):
+            return FockUnit(AlgebraElement(grid, np.full(grid.size, tail), tail), constant(grid, 0.0))
+
+        lefts, rights = [unit(a[k]) for k in differ], [unit(b[k]) for k in differ]
+        stack = kernel_stack(lefts, rights)
+        for i, u in enumerate(lefts):
+            for j, v in enumerate(rights):
+                assert stack[i, j, 0, -1].tobytes() == kernel(u, v).bands[0, -1].tobytes()
+        diagonal = stack[np.arange(len(differ)), np.arange(len(differ)), 0, -1]
+        assert np.all(diagonal != array_product[differ])
+
 
 class TestKernelOperatorAlgebra:
     def test_identity_and_zero(self):
@@ -138,7 +179,7 @@ class TestKernelOperatorAlgebra:
 class TestMatrixExponential:
     def test_zero_matrix(self):
         grid = GridSpec(1, 2)
-        assert np.array_equal(matrix_exponential(WeightedShift.zero(grid)), np.eye(4)[None])
+        assert np.array_equal(matrix_exponential(WeightedShift(grid, np.zeros((2, grid.dim)))), np.eye(4)[None])
 
     def test_against_scipy_random(self):
         rng = np.random.default_rng(11)

@@ -41,6 +41,7 @@ RETIRED_ATTRIBUTES = [
     ("fock", "GramReport", "json_entries"),
     ("fock", "KernelOperator", "identity"),
     ("fock", "KernelOperator", "zero"),
+    ("fock", "WeightedShift", "zero"),  # the formula-path stacks start from np.zeros; WeightedShift(grid, zeros) in tests
     ("algebra", "AlgebraElement", "from_coordinates"),
     ("algebra", "GridSpec", "step"),
 ]

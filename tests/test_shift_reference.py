@@ -180,7 +180,7 @@ def test_coordinate_shifts_are_byte_identical_to_the_chain_slot_reference(grid, 
         "second kernel": (kernel(v, w), reference_kernel(v, w)),
         "multiplication": (multiplication_operator(a), reference_multiplication_operator(a)),
         "second multiplication": (multiplication_operator(c), reference_multiplication_operator(c)),
-        "zero": (WeightedShift.zero(grid), ReferenceShift.zero(grid)),
+        "zero": (WeightedShift(grid, np.zeros((2, grid.dim))), ReferenceShift.zero(grid)),
     }
     k, m_a, m_c = pairs["kernel"], pairs["multiplication"], pairs["second multiplication"]
     k2 = pairs["second kernel"]
