@@ -5,7 +5,10 @@ operands' kernels (sums, and compositions with multiplication operators)
 exactly as the kernel-level definitions prescribe; the parameter path
 writes down the (zeta, beta) pair the result must have. The two paths are
 kept side by side on the result so their agreement can be checked against
-a probe battery, rather than assumed.
+a probe battery, rather than assumed. The formula path is taken over the
+whole battery at once: each operation composes and sums stacks of kernel
+bands, one row per probe, in the order and from the start that the sum of
+operators per probe took, so each row has that sum's bits.
 
 Scalar multiplication and subtraction are realized through the module
 operations themselves: alpha*x is left multiplication by the constant
