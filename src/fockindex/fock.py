@@ -412,7 +412,7 @@ class WeightedShift(_Operator):
             return NotImplemented
         self._check(other)
         if not other.bands[1].any():
-            return WeightedShift._wrap(self.grid, _scale_input(np.array(self.bands[None]), other.bands, self.grid)[0])
+            return WeightedShift._wrap(self.grid, _scale_input(np.array(self.bands[None]), *other.bands, self.grid)[0])
         if not self.bands[1].any():
             return WeightedShift._wrap(self.grid, self.bands[0] * other.bands)
         return NotImplemented
@@ -437,19 +437,20 @@ def _next_index(grid: GridSpec) -> np.ndarray:
     return index
 
 
-def _scale_input(bands: np.ndarray, mul: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _scale_input(bands: np.ndarray, a: np.ndarray, zero: np.ndarray, grid: GridSpec) -> np.ndarray:
     """(D_d + D_w T) D_a for each weighted shift of a stack ``bands``
-    (..., 2, dim), taken in place, and multiplications ``mul`` (band 1
-    zero) that broadcast against it: D_{da} + D_{w Ta} T, band 1 taking a
-    at the next coordinate. Both bands are scaled by one product with the
-    weights (a, a at the next coordinate), over the contiguous bands. A
-    shift whose band 1 is zero is itself a multiplication D_d and scales
-    the rows of D_a instead, its band 1 becoming d times band 1 of D_a, as
-    ``WeightedShift.__matmul__`` has always taken it; the two differ in
-    the signs of zeros and where d is infinite."""
-    a = mul[..., 0, :]
+    (..., 2, dim), taken in place, and multiplications D_a given by their
+    coordinates ``a`` and their band 1 ``zero`` (zero, up to the signs of
+    its zeros), both broadcast against the stack: D_{da} + D_{w Ta} T,
+    band 1 taking a at the next coordinate. Both bands are scaled by one
+    product with the weights (a, a at the next coordinate), over the
+    contiguous bands. A shift whose band 1 is zero is itself a
+    multiplication D_d and scales the rows of D_a instead, its band 1
+    becoming d times ``zero``, as ``WeightedShift.__matmul__`` has always
+    taken it; the two differ in the signs of zeros and where d is
+    infinite."""
     flat = ~bands[..., 1, :].view(float).any(axis=-1)
-    flat_shift = bands[flat, 0] * np.broadcast_to(mul[..., 1, :], flat.shape + a.shape[-1:])[flat]
+    flat_shift = bands[flat, 0] * np.broadcast_to(zero, flat.shape + zero.shape[-1:])[flat]
     weights = np.concatenate((a, a[..., _next_index(grid)], np.zeros(a.shape[:-1] + (1,))), axis=-1)
     joined = bands.reshape(bands.shape[:-2] + (-1,))
     np.multiply(joined, weights, out=joined)
@@ -465,45 +466,25 @@ def multiplication_operator(a: AlgebraElement) -> WeightedShift:
     return WeightedShift._wrap(a.grid, bands)
 
 
-def _kernel_samples(bands: np.ndarray, conj_zeta, zeta, conj_beta, beta) -> None:
-    """Write the kernel formula into bands (..., 2, dim), all but the tail
-    entry of band 0, which is left 0: conj(zeta_u) zeta_v in band 1,
-    conj(beta_u) + beta_v in band 0, and 0 at the tail of band 1. Then +0
-    is added to every entry, so that signed zeros come out as +0, as from
-    a sum that starts from zeros. The operands broadcast, and numpy's
-    array complex product rounds alike however it is stacked, so every
-    kernel has the same bits."""
-    np.multiply(conj_zeta, zeta, out=bands[..., 1, :-1])
-    np.add(conj_beta, beta, out=bands[..., 0, :-1])
-    bands[..., -1] = 0.0
-    bands += 0.0
-
-
-def _kernel_tail(u: FockUnit, v: FockUnit) -> complex:
-    """The tail entry of the kernel formula, in scalar arithmetic: numpy's
-    array complex product can round differently from the scalar one."""
-    return np.conj(u.zeta.tail) * v.zeta.tail + np.conj(u.beta.tail) + v.beta.tail
-
-
 def kernel(u: FockUnit, v: FockUnit) -> WeightedShift:
     """The generator of the two-unit semigroup:
     (L b)(s) = conj(zeta_u(s)) * b(s+1) * zeta_v(s) + (conj(beta_u(s)) + beta_v(s)) * b(s),
     with the tail row acting on tails only; b(s+1) past the grid end is the tail."""
-    if u.grid != v.grid:
-        raise GridMismatchError("units live on different grids")
-    bands = np.empty((2, u.grid.dim), dtype=complex)
-    _kernel_samples(bands, np.conj(u.zeta.samples), v.zeta.samples, np.conj(u.beta.samples), v.beta.samples)
-    bands[0, -1] = _kernel_tail(u, v)
-    return WeightedShift._wrap(u.grid, bands)
+    return WeightedShift._wrap(u.grid, kernel_stack((u,), (v,))[0, 0])
 
 
 def kernel_stack(lefts, rights) -> np.ndarray:
     """The bands of K(u_i, v_j) for every u_i in ``lefts`` and v_j in
-    ``rights``, as one array of shape (len(lefts), len(rights), 2, dim):
-    entry [i, j] is ``kernel(u_i, v_j).bands`` to the bit. The sample
-    entries of each left unit are taken against all of ``rights`` in one
-    array pass; the tail entries pair by pair in scalar arithmetic, as
-    :func:`kernel` takes them."""
+    ``rights``, as one array of shape (len(lefts), len(rights), 2, dim);
+    :func:`kernel` is its one-pair case.
+
+    Each pair's sample entries are written into the stack by one product
+    and one sum; a broadcast over ``rights`` was no faster at the grids
+    measured and would copy their samples first. The tail entry is taken
+    in scalar arithmetic, because numpy's array complex product can round
+    differently from its scalar one, and it is written after +0 has been
+    added to the rest of the stack in one pass, which turns the -0 parts
+    of the samples into +0, as a sum that starts from zeros does."""
     lefts, rights = list(lefts), list(rights)
     if not lefts:
         raise DomainError("kernel_stack needs at least one left unit")
@@ -511,12 +492,17 @@ def kernel_stack(lefts, rights) -> np.ndarray:
     if any(w.grid != grid for w in (*lefts, *rights)):
         raise GridMismatchError("units live on different grids")
     bands = np.empty((len(lefts), len(rights), 2, grid.dim), dtype=complex)
-    zeta = np.array([v.zeta.samples for v in rights]).reshape(len(rights), grid.size)
-    beta = np.array([v.beta.samples for v in rights]).reshape(zeta.shape)
+    tails = []
     for i, u in enumerate(lefts):
-        _kernel_samples(bands[i], np.conj(u.zeta.samples), zeta, np.conj(u.beta.samples), beta)
+        conj_zeta, conj_beta = np.conj(u.zeta.samples), np.conj(u.beta.samples)
+        conj_zeta_tail, conj_beta_tail = np.conj(u.zeta.tail), np.conj(u.beta.tail)
         for j, v in enumerate(rights):
-            bands[i, j, 0, -1] = _kernel_tail(u, v)
+            np.multiply(conj_zeta, v.zeta.samples, out=bands[i, j, 1, :-1])
+            np.add(conj_beta, v.beta.samples, out=bands[i, j, 0, :-1])
+            tails.append(conj_zeta_tail * v.zeta.tail + conj_beta_tail + v.beta.tail)
+    bands[..., -1] = 0.0
+    bands += 0.0
+    bands[..., 0, -1] = np.reshape(tails, bands.shape[:2])
     return bands
 
 

@@ -139,14 +139,14 @@ def coefficients_sum_to_one(coefficients: Sequence[AlgebraElement]) -> bool:
     return (sum(coefficients, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() <= COEFFICIENT_SUM_TOLERANCE
 
 
-def _act(muls: np.ndarray, kernels: np.ndarray, inner: bool, grid: GridSpec) -> np.ndarray:
-    """The bands of ``kernel @ mul`` (inner) or ``mul @ kernel`` for each
-    kernel of a stack (k, 2, dim) that the caller owns, and multiplications
-    ``muls`` of shape (2, dim) or (k, 2, dim). On the output side the
-    product is taken in place."""
+def _act(coordinates: np.ndarray, kernels: np.ndarray, inner: bool, grid: GridSpec) -> np.ndarray:
+    """The bands of ``kernel @ multiplication_operator(c)`` (inner) or
+    ``multiplication_operator(c) @ kernel`` for each kernel of a stack
+    (k, 2, dim) that the caller owns, taken in place, with the coordinates
+    of the multipliers c given as (dim,) or (k, dim)."""
     if inner:
-        return _scale_input(kernels, muls, grid)
-    return np.multiply(muls[..., 0, None, :], kernels, out=kernels)
+        return _scale_input(kernels, coordinates, np.zeros(grid.dim), grid)
+    return np.multiply(coordinates[..., None, :], kernels, out=kernels)
 
 
 def _accumulate(terms: np.ndarray, signs: Sequence[int] | None = None, from_zero: bool = False) -> np.ndarray:
@@ -168,12 +168,9 @@ def _accumulate(terms: np.ndarray, signs: Sequence[int] | None = None, from_zero
     return total
 
 
-def _multiplications(elements: Sequence[AlgebraElement]) -> np.ndarray:
-    """The bands of ``multiplication_operator(e)`` for each element,
-    stacked: its coordinates in band 0, band 1 zero."""
-    bands = np.zeros((len(elements), 2, elements[0].grid.dim), dtype=complex)
-    bands[:, 0] = [e.coordinates for e in elements]
-    return bands
+def _coordinates(elements: Sequence[AlgebraElement]) -> np.ndarray:
+    """The coordinates of each element, stacked (len(elements), dim)."""
+    return np.array([e.coordinates for e in elements])
 
 
 def _combination(coefficients, units, reference: FockUnit, inner: bool) -> ReferencedUnit:
@@ -196,14 +193,13 @@ def _combination(coefficients, units, reference: FockUnit, inner: bool) -> Refer
     candidate = FockUnit(zeta, beta)
 
     def cross(probes: Sequence[FockUnit]) -> np.ndarray:
-        muls = _multiplications([c.star() for c in coefficients])
-        terms = _act(muls[:, None], kernel_stack(units, probes), inner, grid)
+        terms = _act(_coordinates([c.star() for c in coefficients])[:, None], kernel_stack(units, probes), inner, grid)
         return _accumulate(terms, from_zero=True)
 
     def diagonal() -> np.ndarray:
         stars = [c.star() for c in coefficients]
-        muls = _multiplications([si * cj for si in stars for cj in coefficients])
-        terms = _act(muls, kernel_stack(units, units).reshape(muls.shape), inner, grid)
+        products = _coordinates([si * cj for si in stars for cj in coefficients])
+        terms = _act(products, kernel_stack(units, units).reshape(len(products), 2, grid.dim), inner, grid)
         return _accumulate(terms, from_zero=True)
 
     return ReferencedUnit(candidate, reference, cross, diagonal)
@@ -272,17 +268,17 @@ def _module_mul(a: AlgebraElement, x: ReferencedUnit, inner: bool) -> Referenced
         times(a, xu.beta) + times(rest, omega.beta),
     )
     stars = (a.star(), rest.star())
-    muls = _multiplications(stars)
+    multipliers = _coordinates(stars)
     units = (xu, omega)
 
     def cross(probes: Sequence[FockUnit]) -> np.ndarray:
-        return _accumulate(_act(muls[:, None], kernel_stack(units, probes), inner, a.grid))
+        return _accumulate(_act(multipliers[:, None], kernel_stack(units, probes), inner, a.grid))
 
     def diagonal() -> np.ndarray:
         # Summed column by column, (i, j) = (0, 0), (1, 0), (0, 1), (1, 1), from the first term.
-        pair_muls = _multiplications([si * cj for cj in (a, rest) for si in stars])
-        kernels = kernel_stack(units, units).swapaxes(0, 1).reshape(pair_muls.shape)
-        return _accumulate(_act(pair_muls, kernels, inner, a.grid))
+        products = _coordinates([si * cj for cj in (a, rest) for si in stars])
+        kernels = kernel_stack(units, units).swapaxes(0, 1).reshape(len(products), 2, a.grid.dim)
+        return _accumulate(_act(products, kernels, inner, a.grid))
 
     return ReferencedUnit(candidate, omega, cross, diagonal)
 
