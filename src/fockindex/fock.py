@@ -466,25 +466,50 @@ def multiplication_operator(a: AlgebraElement) -> WeightedShift:
     return WeightedShift._wrap(a.grid, bands)
 
 
+def _kernel_samples(bands: np.ndarray, conj_zeta: np.ndarray, conj_beta: np.ndarray, v: FockUnit) -> None:
+    """Write the sample entries of K(u, v) into one pair's bands (2, dim),
+    given u's conjugated samples: conj(zeta_u) zeta_v in band 1 and
+    conj(beta_u) + beta_v in band 0."""
+    np.multiply(conj_zeta, v.zeta.samples, out=bands[1, :-1])
+    np.add(conj_beta, v.beta.samples, out=bands[0, :-1])
+
+
+def _kernel_tail(conj_zeta_tail, conj_beta_tail, v: FockUnit) -> complex:
+    """The tail entry of K(u, v), given u's conjugated tails, in scalar
+    arithmetic: numpy's array complex product can round differently from
+    its scalar one."""
+    return conj_zeta_tail * v.zeta.tail + conj_beta_tail + v.beta.tail
+
+
+def _finish_kernels(bands: np.ndarray, tails) -> None:
+    """Complete kernel bands (..., 2, dim) whose samples are written: add
+    +0 to every entry, which turns -0 parts into +0 as a sum started from
+    zeros does, with 0 in the tail column, and then write the tails."""
+    bands[..., -1] = 0.0
+    bands += 0.0
+    bands[..., 0, -1] = tails
+
+
 def kernel(u: FockUnit, v: FockUnit) -> WeightedShift:
     """The generator of the two-unit semigroup:
     (L b)(s) = conj(zeta_u(s)) * b(s+1) * zeta_v(s) + (conj(beta_u(s)) + beta_v(s)) * b(s),
     with the tail row acting on tails only; b(s+1) past the grid end is the tail."""
-    return WeightedShift._wrap(u.grid, kernel_stack((u,), (v,))[0, 0])
+    if u.grid != v.grid:
+        raise GridMismatchError("units live on different grids")
+    bands = np.empty((2, u.grid.dim), dtype=complex)
+    _kernel_samples(bands, np.conj(u.zeta.samples), np.conj(u.beta.samples), v)
+    _finish_kernels(bands, _kernel_tail(np.conj(u.zeta.tail), np.conj(u.beta.tail), v))
+    return WeightedShift._wrap(u.grid, bands)
 
 
 def kernel_stack(lefts, rights) -> np.ndarray:
     """The bands of K(u_i, v_j) for every u_i in ``lefts`` and v_j in
-    ``rights``, as one array of shape (len(lefts), len(rights), 2, dim);
-    :func:`kernel` is its one-pair case.
-
-    Each pair's sample entries are written into the stack by one product
-    and one sum; a broadcast over ``rights`` was no faster at the grids
-    measured and would copy their samples first. The tail entry is taken
-    in scalar arithmetic, because numpy's array complex product can round
-    differently from its scalar one, and it is written after +0 has been
-    added to the rest of the stack in one pass, which turns the -0 parts
-    of the samples into +0, as a sum that starts from zeros does."""
+    ``rights``, as one array of shape (len(lefts), len(rights), 2, dim):
+    entry [i, j] is ``kernel(u_i, v_j).bands`` to the bit, from the same
+    formula. Each pair's samples are written into the stack by one product
+    and one sum (a broadcast over ``rights`` was no faster at the grids
+    measured, and would copy their samples first), and the +0 pass runs
+    once over the whole stack."""
     lefts, rights = list(lefts), list(rights)
     if not lefts:
         raise DomainError("kernel_stack needs at least one left unit")
@@ -492,17 +517,14 @@ def kernel_stack(lefts, rights) -> np.ndarray:
     if any(w.grid != grid for w in (*lefts, *rights)):
         raise GridMismatchError("units live on different grids")
     bands = np.empty((len(lefts), len(rights), 2, grid.dim), dtype=complex)
-    tails = []
+    tails = np.empty(bands.shape[:2], dtype=complex)
     for i, u in enumerate(lefts):
         conj_zeta, conj_beta = np.conj(u.zeta.samples), np.conj(u.beta.samples)
         conj_zeta_tail, conj_beta_tail = np.conj(u.zeta.tail), np.conj(u.beta.tail)
         for j, v in enumerate(rights):
-            np.multiply(conj_zeta, v.zeta.samples, out=bands[i, j, 1, :-1])
-            np.add(conj_beta, v.beta.samples, out=bands[i, j, 0, :-1])
-            tails.append(conj_zeta_tail * v.zeta.tail + conj_beta_tail + v.beta.tail)
-    bands[..., -1] = 0.0
-    bands += 0.0
-    bands[..., 0, -1] = np.reshape(tails, bands.shape[:2])
+            _kernel_samples(bands[i, j], conj_zeta, conj_beta, v)
+            tails[i, j] = _kernel_tail(conj_zeta_tail, conj_beta_tail, v)
+    _finish_kernels(bands, tails)
     return bands
 
 
