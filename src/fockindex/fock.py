@@ -31,15 +31,16 @@ Arithmetic in either form is exact.
 
 :func:`kernel` builds one kernel; :func:`kernel_stack` builds the bands
 of K(u_i, v_j) for two lists of units as one (len(lefts), len(rights),
-2, dim) array, which is how the bimodule operations take their formula
-path over a whole probe battery. Both write the sample entries with one
-formula, and numpy's array complex product gives the same bits however
-its operands are stacked, broadcast or sliced. The tail entry is the
-exception: numpy's array complex product can round differently from its
-scalar one (on an AVX-512 host it did for about half of random pairs),
-so every tail entry, in a stack too, is taken pair by pair in scalar
-arithmetic, as :func:`kernel` takes it. ``tests/test_fock.py`` pins that
-rule with tails drawn where the two products disagree.
+2, dim) array from the same formula, which is how the bimodule
+operations take their formula path over a whole probe battery. Products
+and sums taken over such a stack have the bits of the same operations on
+one operator, since numpy's array complex arithmetic rounds alike however
+its operands are stacked, broadcast or sliced. The tail entry of a
+kernel is the exception: numpy's array complex product can round
+differently from its scalar one (on an AVX-512 host it did for about
+half of random pairs), so every tail entry, in a stack too, is taken
+pair by pair in scalar arithmetic. ``tests/test_fock.py`` pins that rule
+with tails drawn where the two products disagree.
 
 :func:`semigroups` takes exp(tL) for many times t at once, and
 :func:`semigroup` is its one-time case. :func:`matrix_exponential` takes

@@ -84,7 +84,7 @@ class ReferencedUnit:
         return self.unit.grid
 
     def cross_kernels(self, probes: Sequence[FockUnit]) -> np.ndarray:
-        """The formula-path bands against each probe, a new array of shape (len(probes), 2, dim)."""
+        """The formula-path bands against each probe, shape (len(probes), 2, dim), in an array the caller may modify."""
         return self._cross(probes)
 
     def cross_kernel(self, probe: FockUnit) -> WeightedShift:
