@@ -9,7 +9,9 @@ match them byte for byte, signed zeros included.
 The references build :class:`PerProbeUnit`, the per-probe form that
 ``ReferencedUnit`` had when they were written, and start their sums from
 ``zero_shift(grid)``, the retired ``WeightedShift.zero``; those two names
-are all that changed in them."""
+are all that changed in them. They still call ``kernel`` and ``@``, which
+now share code with the stacks, so two tests below hold those to verbatim
+copies of their old bodies as well."""
 
 from dataclasses import dataclass, field
 from typing import Callable
