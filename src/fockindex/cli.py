@@ -35,7 +35,7 @@ from .fock import (
     semigroup_law_residual,
 )
 from .presets import PresetError, from_spec
-from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, Pcg64Draws, random_element, random_unit, run_selftest
+from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, Pcg64Draws, judge, random_element, random_unit, run_selftest
 from .subsystem import (
     CONVEXIFY_DELTA,
     TRUNCATION_NS,
@@ -326,9 +326,9 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _judged(config: ExperimentConfig, residual: float, tolerance: str) -> dict:
-    """``passed`` (whether ``residual`` is within the tolerance named ``tolerance``) and that ``tolerance``."""
+    """``passed``, :func:`judge`'s verdict on ``residual`` against the tolerance named ``tolerance``, and that ``tolerance``."""
     tol = config.tolerances[tolerance]
-    return {"passed": residual <= tol, "tolerance": tol}
+    return {"passed": judge(residual, tol, floor=False)[0], "tolerance": tol}
 
 
 def _json_complex(z: complex):

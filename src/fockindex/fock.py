@@ -29,18 +29,18 @@ Each form combines only with its own kind, and two shifts multiply only
 when one is a multiplication operator; anything else raises TypeError.
 Arithmetic in either form is exact.
 
-:func:`kernel` builds one kernel; :func:`kernel_stack` builds the bands
-of K(u_i, v_j) for two lists of units as one (len(lefts), len(rights),
-2, dim) array from the same formula, which is how the bimodule
-operations take their formula path over a whole probe battery. Products
-and sums taken over such a stack have the bits of the same operations on
-one operator, since numpy's array complex arithmetic rounds alike however
-its operands are stacked, broadcast or sliced. The tail entry of a
-kernel is the exception: numpy's array complex product can round
-differently from its scalar one (on an AVX-512 host it did for about
-half of random pairs), so every tail entry, in a stack too, is taken
-pair by pair in scalar arithmetic. ``tests/test_fock.py`` pins that rule
-with tails drawn where the two products disagree.
+:func:`kernel_stack` builds the bands of K(u_i, v_j) for two lists of
+units as one (len(lefts), len(rights), 2, dim) array, which is how the
+bimodule operations take their formula path over a whole probe battery,
+and :func:`kernel` is its one-pair case. Products and sums taken over
+such a stack have the bits of the same operations on one operator, since
+numpy's array complex arithmetic rounds alike however its operands are
+stacked, broadcast or sliced. The tail entry of a kernel is the
+exception: numpy's array complex product can round differently from its
+scalar one (on an AVX-512 host it did for about half of random pairs),
+so every tail entry is taken pair by pair in scalar arithmetic.
+``tests/test_fock.py`` pins that rule with tails drawn where the two
+products disagree.
 
 :func:`semigroups` takes exp(tL) for many times t at once, and
 :func:`semigroup` is its one-time case. :func:`matrix_exponential` takes
@@ -467,50 +467,25 @@ def multiplication_operator(a: AlgebraElement) -> WeightedShift:
     return WeightedShift._wrap(a.grid, bands)
 
 
-def _kernel_samples(bands: np.ndarray, conj_zeta: np.ndarray, conj_beta: np.ndarray, v: FockUnit) -> None:
-    """Write the sample entries of K(u, v) into one pair's bands (2, dim),
-    given u's conjugated samples: conj(zeta_u) zeta_v in band 1 and
-    conj(beta_u) + beta_v in band 0."""
-    np.multiply(conj_zeta, v.zeta.samples, out=bands[1, :-1])
-    np.add(conj_beta, v.beta.samples, out=bands[0, :-1])
-
-
-def _kernel_tail(conj_zeta_tail, conj_beta_tail, v: FockUnit) -> complex:
-    """The tail entry of K(u, v), given u's conjugated tails, in scalar
-    arithmetic: numpy's array complex product can round differently from
-    its scalar one."""
-    return conj_zeta_tail * v.zeta.tail + conj_beta_tail + v.beta.tail
-
-
-def _finish_kernels(bands: np.ndarray, tails) -> None:
-    """Complete kernel bands (..., 2, dim) whose samples are written: add
-    +0 to every entry, which turns -0 parts into +0 as a sum started from
-    zeros does, with 0 in the tail column, and then write the tails."""
-    bands[..., -1] = 0.0
-    bands += 0.0
-    bands[..., 0, -1] = tails
-
-
 def kernel(u: FockUnit, v: FockUnit) -> WeightedShift:
     """The generator of the two-unit semigroup:
     (L b)(s) = conj(zeta_u(s)) * b(s+1) * zeta_v(s) + (conj(beta_u(s)) + beta_v(s)) * b(s),
-    with the tail row acting on tails only; b(s+1) past the grid end is the tail."""
-    if u.grid != v.grid:
-        raise GridMismatchError("units live on different grids")
-    bands = np.empty((2, u.grid.dim), dtype=complex)
-    _kernel_samples(bands, np.conj(u.zeta.samples), np.conj(u.beta.samples), v)
-    _finish_kernels(bands, _kernel_tail(np.conj(u.zeta.tail), np.conj(u.beta.tail), v))
-    return WeightedShift._wrap(u.grid, bands)
+    with the tail row acting on tails only; b(s+1) past the grid end is the tail.
+    It is the one-pair case of :func:`kernel_stack`."""
+    return WeightedShift._wrap(u.grid, kernel_stack((u,), (v,))[0, 0])
 
 
 def kernel_stack(lefts, rights) -> np.ndarray:
     """The bands of K(u_i, v_j) for every u_i in ``lefts`` and v_j in
     ``rights``, as one array of shape (len(lefts), len(rights), 2, dim):
-    entry [i, j] is ``kernel(u_i, v_j).bands`` to the bit, from the same
-    formula. Each pair's samples are written into the stack by one product
-    and one sum (a broadcast over ``rights`` was no faster at the grids
-    measured, and would copy their samples first), and the +0 pass runs
-    once over the whole stack."""
+    conj(zeta_u) zeta_v in band 1 and conj(beta_u) + beta_v in band 0.
+    Each pair's samples are written into the stack by one product and one
+    sum (a broadcast over ``rights`` was no faster at the grids measured,
+    and would copy their samples first), and its tail entry in scalar
+    arithmetic, as numpy's array complex product can round differently
+    from its scalar one. One +0 pass over the whole stack turns -0 parts
+    into +0, as a sum started from zeros does, with 0 in the tail column,
+    before the tails are written."""
     lefts, rights = list(lefts), list(rights)
     if not lefts:
         raise DomainError("kernel_stack needs at least one left unit")
@@ -523,9 +498,12 @@ def kernel_stack(lefts, rights) -> np.ndarray:
         conj_zeta, conj_beta = np.conj(u.zeta.samples), np.conj(u.beta.samples)
         conj_zeta_tail, conj_beta_tail = np.conj(u.zeta.tail), np.conj(u.beta.tail)
         for j, v in enumerate(rights):
-            _kernel_samples(bands[i, j], conj_zeta, conj_beta, v)
-            tails[i, j] = _kernel_tail(conj_zeta_tail, conj_beta_tail, v)
-    _finish_kernels(bands, tails)
+            np.multiply(conj_zeta, v.zeta.samples, out=bands[i, j, 1, :-1])
+            np.add(conj_beta, v.beta.samples, out=bands[i, j, 0, :-1])
+            tails[i, j] = conj_zeta_tail * v.zeta.tail + conj_beta_tail + v.beta.tail
+    bands[..., -1] = 0.0
+    bands += 0.0
+    bands[..., 0, -1] = tails
     return bands
 
 
@@ -705,6 +683,8 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAY
     time.
     """
     times = [float(t) for t in times]
+    if not times:
+        raise DomainError("times must hold at least one time; an empty one would check nothing")
     exps = semigroups(u, v, [*times, *(s + t for s in times for t in times), *extra_times], rel_tol=rel_tol)
     bands = kernel(u, v).bands
     worst = 0.0

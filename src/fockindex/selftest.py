@@ -15,7 +15,7 @@ operation's result against the same operation on the representatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .unit_algebra import (
 )
 
 __all__ = [
-    "CheckResult", "run_selftest", "Pcg64Draws", "random_element", "random_unit",
+    "CheckResult", "judge", "run_selftest", "Pcg64Draws", "random_element", "random_unit",
     "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "MIN_GRID_END", "CRITERIA",
 ]
 
@@ -100,13 +100,28 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check. A check with one number holds it as ``value`` and its
+    tolerance as ``bound``, from which :func:`judge` gives ``passed`` and
+    ``detail``; a check with no single number leaves both None."""
+
     name: str
     passed: bool
     detail: str
+    value: float | None = None
+    bound: float | None = None
+
+
+def judge(value: float, bound: float, floor: bool) -> tuple[bool, str]:
+    """The verdict and detail of a check's number: a residual passes at
+    value <= bound, a floor (criterion 4's least eigenvalue) at
+    value >= -bound. A NaN passes neither."""
+    if floor:
+        return value >= -bound, f"min pointwise eigenvalue {value:.3e} (floor {-bound:.1e})"
+    return value <= bound, f"max residual {value:.3e} (tol {bound:.1e})"
 
 
 def _result(name: str, residual: float, tol: float) -> CheckResult:
-    return CheckResult(name, residual <= tol, f"max residual {residual:.3e} (tol {tol:.1e})")
+    return CheckResult(name, *judge(residual, tol, floor=False), residual, tol)
 
 
 # numpy's SeedSequence constants (pool of 4 words) and the 128-bit PCG multiplier.
@@ -326,13 +341,7 @@ def criterion_gram_positivity(grid: GridSpec, seed: int) -> list[CheckResult]:
     tol = DEFAULT_TOLERANCES["psd"]
     grams = gram_matrices(units, (0.5, 1.0), bs)
     worst = min(0.0, *(gram_psd_check(grid, gram, tol).min_eigenvalue for row in grams for gram in row))
-    return [
-        CheckResult(
-            "gram positivity over the unit family",
-            worst >= -tol,
-            f"min pointwise eigenvalue {worst:.3e} (floor {-tol:.1e})",
-        )
-    ]
+    return [CheckResult("gram positivity over the unit family", *judge(worst, tol, floor=True), worst, tol)]
 
 
 def criterion_semi_inner_properties(grid: GridSpec, seed: int) -> list[CheckResult]:
@@ -599,5 +608,5 @@ def run_selftest(grid: GridSpec | None = None, seed: int = DEFAULT_SEED) -> list
     results: list[CheckResult] = []
     for label, criterion in CRITERIA:
         for row in criterion(grid, seed):
-            results.append(CheckResult(f"[{label}] {row.name}", row.passed, row.detail))
+            results.append(replace(row, name=f"[{label}] {row.name}"))
     return results

@@ -229,15 +229,15 @@ def theta_check(
     probe battery. The cancellation is exact, so the residual is rounding
     noise."""
     grid = zeta.grid
-    if probes is None:
-        probes = default_probe_units(grid)
+    probes = default_probe_units(grid) if probes is None else list(probes)
+    if not probes:
+        raise DomainError("probes must hold at least one unit; an empty battery would check nothing")
     alpha, zeta_prime = convexify(zeta, n, delta)
     eta_prime = FockUnit(zeta_prime, constant(grid, 0.0))
     xi = generator_unit(grid)
     coefficients = [constant(grid, 1.0 / alpha), constant(grid, 1.0 - 1.0 / alpha)]
     theta = boxplus_left(coefficients, [eta_prime, xi], xi)
     eta = FockUnit(zeta, constant(grid, 0.0))
-    probes = list(probes)
     return _largest_gap(theta.cross_kernels(probes), eta, probes)
 
 

@@ -135,6 +135,8 @@ def power_beta(x: ReferencedUnit, beta: AlgebraElement) -> ReferencedUnit:
 
 def coefficients_sum_to_one(coefficients: Sequence[AlgebraElement]) -> bool:
     """Whether the coefficients of a combination sum to the unit element within COEFFICIENT_SUM_TOLERANCE."""
+    if not coefficients:
+        return False  # the empty sum is 0
     grid = coefficients[0].grid
     return (sum(coefficients, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() <= COEFFICIENT_SUM_TOLERANCE
 
@@ -330,10 +332,8 @@ def _largest_gap(formula: np.ndarray, unit: FockUnit, rights: Sequence[FockUnit]
     """Largest operator-norm gap between a stack of formula-path bands,
     which the caller owns, and the kernels K(unit, r) for r in ``rights``,
     row for row: one difference, taken in place, and one abs over the
-    whole stack; 0.0 for no rows. A NaN gap raises ValueError, as
+    whole stack. A NaN gap raises ValueError, as
     ``WeightedShift.operator_norm`` does."""
-    if not rights:
-        return 0.0
     formula -= kernel_stack((unit,), rights)[0]
     gap = np.abs(formula)
     return _largest_row_sum(gap[:, 0] + gap[:, 1])

@@ -25,7 +25,7 @@ from fockindex import cli
 from fockindex.algebra import GridSpec, UnresolvedTailWarning
 from fockindex.cli import COMMANDS, main
 from fockindex.fock import TAYLOR_TOLERANCE_FLOOR, FockUnit, blas_core, kernel
-from fockindex.selftest import DEFAULT_TOLERANCES
+from fockindex.selftest import DEFAULT_TOLERANCES, judge
 
 SMALL_GRID = {"grid": {"m": 2, "S": 30}}
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -392,6 +392,45 @@ def test_default_reports_match_golden_bytes(tmp_path, command):
         )
 
 
+# Each part of a default report that holds a verdict and a tolerance: the
+# residual it judges and the name of its tolerance. The gram verdict is a
+# floor on the least eigenvalue over its results.
+VERDICTS = {
+    ("kernel",): ("adjoint_symmetry_residual", "hermitian"),
+    ("semigroup",): ("law_residual", "semigroup_law"),
+    ("gram",): (None, "psd"),
+    ("inner",): ("adjoint_symmetry_residual", "inner_hermitian"),
+    ("unitalg",): ("max_residual", "dual_path"),
+    ("witness", "conjugation"): ("residual", "witness"),
+    ("witness", "convexified"): ("residual", "theta"),
+    ("index",): ("max_homomorphism_residual", "index_hom"),
+}
+
+
+def verdict_parts(report, path):
+    """(path, part) for each dict in ``report`` that holds both ``passed`` and ``tolerance``."""
+    if isinstance(report, dict):
+        if "passed" in report and "tolerance" in report:
+            yield path, report
+        for key, value in report.items():
+            yield from verdict_parts(value, path + (key,))
+
+
+def test_default_report_verdicts_are_the_battery_rule():
+    found = {}
+    for command in COMMANDS:
+        found.update(verdict_parts(json.loads((GOLDEN / command / f"{command}_report.json").read_text()), (command,)))
+    assert sorted(found) == sorted(VERDICTS)
+    for path, part in found.items():
+        residual, name = VERDICTS[path]
+        assert part["tolerance"] == DEFAULT_TOLERANCES[name]
+        if residual is None:
+            value, floor = min(result["min_eigenvalue"] for result in part["results"]), True
+        else:
+            value, floor = part[residual], False
+        assert part["passed"] is judge(value, part["tolerance"], floor=floor)[0]
+
+
 def test_unreadable_config_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -476,6 +515,15 @@ def test_step1_residual_is_judged_by_the_witness_tolerance(tmp_path, capsys, tol
     conjugation = json.loads((tmp_path / "out" / "witness_report.json").read_text())["conjugation"]
     assert 1e-12 < conjugation["residual"] < 1e-6
     assert conjugation["passed"] is (status == 0)
+
+
+def test_a_residual_passes_at_its_tolerance_and_fails_one_ulp_over_it(tmp_path):
+    run(tmp_path, "witness", LOOSE_WITNESS, outdir="default")
+    residual = json.loads((tmp_path / "default" / "witness_report.json").read_text())["conjugation"]["residual"]
+    for tol, status in ((residual, 0), (float(np.nextafter(residual, 0.0)), 1)):
+        assert run(tmp_path, "witness", {**LOOSE_WITNESS, "tolerances": {"witness": tol}}, outdir=repr(tol))[0] == status
+        conjugation = json.loads((tmp_path / repr(tol) / "witness_report.json").read_text())["conjugation"]
+        assert (conjugation["residual"], conjugation["tolerance"], conjugation["passed"]) == (residual, tol, status == 0)
 
 
 @pytest.mark.filterwarnings("ignore::fockindex.UnresolvedTailWarning")  # tails past a short grid

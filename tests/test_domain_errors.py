@@ -32,9 +32,10 @@ from fockindex.subsystem import (
     convexify,
     index_representative,
     membership,
+    theta_check,
     witness_step1,
 )
-from fockindex.unit_algebra import add, boxplus_left, wrap
+from fockindex.unit_algebra import add, boxplus_left, coefficients_sum_to_one, wrap
 
 GRID = GridSpec(2, 10)
 ZERO, ONE = constant(GRID, 0.0), constant(GRID, 1.0)
@@ -89,6 +90,8 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         lambda: convergence_report(ONE, 1.0, [4, 2]),  # ns not strictly increasing
         lambda: convergence_report(ONE, 1.0, [4, 4]),
         lambda: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, []),  # no truncation point
+        lambda: theta_check(ONE, 1, []),  # no probe
+        lambda: semigroup_law_residual(XI, XI, []),  # no time
         # times and tolerances that are not finite and >= 0
         lambda: semigroups(XI, XI, [float("nan")]),
         lambda: semigroups(XI, XI, [float("inf")]),
@@ -111,6 +114,10 @@ def test_out_of_domain_inputs_raise_domain_error(call):
     with pytest.raises(DomainError) as error:
         call()
     assert isinstance(error.value, ValueError)
+
+
+def test_no_coefficients_do_not_sum_to_one():
+    assert coefficients_sum_to_one([]) is False  # the empty sum is 0
 
 
 @pytest.mark.parametrize("cls", [ConfigError, PresetError, NotAMemberError, UnsupportedParameterError, GridMismatchError])

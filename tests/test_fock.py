@@ -29,6 +29,7 @@ from fockindex.fock import (
 )
 from fockindex.presets import exp_approach, exp_decay
 from test_chain_operators import exponential_operator, identity_operator, zero_operator
+from test_mirror_pairs import reference_kernel
 
 GRID = GridSpec(4, 25)
 
@@ -134,10 +135,11 @@ class TestKernel:
 
     def test_stacked_tails_are_the_scalar_tails(self):
         """The tail entries of a stack are taken pair by pair in scalar
-        arithmetic, as kernel takes them. numpy's array complex product
-        can round differently from its scalar one, and these tails are
-        drawn where it does, so a stack whose tails came from one array
-        product would fail here."""
+        arithmetic, as ``test_mirror_pairs.reference_kernel``, a copy of
+        the per-pair kernel body, takes them. numpy's array complex
+        product can round differently from its scalar one, and these
+        tails are drawn where it does, so a stack whose tails came from
+        one array product would fail here."""
         rng = np.random.default_rng(11)
         a = rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400)
         b = rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400)
@@ -155,7 +157,7 @@ class TestKernel:
         stack = kernel_stack(lefts, rights)
         for i, u in enumerate(lefts):
             for j, v in enumerate(rights):
-                assert stack[i, j, 0, -1].tobytes() == kernel(u, v).bands[0, -1].tobytes()
+                assert stack[i, j, 0, -1].tobytes() == reference_kernel(u, v).bands[0, -1].tobytes()
         diagonal = stack[np.arange(len(differ)), np.arange(len(differ)), 0, -1]
         assert np.all(diagonal != array_product[differ])
 
