@@ -31,6 +31,7 @@ __all__ = [
     "GridSpec",
     "AlgebraElement",
     "constant",
+    "judge",
 ]
 
 TAIL_TOLERANCE = 1e-9
@@ -63,6 +64,15 @@ def _require_tolerance(value, name: str) -> None:
     nonnegative; a NaN is neither."""
     if not 0 <= value < math.inf:
         raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def judge(value: float, bound: float, floor: bool) -> tuple[bool, str]:
+    """The verdict and detail of a check's number: a residual passes at
+    value <= bound, a floor (criterion 4's least eigenvalue) at
+    value >= -bound. A NaN passes neither."""
+    if floor:
+        return value >= -bound, f"min pointwise eigenvalue {value:.3e} (floor {-bound:.1e})"
+    return value <= bound, f"max residual {value:.3e} (tol {bound:.1e})"
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,8 @@ class GridSpec:
     def offset_of(self, t) -> int:
         """Sample offset of the grid-aligned time ``t`` >= 0."""
         k = float(t) * self.step_denominator
+        if not math.isfinite(k):
+            raise GridMismatchError(f"shift must be finite, got {t!r}")
         k_int = int(round(k))
         if abs(k - k_int) > 1e-12:
             raise GridMismatchError(f"shift {t!r} is not a multiple of the grid step 1/{self.step_denominator}")

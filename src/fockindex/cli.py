@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, DomainError, GridSpec, constant
+from .algebra import AlgebraElement, DomainError, GridSpec, constant, judge
 from .fock import (
     TAYLOR_TOLERANCE_FLOOR,
     FockUnit,
@@ -35,7 +36,7 @@ from .fock import (
     semigroup_law_residual,
 )
 from .presets import PresetError, from_spec
-from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, Pcg64Draws, judge, random_element, random_unit, run_selftest
+from .selftest import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES, Pcg64Draws, random_element, random_unit, run_selftest
 from .subsystem import (
     CONVEXIFY_DELTA,
     TRUNCATION_NS,
@@ -209,21 +210,6 @@ _DEFAULTS = {
     "selftest": {"seed": DEFAULT_SEED},
 }
 
-# Command -> the tolerance names its handler reads: the only names its
-# 'tolerances' may override. The selftest runs at its pinned tolerances.
-_TOLERANCES = {
-    "kernel": ("hermitian",),
-    "semigroup": ("exp", "semigroup_law"),
-    "gram": ("psd",),
-    "inner": ("inner_hermitian",),
-    "unitalg": ("dual_path",),
-    "membership": ("membership",),
-    "witness": ("witness", "theta"),
-    "approx": ("convergence_threshold", "membership"),
-    "index": ("membership", "index_hom"),
-    "selftest": (),
-}
-
 # The keys one level down: a grid's, with defaults, and a unit spec's (beta defaults to 0).
 _GRID_KEYS = {"m": DEFAULT_GRID.step_denominator, "S": DEFAULT_GRID.domain_end}
 _UNIT_KEYS = ("zeta", "beta")
@@ -293,8 +279,9 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
 
 def _command_fields(config: ExperimentConfig, command: str) -> dict:
-    """The fields ``command``'s handler takes: each given one, else its default."""
-    values = {}
+    """The keywords ``command``'s handler takes: each given field, else its
+    default, and the value of each tolerance it names as ``<name>_tol``."""
+    values = {f"{name}_tol": config.tolerances[name] for name in _TOLERANCES[command]}
     for key, default in _DEFAULTS[command].items():
         if key in config.fields:
             values[key] = config.fields[key]
@@ -325,9 +312,8 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _judged(config: ExperimentConfig, residual: float, tolerance: str) -> dict:
-    """``passed``, :func:`judge`'s verdict on ``residual`` against the tolerance named ``tolerance``, and that ``tolerance``."""
-    tol = config.tolerances[tolerance]
+def _judged(residual: float, tol: float) -> dict:
+    """``passed``, :func:`judge`'s verdict on ``residual`` against ``tol``, and that ``tol``."""
     return {"passed": judge(residual, tol, floor=False)[0], "tolerance": tol}
 
 
@@ -347,49 +333,48 @@ def _element_table(grid: GridSpec, elements: dict[str, AlgebraElement]) -> list:
 
 
 # -- commands ---------------------------------------------------------------
-# Each handler returns file name -> content: the .json report's dict, or a .csv table's rows, header first.
+# Each handler takes the grid, its fields and each tolerance it reads as <name>_tol.
+# It returns file name -> content: the .json report's dict, or a .csv table's rows, header first.
 
 
-def cmd_kernel(config: ExperimentConfig, *, u, v, b) -> dict:
+def cmd_kernel(grid: GridSpec, *, u, v, b, hermitian_tol) -> dict:
     operator = kernel(u, v)
     adjoint_gap = float(np.max(np.abs(kernel(v, u).bands - np.conj(operator.bands))))
     report = {"operator_norm": operator.operator_norm(), "adjoint_symmetry_residual": adjoint_gap}
     return {
         "kernel_matrix.csv": operator.to_dense(),
-        "kernel_action.csv": _element_table(config.grid, {"b_": b, "Lb_": operator.apply(b)}),
-        "kernel_report.json": {**report, **_judged(config, adjoint_gap, "hermitian")},
+        "kernel_action.csv": _element_table(grid, {"b_": b, "Lb_": operator.apply(b)}),
+        "kernel_report.json": {**report, **_judged(adjoint_gap, hermitian_tol)},
     }
 
 
-def cmd_semigroup(config: ExperimentConfig, *, u, v, b, t_values) -> dict:
-    worst, exps = semigroup_law_residual(u, v, t_values, rel_tol=config.tolerances["exp"])
+def cmd_semigroup(grid: GridSpec, *, u, v, b, t_values, exp_tol, semigroup_law_tol) -> dict:
+    worst, exps = semigroup_law_residual(u, v, t_values, rel_tol=exp_tol)
     rows = [[t, exps[t].operator_norm(), exps[t].apply(b).sup_norm()] for t in t_values]
     return {
         "semigroup_table.csv": [["t", "operator_norm", "applied_sup_norm"], *rows],
-        "semigroup_report.json": {"t_values": t_values, "law_residual": worst, **_judged(config, worst, "semigroup_law")},
+        "semigroup_report.json": {"t_values": t_values, "law_residual": worst, **_judged(worst, semigroup_law_tol)},
     }
 
 
-def cmd_gram(config: ExperimentConfig, *, units, b, t_values) -> dict:
-    tol = config.tolerances["psd"]
+def cmd_gram(grid: GridSpec, *, units, b, t_values, psd_tol) -> dict:
     grams = gram_matrices(units, t_values, [b])
-    results = [{"t": t, **vars(gram_psd_check(b.grid, gram, tol))} for t, (gram,) in zip(t_values, grams)]
-    return {"gram_report.json": {"passed": all(r["passed"] for r in results), "tolerance": tol, "results": results}}
+    results = [{"t": t, **vars(gram_psd_check(grid, gram, psd_tol))} for t, (gram,) in zip(t_values, grams)]
+    return {"gram_report.json": {"passed": all(r["passed"] for r in results), "tolerance": psd_tol, "results": results}}
 
 
-def cmd_inner(config: ExperimentConfig, *, u, v, b, reference) -> dict:
+def cmd_inner(grid: GridSpec, *, u, v, b, reference, inner_hermitian_tol) -> dict:
     x, y = wrap(u, reference), wrap(v, reference)
     value = semi_inner(x, y, b)
     sym_gap = semi_inner_adjoint_residual(x, y, b)
     report = {"sup_norm": value.sup_norm(), "adjoint_symmetry_residual": sym_gap}
     return {
-        "inner_table.csv": _element_table(config.grid, {"": value}),
-        "inner_report.json": {**report, **_judged(config, sym_gap, "inner_hermitian")},
+        "inner_table.csv": _element_table(grid, {"": value}),
+        "inner_report.json": {**report, **_judged(sym_gap, inner_hermitian_tol)},
     }
 
 
-def cmd_unitalg(config: ExperimentConfig, *, probes, seed, cases, reference, kappa) -> dict:
-    grid = config.grid
+def cmd_unitalg(grid: GridSpec, *, probes, seed, cases, reference, kappa, dual_path_tol) -> dict:
     rng = Pcg64Draws(seed)
     one = constant(grid, 1.0)
     rows = []
@@ -412,17 +397,17 @@ def cmd_unitalg(config: ExperimentConfig, *, probes, seed, cases, reference, kap
     worst = max(row[1] for row in rows)
     return {
         "unitalg_cases.csv": [["operation", "dual_path_residual"], *rows],
-        "unitalg_report.json": {"seed": seed, "cases": len(rows), "max_residual": worst, **_judged(config, worst, "dual_path")},
+        "unitalg_report.json": {"seed": seed, "cases": len(rows), "max_residual": worst, **_judged(worst, dual_path_tol)},
     }
 
 
-def cmd_membership(config: ExperimentConfig, *, zeta, beta) -> dict:
-    report = membership(FockUnit(zeta, beta), config.tolerances["membership"])
+def cmd_membership(grid: GridSpec, *, zeta, beta, membership_tol) -> dict:
+    report = membership(FockUnit(zeta, beta), membership_tol)
     payload = {**vars(report), "zeta_limit": _json_complex(report.zeta_limit), "witness_kind": report.witness_kind.value}
     return {"membership_report.json": payload}
 
 
-def cmd_witness(config: ExperimentConfig, *, zeta, n, delta, probes) -> dict:
+def cmd_witness(grid: GridSpec, *, zeta, n, delta, probes, witness_tol, theta_tol) -> dict:
     alpha, _ = convexify(zeta, n, delta)
     witness = witness_step1(zeta, n)
     theta_residual = theta_check(zeta, n, probes, delta)
@@ -431,19 +416,16 @@ def cmd_witness(config: ExperimentConfig, *, zeta, n, delta, probes) -> dict:
         conjugation = {"skipped": witness}
     else:
         residual = witness.max_identity_residual
-        conjugation = {"residual": residual, **_judged(config, residual, "witness")}
-        outputs["witness_elements.csv"] = _element_table(config.grid, {"b0_": witness.b0, "b1_": witness.b1})
-    convexified = {"alpha": alpha, "delta": delta, "residual": theta_residual, **_judged(config, theta_residual, "theta")}
+        conjugation = {"residual": residual, **_judged(residual, witness_tol)}
+        outputs["witness_elements.csv"] = _element_table(grid, {"b0_": witness.b0, "b1_": witness.b1})
+    convexified = {"alpha": alpha, "delta": delta, "residual": theta_residual, **_judged(theta_residual, theta_tol)}
     passed = conjugation.get("passed", True) and convexified["passed"]
     outputs["witness_report.json"] = {"n": n, "conjugation": conjugation, "convexified": convexified, "passed": passed}
     return outputs
 
 
-def cmd_approx(config: ExperimentConfig, *, zeta, ns, t, probe) -> dict:
-    tolerances = config.tolerances
-    report = convergence_report(
-        zeta, t, ns, probe, target_threshold=tolerances["convergence_threshold"], membership_tol=tolerances["membership"]
-    )
+def cmd_approx(grid: GridSpec, *, zeta, ns, t, probe, convergence_threshold_tol, membership_tol) -> dict:
+    report = convergence_report(zeta, t, ns, probe, target_threshold=convergence_threshold_tol, membership_tol=membership_tol)
     summary = {key: value for key, value in vars(report).items() if key != "rows"}
     return {
         "approx_table.csv": [[f.name for f in fields(ConvergenceRow)], *map(astuple, report.rows)],
@@ -451,33 +433,32 @@ def cmd_approx(config: ExperimentConfig, *, zeta, ns, t, probe) -> dict:
     }
 
 
-def cmd_index(config: ExperimentConfig, *, units, b) -> dict:
-    tol_membership = config.tolerances["membership"]
-    non_members = [k for k, unit in enumerate(units) if not membership(unit, tol_membership).in_E]
+def cmd_index(grid: GridSpec, *, units, b, membership_tol, index_hom_tol) -> dict:
+    non_members = [k for k, unit in enumerate(units) if not membership(unit, membership_tol).in_E]
     if non_members:
-        return {"index_report.json": {"passed": False, "non_member_units": non_members, "tolerance": tol_membership}}
-    representatives = {f"rep{k}_": index_representative(u, tol_membership) for k, u in enumerate(units)}
+        return {"index_report.json": {"passed": False, "non_member_units": non_members, "tolerance": membership_tol}}
+    representatives = {f"rep{k}_": index_representative(u, membership_tol) for k, u in enumerate(units)}
 
-    xi = generator_unit(config.grid)
+    xi = generator_unit(grid)
     worst = 0.0
     for x_unit, y_unit in zip(units, units[1:] or units[:1]):
-        residuals = index_homomorphism_residuals(wrap(x_unit, xi), wrap(y_unit, xi), b, tol_membership)
+        residuals = index_homomorphism_residuals(wrap(x_unit, xi), wrap(y_unit, xi), b, membership_tol)
         worst = max(worst, *residuals.values())
     return {
-        "index_representatives.csv": _element_table(config.grid, representatives),
-        "index_report.json": {"units": len(units), "max_homomorphism_residual": worst, **_judged(config, worst, "index_hom")},
+        "index_representatives.csv": _element_table(grid, representatives),
+        "index_report.json": {"units": len(units), "max_homomorphism_residual": worst, **_judged(worst, index_hom_tol)},
     }
 
 
-def cmd_selftest(config: ExperimentConfig, *, seed) -> dict:
-    results = run_selftest(config.grid, seed)
+def cmd_selftest(grid: GridSpec, *, seed) -> dict:
+    results = run_selftest(grid, seed)
     for row in results:
         print(f"{'PASS' if row.passed else 'FAIL'}  {row.name}: {row.detail}")
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} checks passed")
     checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    grid = {"m": config.grid.step_denominator, "S": config.grid.domain_end}
-    return {"selftest_report.json": {"seed": seed, "grid": grid, "passed": passed == len(results), "checks": checks}}
+    spec = {"m": grid.step_denominator, "S": grid.domain_end}
+    return {"selftest_report.json": {"seed": seed, "grid": spec, "passed": passed == len(results), "checks": checks}}
 
 
 _HANDLERS = {
@@ -493,6 +474,13 @@ _HANDLERS = {
     "selftest": cmd_selftest,
 }
 COMMANDS = tuple(_HANDLERS)
+
+# Command -> each name its handler takes as <name>_tol, read before anything wraps
+# the handlers: the only tolerances its config may override, none for the selftest.
+_TOLERANCES = {
+    command: tuple(name.removesuffix("_tol") for name in inspect.signature(handler).parameters if name.endswith("_tol"))
+    for command, handler in _HANDLERS.items()
+}
 
 
 def main(argv=None) -> int:
@@ -518,7 +506,7 @@ def main(argv=None) -> int:
         _reject_unknown(f"the config of {args.command!r}", raw, _command_keys(args.command))
         _reject_unknown(f"'tolerances' of {args.command!r}", raw.get("tolerances", {}), _TOLERANCES[args.command])
         with np.errstate(over="raise", invalid="raise"):
-            outputs = _HANDLERS[args.command](config, **_command_fields(config, args.command))
+            outputs = _HANDLERS[args.command](config.grid, **_command_fields(config, args.command))
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -92,7 +92,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, _is_count, _require_tolerance, constant
+from .algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, _is_count, _require_tolerance, constant, judge
 
 __all__ = [
     "UnsupportedParameterError",
@@ -169,7 +169,7 @@ class NParticleVector:
 
     def __post_init__(self) -> None:
         if not _is_count(self.n) or self.n < 0:
-            raise ValueError(f"particle count must be a nonnegative integer, got {self.n!r}")
+            raise DomainError(f"particle count must be a nonnegative integer, got {self.n!r}")
 
 
 def left_action(b: AlgebraElement, x: NParticleVector) -> NParticleVector:
@@ -182,7 +182,7 @@ def left_action(b: AlgebraElement, x: NParticleVector) -> NParticleVector:
 def module_inner(x: NParticleVector, y: NParticleVector) -> AlgebraElement:
     """<x, y> = star(x.value) * y.value for equal particle counts."""
     if x.n != y.n:
-        raise ValueError(f"particle-count mismatch: {x.n} vs {y.n}")
+        raise DomainError(f"particle-count mismatch: {x.n} vs {y.n}")
     if x.value.grid != y.value.grid:
         raise GridMismatchError("module_inner operands must share one grid")
     return x.value.star() * y.value
@@ -194,7 +194,7 @@ def unit_component(u: FockUnit, n: int) -> NParticleVector:
     if (u.beta.samples != 0).any() or u.beta.tail != 0:
         raise UnsupportedParameterError("components are only available for units with beta = 0")
     if not _is_count(n) or n < 0:
-        raise ValueError(f"particle count must be a nonnegative integer, got {n!r}")
+        raise DomainError(f"particle count must be a nonnegative integer, got {n!r}")
     value = u.zeta if n else constant(u.grid, 1.0)
     for k in range(1, n):
         value = value * u.zeta.shift(k)
@@ -750,4 +750,5 @@ def gram_psd_check(grid: GridSpec, gram: np.ndarray, tol: float) -> GramReport:
     labels = [float(s) for s in grid.points()] + ["tail"]
     entries = [{"grid_point": label, "min_eigenvalue": float(value)} for label, value in zip(labels, minima)]
     worst = int(np.argmin(minima))
-    return GramReport(bool(minima[worst] >= -tol), float(minima[worst]), labels[worst], entries)
+    least = float(minima[worst])
+    return GramReport(judge(least, tol, floor=True)[0], least, labels[worst], entries)

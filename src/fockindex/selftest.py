@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import POSITIVITY_TOLERANCE, AlgebraElement, DomainError, GridSpec, constant
+from .algebra import POSITIVITY_TOLERANCE, AlgebraElement, DomainError, GridSpec, constant, judge
 from .fock import (
     TAYLOR_TOLERANCE,
     FockUnit,
@@ -62,7 +62,7 @@ from .unit_algebra import (
 )
 
 __all__ = [
-    "CheckResult", "judge", "run_selftest", "Pcg64Draws", "random_element", "random_unit",
+    "CheckResult", "run_selftest", "Pcg64Draws", "random_element", "random_unit",
     "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "MIN_GRID_END", "CRITERIA",
 ]
 
@@ -109,15 +109,6 @@ class CheckResult:
     detail: str
     value: float | None = None
     bound: float | None = None
-
-
-def judge(value: float, bound: float, floor: bool) -> tuple[bool, str]:
-    """The verdict and detail of a check's number: a residual passes at
-    value <= bound, a floor (criterion 4's least eigenvalue) at
-    value >= -bound. A NaN passes neither."""
-    if floor:
-        return value >= -bound, f"min pointwise eigenvalue {value:.3e} (floor {-bound:.1e})"
-    return value <= bound, f"max residual {value:.3e} (tol {bound:.1e})"
 
 
 def _result(name: str, residual: float, tol: float) -> CheckResult:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from fockindex import selftest
-from fockindex.selftest import CRITERIA, DEFAULT_GRID, DEFAULT_SEED, judge, run_selftest
+from fockindex.algebra import judge
+from fockindex.selftest import CRITERIA, DEFAULT_GRID, DEFAULT_SEED, run_selftest
 
 # Criterion 12 runs a member whose zeta approaches its limit slowly, so its
 # last sample is off the tail and the centrality probes warn on it.

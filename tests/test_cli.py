@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 import fockindex
 import fockindex.presets
 from fockindex import cli
-from fockindex.algebra import GridSpec, UnresolvedTailWarning
+from fockindex.algebra import GridSpec, UnresolvedTailWarning, judge
 from fockindex.cli import COMMANDS, main
 from fockindex.fock import TAYLOR_TOLERANCE_FLOOR, FockUnit, blas_core, kernel
-from fockindex.selftest import DEFAULT_TOLERANCES, judge
+from fockindex.selftest import DEFAULT_TOLERANCES
 
 SMALL_GRID = {"grid": {"m": 2, "S": 30}}
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -280,6 +280,14 @@ def test_bad_times_and_integers_are_config_errors(tmp_path, capsys, command, fie
     status, out = run(tmp_path, command, {**TINY_GRID, **fields})
     assert status == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [{"beta": {"kind": "constant", "value": 0.0}}, "xi"], ids=["no zeta", "not an object"])
+def test_a_unit_spec_without_zeta_is_a_config_error(tmp_path, capsys, spec):
+    status, out = run(tmp_path, "kernel", {**SMALL_GRID, "u": spec})
+    assert status == 2
+    assert "'u' needs unit specs with a 'zeta' member" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -703,12 +711,17 @@ def test_handlers_touch_no_file():
         assert not [value for value in returned if isinstance(value, ast.Constant)], handler.name
 
 
-def test_each_handler_reads_the_tolerances_its_command_declares():
-    """The names in a command's _TOLERANCES are exactly the tolerance names its handler mentions."""
+def test_each_handler_reads_every_keyword_it_takes():
+    """A handler reads each field and each <name>_tol it takes, so a command
+    cannot accept a tolerance it ignores; each <name> is a tolerance."""
     assert set(cli._TOLERANCES) == set(COMMANDS)
     for handler in handler_defs():
-        named = {node.value for node in ast.walk(handler) if isinstance(node, ast.Constant) and node.value in DEFAULT_TOLERANCES}
-        assert named == set(cli._TOLERANCES[handler.name.removeprefix("cmd_")]), handler.name
+        read = {node.id for node in ast.walk(handler) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        taken = [arg.arg for arg in handler.args.kwonlyargs]
+        assert set(taken) <= read, handler.name
+        names = tuple(name.removesuffix("_tol") for name in taken if name.endswith("_tol"))
+        assert names == cli._TOLERANCES[handler.name.removeprefix("cmd_")], handler.name
+        assert set(names) <= set(DEFAULT_TOLERANCES), handler.name
 
 
 def test_handlers_raise_and_catch_nothing():

@@ -17,6 +17,7 @@ from fockindex.fock import (
     gram_matrices,
     gram_psd_check,
     kernel,
+    kernel_stack,
     left_action,
     matrix_exponential,
     module_inner,
@@ -44,6 +45,7 @@ XI = FockUnit(ONE, ZERO)
 OMEGA = FockUnit(ZERO, ZERO)
 DIP = piecewise_linear(GRID, [[0.0, -3000.0], [1.0, 1.0]])  # eventually one, negative below 1
 ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
+NON_FINITE = (float("inf"), float("-inf"), float("nan"))
 
 
 @pytest.mark.parametrize(
@@ -72,6 +74,11 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         lambda: left_action(ONE, NParticleVector(1, OTHER_ONE)),  # grid mismatches
         lambda: module_inner(NParticleVector(1, ONE), NParticleVector(1, OTHER_ONE)),
         lambda: kernel(XI, FockUnit(OTHER_ONE, OTHER_ONE)),
+        lambda: kernel_stack((), [XI]),  # no left unit
+        # particle counts that are not nonnegative integers, or differ
+        lambda: NParticleVector(-1, ONE),
+        lambda: unit_component(XI, 1.5),
+        lambda: module_inner(NParticleVector(1, ONE), NParticleVector(2, ONE)),
         # unit_algebra
         lambda: add(wrap(XI, XI), wrap(XI, OMEGA)),
         lambda: wrap(XI, FockUnit(constant(GridSpec(2, 11), 1.0), constant(GridSpec(2, 11), 0.0))),
@@ -80,6 +87,8 @@ ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
         # algebra
         lambda: ZERO.reciprocal(),
         lambda: ONE + constant(GridSpec(2, 11), 1.0),
+        *(lambda t=t: ONE.shift(t) for t in NON_FINITE),
+        *(lambda t=t: ONE.value_at(t) for t in NON_FINITE),
         # presets, the CLI's config reader and the selftest
         lambda: from_spec(GRID, {"kind": "nonsense"}),
         lambda: parse_config("not an object", Path(".")),

@@ -11,6 +11,7 @@ from fockindex.presets import exp_approach, exp_decay, inverse_decay, piecewise_
 from fockindex.unit_algebra import add, left_mul, right_mul, semi_inner, wrap
 from fockindex.subsystem import (
     CENTRALITY_TOLERANCE,
+    Step1Witness,
     WitnessKind,
     _centrality_probes,
     approximate,
@@ -170,6 +171,12 @@ class TestWitness:
         negative = AlgebraElement(GRID, np.where(s < 1, -1000.0, 1.0 + 5e-13).astype(complex), 1.0 + 5e-13)
         assert witness_step1(negative, 1) == "zeta is not strictly positive below n"
         assert 1e-12 < witness_step1(zeta, 1).max_identity_residual < 1e-6
+
+
+    def test_a_pair_whose_product_is_not_one_is_no_witness(self):
+        one, two = constant(GRID, 1.0), constant(GRID, 2.0)
+        with pytest.raises(ValueError, match="b0 \\* b1 must equal 1"):
+            Step1Witness(1, one, two, 0.0)
 
 
 class TestConvexify:
