@@ -109,7 +109,10 @@ class GridSpec:
 
     def offset_of(self, t) -> int:
         """Sample offset of the grid-aligned time ``t`` >= 0."""
-        k = float(t) * self.step_denominator
+        try:
+            k = float(t) * self.step_denominator
+        except OverflowError:
+            raise GridMismatchError("shift is too large for a float") from None
         if not math.isfinite(k):
             raise GridMismatchError(f"shift must be finite, got {t!r}")
         k_int = int(round(k))
@@ -279,9 +282,6 @@ class AlgebraElement:
         """True iff every value has |imag| and -real part at most POSITIVITY_TOLERANCE."""
         coords = self.coordinates
         return bool((np.abs(coords.imag) <= POSITIVITY_TOLERANCE).all() and (coords.real >= -POSITIVITY_TOLERANCE).all())
-
-    def limit_at_infinity(self) -> complex:
-        return self.tail
 
     def reciprocal(self) -> "AlgebraElement":
         """Pointwise inverse; fails if any value is within RECIPROCAL_FLOOR of 0."""

@@ -507,19 +507,14 @@ def kernel_stack(lefts, rights) -> np.ndarray:
     return bands
 
 
-def _scaling(norm: float) -> int:
-    """The number of squarings that bring a row-sum norm to at most 1/2:
-    none up to 1/2, else ceil(log2 norm) + 1."""
-    if not math.isfinite(norm):
-        raise ValueError(f"cannot exponentiate a matrix with non-finite entries or row sums (row-sum norm {norm})")
-    return int(math.ceil(math.log2(norm))) + 1 if norm > 0.5 else 0
-
-
 def _scaled_bands(shift: WeightedShift) -> tuple[float, int, np.ndarray]:
     """The row-sum norm of a weighted shift, its squaring count s and its
-    bands times 2^-s."""
+    bands times 2^-s. s brings the norm to at most 1/2: none up to 1/2,
+    else ceil(log2 norm) + 1."""
     norm = shift.operator_norm()
-    squarings = _scaling(norm)
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot exponentiate a matrix with non-finite entries or row sums (row-sum norm {norm})")
+    squarings = int(math.ceil(math.log2(norm))) + 1 if norm > 0.5 else 0
     return norm, squarings, shift.bands * math.ldexp(1.0, -squarings)
 
 

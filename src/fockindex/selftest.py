@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import POSITIVITY_TOLERANCE, AlgebraElement, DomainError, GridSpec, constant, judge
+from .algebra import POSITIVITY_TOLERANCE, AlgebraElement, DomainError, GridSpec, _is_count, constant, judge
 from .fock import (
     TAYLOR_TOLERANCE,
     FockUnit,
@@ -163,15 +163,15 @@ class Pcg64Draws:
     """The two draws of ``numpy.random.default_rng(seed)`` that the battery
     and ``unitalg`` use, bit for bit and in the standard library only:
     ``uniform(low, high)`` and ``integers(low, high)``, interleaved in any
-    order, give numpy's values for every seed >= 0. The state is numpy's
+    order, give numpy's values for every integer seed >= 0. The state is numpy's
     PCG64 (a 128-bit LCG with XSL-RR output), seeded through its
     SeedSequence; seeded reports therefore do not depend on numpy's
     ``Generator`` methods, whose streams numpy does not promise to keep
     across releases (NEP 19)."""
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        if not _is_count(seed) or seed < 0:
+            raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
         seed_high, seed_low, inc_high, inc_low = _seed_state(int(seed))
         self._inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
         # PCG's srandom: step from state 0, add the seed, step again.

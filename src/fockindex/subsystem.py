@@ -113,7 +113,7 @@ def membership(u: FockUnit, tol: float = MEMBERSHIP_TOLERANCE) -> MembershipRepo
     """Classify a unit: member iff |lim zeta - 1| <= tol. beta is ignored.
     A tolerance that is NaN, infinite or negative raises DomainError."""
     _require_tolerance(tol, "membership tolerance")
-    limit = u.zeta.limit_at_infinity()
+    limit = u.zeta.tail
     distance = abs(limit - 1.0)
     in_e = distance <= tol
     warnings_found = []

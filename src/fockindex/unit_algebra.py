@@ -65,9 +65,8 @@ class ReferencedUnit:
 
     ``unit`` is the parameter-path representation. ``cross_kernels`` gives
     the formula-path kernel bands against every unit of a probe battery as
-    one stack, ``cross_kernel`` its one-probe case as an operator, and
-    ``self_kernel`` the formula-path diagonal kernel; :func:`wrap` gives a
-    plain unit its own kernels.
+    one stack, and ``self_kernel`` the formula-path diagonal kernel;
+    :func:`wrap` gives a plain unit its own kernels.
     """
 
     unit: FockUnit
@@ -86,9 +85,6 @@ class ReferencedUnit:
     def cross_kernels(self, probes: Sequence[FockUnit]) -> np.ndarray:
         """The formula-path bands against each probe, shape (len(probes), 2, dim), in an array the caller may modify."""
         return self._cross(probes)
-
-    def cross_kernel(self, probe: FockUnit) -> WeightedShift:
-        return WeightedShift._wrap(self.grid, self._cross((probe,))[0])
 
     def self_kernel(self) -> WeightedShift:
         return WeightedShift._wrap(self.grid, self._self())
@@ -193,13 +189,13 @@ def _combination(coefficients, units, reference: FockUnit, inner: bool) -> Refer
         zeta = zeta + c.shift(int(inner)) * u.zeta
         beta = beta + c * u.beta
     candidate = FockUnit(zeta, beta)
+    stars = [c.star() for c in coefficients]
 
     def cross(probes: Sequence[FockUnit]) -> np.ndarray:
-        terms = _act(_coordinates([c.star() for c in coefficients])[:, None], kernel_stack(units, probes), inner, grid)
+        terms = _act(_coordinates(stars)[:, None], kernel_stack(units, probes), inner, grid)
         return _accumulate(terms, from_zero=True)
 
     def diagonal() -> np.ndarray:
-        stars = [c.star() for c in coefficients]
         products = _coordinates([si * cj for si in stars for cj in coefficients])
         terms = _act(products, kernel_stack(units, units).reshape(len(products), 2, grid.dim), inner, grid)
         return _accumulate(terms, from_zero=True)

@@ -231,10 +231,6 @@ class TestNorms:
         assert not constant(SMALL, 1j).is_positive()
         assert not constant(SMALL, -2 * POSITIVITY_TOLERANCE).is_positive()
 
-    def test_limit_at_infinity(self):
-        assert constant(SMALL, 2 - 1j).limit_at_infinity() == 2 - 1j
-        assert constant(SMALL, 0).limit_at_infinity() == 0
-
 
 class TestResolution:
     def test_resolved_flag(self):

@@ -37,6 +37,8 @@ STALE_TRACED_NAMES = {
     "algebra.AlgebraElement.from_coordinates",  # retired: only tests called it
     "fock.gram_matrix",
     "unit_algebra.ReferencedUnit.parameter_kernel",
+    "unit_algebra.ReferencedUnit.cross_kernel",  # retired: only tests called it
+    "algebra.AlgebraElement.limit_at_infinity",  # retired: .tail is the limit
 }
 
 

@@ -13,7 +13,7 @@ import hypothesis.extra.numpy
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockindex.fock as fock
@@ -33,17 +33,9 @@ from fockindex.fock import (
 from fockindex.presets import exp_approach, exp_decay
 from fockindex.selftest import _semigroup_test_pairs
 from test_cli import child_env
+from test_mirror_pairs import on_small_grids
 
 TOL = 1e-13
-
-
-def on_small_grids(test):
-    """Run ``test(grid, seed)`` on random grids up to (4, 5), always
-    including m = 1 (no pad slots) and S = 1."""
-    for grid in (GridSpec(1, 1), GridSpec(1, 5), GridSpec(4, 1)):
-        test = example(grid, 0)(test)
-    grids = st.builds(GridSpec, st.integers(1, 4), st.integers(1, 5))
-    return settings(max_examples=40, deadline=None)(given(grids, st.integers(0, 2**32 - 1))(test))
 
 
 def random_element(rng, grid, radius=0.7):
@@ -468,7 +460,7 @@ def test_exponential_working_set():
     grid = GridSpec(8, 80)
     stack = np.zeros(fock._block_shape(grid), dtype=complex)
     shift = 1.7 * kernel(*large_pair(grid))
-    assert fock._scaling(shift.operator_norm()) >= 2
+    assert fock._scaled_bands(shift)[1] >= 2
     expected = reference_exponential(shift.blocks)
     matrix_exponential(shift)  # layout caches
     result, peak = traced_peak(lambda: matrix_exponential(shift))
@@ -867,14 +859,14 @@ def test_band_scaling_is_the_block_scaling(grid, seed):
     i = np.arange(grid.domain_end + 2)
     for t in (0.0, *rng.uniform(0.0, 0.5, 4), *rng.uniform(0.5, 5.0, 8), *10.0 ** rng.uniform(1, 300, 4)):
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks, bands = t * generator.blocks, t * generator.bands
-            norm = WeightedShift._wrap(grid, bands).operator_norm()
+            blocks, shift = t * generator.blocks, WeightedShift._wrap(grid, t * generator.bands)
+            norm = shift.operator_norm()
             assert np.array_equal(np.array(norm).view(np.uint64), np.array(fock._inf_norm(blocks)).view(np.uint64))
             if not math.isfinite(norm):
                 continue
-            squarings = fock._scaling(norm)
+            _, squarings, scaled_bands = fock._scaled_bands(shift)
             assert squarings == reference_scaling(blocks)[1]
-            scaled_blocks, scaled_bands = blocks * math.ldexp(1.0, -squarings), bands * math.ldexp(1.0, -squarings)
+            scaled_blocks = blocks * math.ldexp(1.0, -squarings)
         assert scaled_blocks[block, slot, slot].tobytes() == scaled_bands[0, :-1].tobytes()
         assert scaled_blocks[block, slot, slot + 1].tobytes() == scaled_bands[1, :-1].tobytes()
         assert scaled_blocks[:, -1, -1].tobytes() == np.repeat(scaled_bands[0, -1:], grid.step_denominator).tobytes()

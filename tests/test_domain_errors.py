@@ -88,6 +88,7 @@ NON_FINITE = (float("inf"), float("-inf"), float("nan"))
         lambda: ZERO.reciprocal(),
         lambda: ONE + constant(GridSpec(2, 11), 1.0),
         *(lambda t=t: ONE.shift(t) for t in NON_FINITE),
+        lambda: ONE.shift(10**400),  # finite, but past any float
         *(lambda t=t: ONE.value_at(t) for t in NON_FINITE),
         # presets, the CLI's config reader and the selftest
         lambda: from_spec(GRID, {"kind": "nonsense"}),
@@ -95,6 +96,8 @@ NON_FINITE = (float("inf"), float("-inf"), float("nan"))
         lambda: parse_config({"grid": [2, 10]}, Path(".")),
         lambda: parse_config({"tolerances": 1e-9}, Path(".")),
         lambda: selftest.run_selftest(GridSpec(3, 5)),
+        *(lambda seed=seed: selftest.Pcg64Draws(seed) for seed in (2.9, 2.0, np.float64(2.0), True, -1)),
+        lambda: selftest.run_selftest(GRID, seed=2.5),  # would draw from seeds 2 to 6
         # subsystem, continued: truncation points out of order
         lambda: convergence_report(ONE, 1.0, [4, 2]),  # ns not strictly increasing
         lambda: convergence_report(ONE, 1.0, [4, 4]),
@@ -123,6 +126,12 @@ def test_out_of_domain_inputs_raise_domain_error(call):
     with pytest.raises(DomainError) as error:
         call()
     assert isinstance(error.value, ValueError)
+
+
+def test_a_huge_shift_is_named_without_its_digits():
+    with pytest.raises(GridMismatchError) as error:
+        ONE.shift(10**400)
+    assert len(str(error.value)) < 80
 
 
 def test_no_coefficients_do_not_sum_to_one():

@@ -8,11 +8,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from fockindex.algebra import AlgebraElement, DomainError, GridSpec, UnresolvedTailWarning
+from fockindex.algebra import AlgebraElement, DomainError, UnresolvedTailWarning
 from fockindex.fock import FockUnit, gram_matrices, gram_psd_check, semigroups
+from test_mirror_pairs import on_small_grids
 
 # -- the replaced bodies, verbatim ---------------------------------------------
 
@@ -67,15 +66,6 @@ def reference_gram_psd_check(gram, tol: float) -> ReferenceGramReport:
 
 
 # -- random operands ---------------------------------------------------------------
-
-
-def on_small_grids(test):
-    """Run ``test(grid, seed)`` on random grids up to (4, 5), always
-    including m = 1 (no pad slots) and S = 1."""
-    for grid in (GridSpec(1, 1), GridSpec(1, 5), GridSpec(4, 1)):
-        test = example(grid, 0)(test)
-    grids = st.builds(GridSpec, st.integers(1, 4), st.integers(1, 5))
-    return settings(max_examples=40, deadline=None)(given(grids, st.integers(0, 2**32 - 1))(test))
 
 
 def resolved(grid, samples):

@@ -333,18 +333,15 @@ def element_bytes(e):
 
 
 def assert_same_unit(got, expected, probes):
-    """Candidates, diagonal kernels, every row of the probe stack and each
-    one-probe kernel the same to the byte, and the dual-path residuals the
-    same to the bit."""
+    """Candidates, diagonal kernels and every row of the probe stack the
+    same to the byte, and the dual-path residuals the same to the bit."""
     assert element_bytes(got.unit.zeta) == element_bytes(expected.unit.zeta)
     assert element_bytes(got.unit.beta) == element_bytes(expected.unit.beta)
     assert got.self_kernel().bands.tobytes() == expected.self_kernel().bands.tobytes()
     stack = got.cross_kernels(probes)
     assert stack.shape == (len(probes), 2, got.grid.dim)
     for row, probe in zip(stack, probes):
-        bands = expected.cross_kernel(probe).bands.tobytes()
-        assert row.tobytes() == bands
-        assert got.cross_kernel(probe).bands.tobytes() == bands
+        assert row.tobytes() == expected.cross_kernel(probe).bands.tobytes()
     assert float_bytes(dual_path_residual(got, probes)) == float_bytes(reference_dual_path_residual(expected, probes))
 
 

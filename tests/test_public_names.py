@@ -36,6 +36,7 @@ RETIRED = [
 # Attributes retired from the classes that keep them, as (module, class, name).
 RETIRED_ATTRIBUTES = [
     ("unit_algebra", "ReferencedUnit", "parameter_kernel"),
+    ("unit_algebra", "ReferencedUnit", "cross_kernel"),  # cross_kernels((probe,))[0] holds its bands
     ("unit_algebra", "ReferencedUnit", "zeta"),  # x.unit.zeta
     ("unit_algebra", "ReferencedUnit", "beta"),  # x.unit.beta
     ("fock", "GramReport", "json_entries"),
@@ -43,6 +44,7 @@ RETIRED_ATTRIBUTES = [
     ("fock", "KernelOperator", "zero"),
     ("fock", "WeightedShift", "zero"),  # the formula-path stacks start from np.zeros; WeightedShift(grid, zeros) in tests
     ("algebra", "AlgebraElement", "from_coordinates"),
+    ("algebra", "AlgebraElement", "limit_at_infinity"),  # .tail is the limit
     ("algebra", "GridSpec", "step"),
 ]
 

@@ -69,3 +69,44 @@ def test_runtime_never_uses_numpy_random(path):
     """Seeded draws come from ``selftest.Pcg64Draws``, which reproduces
     ``numpy.random.default_rng``'s stream without loading numpy.random."""
     assert numpy_random_uses(path) == []
+
+
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that the top-level imports of ``path`` bind and that
+    nothing in it reads, not counting names listed in its ``__all__``.
+    ``from __future__`` imports bind no name anyone reads, so they are
+    skipped."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            read |= {element.value for element in ast.walk(node.value) if isinstance(element, ast.Constant)}
+    return sorted(bound - read)
+
+
+def test_the_scan_finds_unused_imports(tmp_path):
+    source = tmp_path / "imports.py"
+    source.write_text(
+        "from __future__ import annotations\nimport os.path\nimport sys, json as j\n"
+        "from math import pi, tau\nfrom .sibling import listed\n__all__ = ['listed']\nprint(sys.argv, tau)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(source) == ["j", "os", "pi"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in MODULES if path.name != "__init__.py"] + TESTS,  # the package's __init__ imports to re-export
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert unused_imports(path) == []

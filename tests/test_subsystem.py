@@ -293,7 +293,7 @@ class TestIndexRepresentative:
         rep = index_representative(unit(exp_approach(GRID, 1.0, 1.0)))
         # (1 + e^{-s}) - 1 loses the sub-epsilon part of e^{-s} near the far end
         assert (rep - exp_decay(GRID, 1.0, 1.0, 0.0)).sup_norm() < 1e-15
-        assert rep.limit_at_infinity() == 0.0
+        assert rep.tail == 0.0
 
     def test_beta_quotients_out(self):
         zeta = exp_approach(GRID, 0.5j, 1.2)
