@@ -159,7 +159,8 @@ def load_csv(grid: GridSpec, path) -> AlgebraElement:
     The header row must read ``s,re,im,tail=<value>``; the declared tail
     becomes the element's limit at infinity. Every other row but a blank
     one holds exactly the three cells, and the s column must match the
-    grid points to 1e-9; a NaN or infinite s matches none.
+    grid points to 1e-9; a NaN or infinite s matches none. The rows are
+    parsed in order, each cell with float(), and the first bad row is named.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -174,28 +175,15 @@ def load_csv(grid: GridSpec, path) -> AlgebraElement:
     if len(body) != grid.size:
         raise PresetError(f"{path}: expected {grid.size} rows for the declared grid, got {len(body)}")
     points = grid.points()
-    parsed = next((k for k, row in enumerate(body) if len(row) != 3), len(body))  # the rows before the first ragged one
-    try:  # every cell of those rows in one numpy parse, with the rounding of float()
-        values = np.array([cell for row in body[:parsed] for cell in row], dtype=float).reshape(parsed, 3)
-    except ValueError:  # a cell that is not a number; the rows before it parse
-        parsed = next(k for k, row in enumerate(body) if not all(map(_is_number, row)))
-        values = np.array(body[:parsed], dtype=float).reshape(parsed, 3)
-    off_grid = np.flatnonzero(~(np.abs(values[:, 0] - points[:parsed]) <= 1e-9))  # a NaN s too
-    if off_grid.size:
-        k = off_grid[0]
-        raise PresetError(f"{path}: row {k + 2} has s={float(values[k, 0])}, expected grid point {points[k]}")
-    if parsed < len(body):
-        row = body[parsed]
-        problem = "needs 3 columns" if len(row) != 3 else "needs numbers in its first 3 columns"
-        raise PresetError(f"{path}: row {parsed + 2} {problem}, got {row!r}")
     samples = np.empty(grid.size, dtype=complex)
-    samples.real, samples.imag = values[:, 1], values[:, 2]
+    for k, row in enumerate(body):  # row k + 2 counts the header and the non-empty rows
+        if len(row) != 3:
+            raise PresetError(f"{path}: row {k + 2} needs 3 columns, got {row!r}")
+        try:
+            s, re, im = map(float, row)
+        except ValueError:
+            raise PresetError(f"{path}: row {k + 2} needs numbers in its first 3 columns, got {row!r}") from None
+        if not abs(s - points[k]) <= 1e-9:  # a NaN s too
+            raise PresetError(f"{path}: row {k + 2} has s={s}, expected grid point {points[k]}")
+        samples[k] = complex(re, im)
     return AlgebraElement(grid, samples, tail)
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True

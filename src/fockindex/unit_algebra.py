@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, DomainError, GridSpec, constant
+from .algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, constant
 from .fock import FockUnit, WeightedShift, _largest_row_sum, _scale_input, kernel, kernel_stack, multiplication_operator
 from .presets import exp_approach, exp_decay
 
@@ -76,7 +76,7 @@ class ReferencedUnit:
 
     def __post_init__(self) -> None:
         if self.unit.grid != self.reference.grid:
-            raise DomainError("unit and reference must share one grid")
+            raise GridMismatchError("unit and reference must share one grid")
 
     @property
     def grid(self) -> GridSpec:

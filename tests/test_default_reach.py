@@ -39,7 +39,6 @@ NEVER_CALLED = {
     "presets._raw": _CONFIG,
     "presets._csv": _CONFIG,
     "presets.load_csv": _CONFIG,
-    "presets._is_number": _CONFIG,
     "cli._number": _IMPORT,
     "cli._integer_in": _IMPORT,
     "cli._list_of": _IMPORT,

@@ -134,6 +134,11 @@ def test_a_huge_shift_is_named_without_its_digits():
     assert len(str(error.value)) < 80
 
 
+def test_a_unit_and_its_reference_on_two_grids_are_a_grid_mismatch():
+    with pytest.raises(GridMismatchError, match="^unit and reference must share one grid$"):
+        wrap(XI, FockUnit(constant(GridSpec(2, 11), 1.0), constant(GridSpec(2, 11), 0.0)))
+
+
 def test_no_coefficients_do_not_sum_to_one():
     assert coefficients_sum_to_one([]) is False  # the empty sum is 0
 

@@ -219,3 +219,40 @@ def test_load_csv_names_the_first_bad_row(tmp_path, rows, message):
     with pytest.raises(PresetError) as error:
         load_csv(GridSpec(2, 1), path)
     assert str(error.value) == f"{path}: {message}"
+
+
+def faulty_row(data, fault, s):
+    """The cells of a row at grid point s with one fault, and the message that names it after the row number."""
+    cells = [repr(float(s)), "1.0", "0.0"]
+    if fault == "columns":
+        cells = (cells + ["0.5", "2"])[: data.draw(st.sampled_from([1, 2, 4, 5]))]
+        return cells, f"needs 3 columns, got {cells!r}"
+    if fault == "number":
+        cells[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(["x", "", "1..2", "1e", "--1", "0x10", "j"]))
+        return cells, f"needs numbers in its first 3 columns, got {cells!r}"
+    cells[0] = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", repr(float(s) + 0.1), repr(float(s) - 1e-6), "1e9"]))
+    return cells, f"has s={float(cells[0])}, expected grid point {s}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_load_csv_names_the_lowest_faulty_row(tmp_path_factory, m, end, data):
+    """One to three faults at distinct rows, with blank lines between the
+    rows; the lowest faulty row is named, counting the header and the
+    non-empty rows."""
+    grid = GridSpec(m, end)
+    faulty = data.draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=3, unique=True))
+    lines, messages = ["s,re,im,tail=1.0"], {}
+    for k, s in enumerate(grid.points()):
+        if data.draw(st.booleans()):
+            lines.append("")
+        cells = [repr(float(s)), "1.0", "0.0"]
+        if k in faulty:
+            cells, messages[k] = faulty_row(data, data.draw(st.sampled_from(["columns", "number", "grid"])), s)
+        lines.append(",".join(cells))
+    path = tmp_path_factory.getbasetemp() / "faulty.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(PresetError) as error:
+        load_csv(grid, path)
+    first = min(faulty)
+    assert str(error.value) == f"{path}: row {first + 2} {messages[first]}"

@@ -2,8 +2,10 @@
 public function and class is listed, and retired names stay retired."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,27 @@ def test_retired_names_are_gone(short, name):
 @pytest.mark.parametrize("short, cls, name", RETIRED_ATTRIBUTES)
 def test_retired_attributes_are_gone(short, cls, name):
     assert not hasattr(getattr(importlib.import_module(f"fockindex.{short}"), cls), name)
+
+
+def live_attributes() -> set:
+    """The attributes and dataclass fields of every class the package defines."""
+    found = set()
+    for short in MODULES:
+        module = importlib.import_module(f"fockindex.{short}")
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                found.update(dir(obj), (f.name for f in dataclasses.fields(obj)) if dataclasses.is_dataclass(obj) else ())
+    return found
+
+
+def test_the_readme_names_no_retired_name():
+    """README.md spells no retired name as module.name or Class.name, and
+    calls no retired attribute that no class of the package still has."""
+    live = live_attributes()
+    patterns = [
+        *(rf"\b{short}\.{name}\b" for short, name in RETIRED),
+        *(rf"\b{cls}\.{name}\b" for _, cls, name in RETIRED_ATTRIBUTES),
+        *(rf"\.{name}\(" for _, _, name in RETIRED_ATTRIBUTES if name not in live),
+    ]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [pattern for pattern in patterns if re.search(pattern, readme)] == []

@@ -159,6 +159,19 @@ class TestWitness:
         with pytest.raises(DomainError):
             witness_step1(zeta(GridSpec(2, 10)), n)
 
+    @pytest.mark.parametrize(
+        "at_n, tail, deviation",
+        [(1.0, 1.5, "5.000e-01"), (1.25, 1.0, "2.500e-01")],
+        ids=["tail", "sample_at_n"],
+    )
+    def test_the_domain_error_names_the_max_deviation(self, at_n, tail, deviation):
+        grid, n = GridSpec(2, 10), 2
+        samples = np.ones(grid.size, dtype=complex)
+        samples[n * grid.step_denominator] = at_n
+        with pytest.raises(DomainError) as error:
+            witness_step1(AlgebraElement(grid, samples, tail), n)
+        assert str(error.value).endswith(f"; max deviation {deviation}")
+
     def test_inverse_pair(self):
         zeta = piecewise_linear(GRID, [(0.0, 0.2), (1.0, 0.6), (4.0, 1.0)])
         witness = witness_step1(zeta, 4)
