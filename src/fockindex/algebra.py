@@ -61,8 +61,8 @@ def _is_count(value) -> bool:
 
 def _require_tolerance(value, name: str) -> None:
     """Raise DomainError unless the tolerance ``value`` is finite and
-    nonnegative; a NaN is neither."""
-    if not 0 <= value < math.inf:
+    nonnegative; a NaN is neither, and a bool is no tolerance."""
+    if isinstance(value, (bool, np.bool_)) or not 0 <= value < math.inf:
         raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
 
 

@@ -58,8 +58,7 @@ The sum and its stopping test read only the scaled stack, so when the
 scaled stacks of hL and tL are equal to the bit, as scaling by a power
 of two usually makes them for h = t/2^k, exp(tL) is exp(hL) squared
 s(t) - s(h) more times: the very float operations a fresh exponential of
-tL would run. The pad entries that exp(hL) has cleared meet only zeros
-in a product, so they change no bit either.
+tL would run.
 
 The Taylor sum runs in place and gives the bits of the plain loop
 term_k = term_{k-1} @ A / k, sum = sum + term_k. Term k is computed into
@@ -67,10 +66,11 @@ a preallocated buffer and both its float parts are multiplied by 1/k,
 which on a nonzero part is the complex quotient x / (k + 0j) to the bit.
 Only the sign of a zero part can differ, and a signed zero changes no
 nonzero entry of a later product or sum. The sum starts from the
-identity, +0 off the diagonal, so it never holds -0 and its bits are the
-same. The loop stops at the first term with ||term|| <= rel_tol ||sum||,
-and takes those two row-sum norms only for a term whose largest float
-part is at most 2 rel_tol: no other term can pass the test (see
+identity of the operator, 0 on the pads and +0 off the diagonal, so it
+never holds -0, its bits are the same and its pads stay zero. The loop
+stops at the first term with ||term|| <= rel_tol ||sum||, and takes
+those two row-sum norms only for a term whose largest float part is at
+most 2 rel_tol: no other term can pass the test (see
 :func:`matrix_exponential`).
 
 BLAS audit: the only BLAS or LAPACK calls whose results reach a report
@@ -215,12 +215,6 @@ def _chain_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     block.setflags(write=False)
     slot.setflags(write=False)
     return block, slot
-
-
-def _clear_pads(blocks: np.ndarray) -> np.ndarray:
-    """Zero the pad diagonal (slot 0 of the chains r >= 1) in place."""
-    blocks[1:, 0, 0] = 0.0
-    return blocks
 
 
 class _Operator:
@@ -544,12 +538,15 @@ def matrix_exponential(shift: WeightedShift, rel_tol: float = TAYLOR_TOLERANCE) 
     series runs in place (see the module docstring for why its bits do
     not change).
 
-    The result has the bits of the plain loop on the chain blocks
-    :attr:`WeightedShift.blocks`, which are never built unscaled. The
-    row-sum norm is read from the bands: a block row has at most the two
-    nonzeros a and w, so its float row sum is |a| + |w| in any order. The
-    scaled stack is built from the bands times 2^-s, the very products of
-    the on-band block entries times 2^-s, and every other entry is +0 in
+    The sum starts from the identity of the operator, 0 on the pad
+    diagonal, so every stack built here has zero pads, as a
+    :class:`KernelOperator` does, and the stopping test reads only
+    coordinate rows. The result has the bits of the plain loop on the chain
+    blocks :attr:`WeightedShift.blocks`, which are never built unscaled.
+    The row-sum norm is read from the bands: a block row has at most the
+    two nonzeros a and w, so its float row sum is |a| + |w| in any order.
+    The scaled stack is built from the bands times 2^-s, the very products
+    of the on-band block entries times 2^-s, and every other entry is +0 in
     both. ``test_band_scaling_is_the_block_scaling`` and the reference
     tests in ``tests/test_chain_operators.py`` check both bit for bit.
 
@@ -577,6 +574,7 @@ def matrix_exponential(shift: WeightedShift, rel_tol: float = TAYLOR_TOLERANCE) 
         d = scaled.shape[-1]
         result = np.zeros(scaled.shape, dtype=complex)
         result.reshape(-1, d * d)[:, :: d + 1] = 1.0
+        result[1:, 0, 0] = 0.0  # the pad diagonal: the identity of the operator, not of each block
         term, spare = scaled.copy(), np.empty_like(scaled)  # term 1 is scaled / 1
         parts = term.view(float)
         for k in range(1, 64):
@@ -622,13 +620,13 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
 
     The times are taken in ascending order, so the squaring count s(t)
     never falls. A time whose scaled stack (tL) 2^-s(t) equals that of an
-    earlier time h to the bit gets exp(hL) squared s(t) - s(h) more
-    times, or exp(hL) itself when s(t) = s(h); any other time runs
-    ``matrix_exponential`` on tL as a weighted shift, which builds only
-    the scaled chain stack. Norms and scaled stacks are read from the
-    bands of tL, with the bits of its chain blocks (see
-    :func:`matrix_exponential`). Each returned operator is one chain
-    stack; a fresh exponential adds at most four while it runs, and a
+    earlier time h to the bit gets exp(hL) squared s(t) - s(h) more times,
+    or exp(hL) itself when s(t) = s(h); any other time runs
+    ``matrix_exponential`` on tL as a weighted shift, which builds only the
+    scaled chain stack. Norms and scaled stacks are read from the bands of
+    tL, with the bits of its chain blocks (see :func:`matrix_exponential`).
+    Each returned operator is one chain stack, pads zero as the exponential
+    left them; a fresh exponential adds at most four while it runs, and a
     squaring one.
     """
     _require_tolerance(rel_tol, "Taylor tolerance rel_tol")
@@ -651,7 +649,7 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
                 blocks = matrix_exponential(shift, rel_tol=rel_tol) if operator is None else operator.blocks
                 for _ in range(squarings - earlier):
                     blocks = _square(blocks, norm)
-                operator = KernelOperator._wrap(u.grid, _clear_pads(blocks))
+                operator = KernelOperator._wrap(u.grid, blocks)
             latest[key] = (squarings, operator)
             exps[t] = operator
     return exps

@@ -8,6 +8,7 @@ Preset specs are plain dicts, e.g. ``{"kind": "exp_approach", "c": 1.0,
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +160,9 @@ def load_csv(grid: GridSpec, path) -> AlgebraElement:
     The header row must read ``s,re,im,tail=<value>``; the declared tail
     becomes the element's limit at infinity. Every other row but a blank
     one holds exactly the three cells, and the s column must match the
-    grid points to 1e-9; a NaN or infinite s matches none. The rows are
-    parsed in order, each cell with float(), and the first bad row is named.
+    grid points to 1e-9; a NaN or infinite s matches none. The re and im
+    cells and the tail must be finite. The rows are parsed in order, each
+    cell with float(), and the first bad row is named.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -171,6 +173,8 @@ def load_csv(grid: GridSpec, path) -> AlgebraElement:
     if len(header) != 4 or header[:3] != ["s", "re", "im"] or not header[3].startswith("tail="):
         raise PresetError(f"{path}: header must be 's,re,im,tail=<value>', got {rows[0]!r}")
     tail = as_complex(header[3][len("tail=") :])
+    if not (math.isfinite(tail.real) and math.isfinite(tail.imag)):
+        raise PresetError(f"{path}: header has {header[3]}, but tail must be finite")
     body = [row for row in rows[1:] if row]
     if len(body) != grid.size:
         raise PresetError(f"{path}: expected {grid.size} rows for the declared grid, got {len(body)}")
@@ -185,5 +189,7 @@ def load_csv(grid: GridSpec, path) -> AlgebraElement:
             raise PresetError(f"{path}: row {k + 2} needs numbers in its first 3 columns, got {row!r}") from None
         if not abs(s - points[k]) <= 1e-9:  # a NaN s too
             raise PresetError(f"{path}: row {k + 2} has s={s}, expected grid point {points[k]}")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise PresetError(f"{path}: row {k + 2} has re={re}, im={im}, but samples must be finite")
         samples[k] = complex(re, im)
     return AlgebraElement(grid, samples, tail)

@@ -313,14 +313,12 @@ def times_kernel(u, v, t):
 
 
 def exponential_operator(shift):
-    """matrix_exponential(shift), pads cleared, through the checked constructor."""
-    blocks = matrix_exponential(shift)
-    blocks[1:, 0, 0] = 0.0
-    return KernelOperator(shift.grid, blocks)
+    """matrix_exponential(shift) through the checked constructor."""
+    return KernelOperator(shift.grid, matrix_exponential(shift))
 
 
 def fresh_exponential(u, v, t):
-    """exp(tL) as one call of matrix_exponential, pads cleared."""
+    """exp(tL) as one call of matrix_exponential."""
     return exponential_operator(times_kernel(u, v, t)).blocks
 
 
@@ -336,6 +334,24 @@ def test_semigroups_are_byte_identical_to_fresh_exponentials(grid, seed):
     assert set(exps) == set(times)
     for t in times:
         assert exps[t].blocks.tobytes() == fresh_exponential(u, v, t).tobytes(), t
+
+
+@on_small_grids
+def test_every_stack_keeps_its_pads_zero(grid, seed):
+    """With no clearing pass anywhere: every operator semigroups returns,
+    reused squarings and fresh exponentials alike, passes the checked
+    constructor, and every matrix_exponential result, of a kernel or of a
+    random shift, has zero pad rows and columns."""
+    rng = np.random.default_rng(seed)
+    u, v = random_unit(rng, grid), random_unit(rng, grid)
+    times = [0.0, *DOUBLING, *rng.uniform(0.0, 6.0, 3)]
+    shifts = [random_shift(rng, grid, scale) for scale in (0.1, 1.0, 4.0)]
+    for t, operator in fock.semigroups(u, v, times).items():
+        KernelOperator(grid, operator.blocks)
+        shifts.append(times_kernel(u, v, t))
+    for shift in shifts:
+        blocks = matrix_exponential(shift)
+        assert not blocks[1:, 0, :].any() and not blocks[1:, :, 0].any()
 
 
 def test_doubling_chain_takes_one_exponential(monkeypatch):
@@ -584,10 +600,11 @@ class TestWeightedShiftConstruction:
             multiplication_operator(a).apply(b)
 
 
-# The exponential before its Taylor loop ran in place, verbatim, as the
-# reference the in-place loop must match byte for byte. It takes any square
-# matrix or stack of them; matrix_exponential takes a weighted shift, and
-# is held to the reference on the shift's chain blocks.
+# The exponential before its Taylor loop ran in place, verbatim but for
+# its identity, as the reference the in-place loop must match byte for
+# byte. It takes any square matrix or stack of them; matrix_exponential
+# takes a weighted shift, and is held to the reference on the shift's
+# chain blocks, whose identity is the operator's: 0 on the pad diagonal.
 
 
 def reference_inf_norm(matrix: np.ndarray) -> float:
@@ -613,6 +630,15 @@ def reference_square(result: np.ndarray, norm: float) -> np.ndarray:
     return result
 
 
+def reference_identity(a: np.ndarray) -> np.ndarray:
+    """The identity of a matrix, or of the operator a chain stack stores: 0
+    on the pad diagonal, slot 0 of the chains r >= 1."""
+    identity = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+    if a.ndim == 3:
+        identity[1:, 0, 0] = 0.0
+    return identity
+
+
 def reference_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -620,7 +646,7 @@ def reference_exponential(matrix: np.ndarray, rel_tol: float = 1e-12) -> np.ndar
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises ValueError below instead
         norm, squarings = reference_scaling(a)
         scaled = a * math.ldexp(1.0, -squarings)
-        identity = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+        identity = reference_identity(a)
         result = identity.copy()
         term = identity
         for k in range(1, 64):
@@ -679,7 +705,7 @@ def test_zero_stack_gives_the_identity_of_the_reference(shape):
     assert_same_exponential(WeightedShift(grid, np.zeros((2, grid.dim))))
     assert_same_exponential(WeightedShift(grid, np.full((2, grid.dim), complex(-0.0, -0.0))))
     identity = matrix_exponential(WeightedShift(grid, np.zeros((2, grid.dim))))
-    assert np.array_equal(identity, np.broadcast_to(np.eye(shape[-1]), shape))
+    assert identity.tobytes() == identity_operator(grid).blocks.tobytes()
     assert identity.flags.writeable
 
 
@@ -706,7 +732,7 @@ def taylor_norms(shift, terms=None):
     a = shift.blocks
     _, squarings = reference_scaling(a)
     scaled = a * math.ldexp(1.0, -squarings)
-    term = result = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    term = result = reference_identity(a)
     rows, bound = [], 1.0
     for k in range(1, 64):
         term = term @ scaled / k

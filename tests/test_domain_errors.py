@@ -46,6 +46,7 @@ OMEGA = FockUnit(ZERO, ZERO)
 DIP = piecewise_linear(GRID, [[0.0, -3000.0], [1.0, 1.0]])  # eventually one, negative below 1
 ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
 NON_FINITE = (float("inf"), float("-inf"), float("nan"))
+BOOLS = (True, np.False_)
 
 
 @pytest.mark.parametrize(
@@ -120,6 +121,12 @@ NON_FINITE = (float("inf"), float("-inf"), float("nan"))
         lambda: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), float("nan")),
         lambda: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), float("inf")),
         lambda: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), -1.0),
+        # a bool is no tolerance: True would read as 1.0 and np.False_ as 0.0
+        *(lambda flag=flag: membership(XI, flag) for flag in BOOLS),
+        *(lambda flag=flag: matrix_exponential(WeightedShift(GRID, np.zeros((2, GRID.dim))), flag) for flag in BOOLS),
+        *(lambda flag=flag: semigroups(XI, XI, [1.0], rel_tol=flag) for flag in BOOLS),
+        *(lambda flag=flag: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), flag) for flag in BOOLS),
+        *(lambda flag=flag: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, [2], target_threshold=flag) for flag in BOOLS),
     ],
 )
 def test_out_of_domain_inputs_raise_domain_error(call):

@@ -32,6 +32,10 @@ pytestmark = pytest.mark.filterwarnings("ignore::fockindex.algebra.UnresolvedTai
 
 GRIDS = [(m, end) for m in (1, 2, 3) for end in (3, 10)]
 TIMES = (0.25, 0.5, 1.0, 2.0)
+# Constant units (zeta, beta) whose negative beta makes exp(tL) a
+# contraction: every coordinate row of the Taylor sum has norm below 1.
+DISSIPATIVE = list(itertools.product((0.05, 0.1, 0.3), (-0.3, -0.5, -0.8, -1.2)))
+SWEEP = np.linspace(0.05, 0.5, 46)  # holds 0.47
 # Largest |coarse - fine| over the largest |fine| of one field where the squaring
 # counts differ; the worst measured on GRIDS is 2.5e-14.
 RELATIVE_BOUND = 1e-13
@@ -114,3 +118,21 @@ def test_gram_entries_nest(m, end):
             kinds.add(same_count)
             assert_nested(gram_c[a, ..., i, j], gram_f[a, ..., i, j], same_count)
     assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("factor", (2, 3))
+def test_dissipative_constant_units_nest_from_one_chain(factor):
+    """exp(tL) 1 for the DISSIPATIVE units on (1, 6), one chain and no pad,
+    and on (factor, 6), whose chains r >= 1 have a pad: the sup of |a| + |w|
+    is the same on both grids, so are the squaring counts, and the values
+    agree to the bit at the shared coordinates. A pad diagonal of 1 in the
+    Taylor sum would outweigh every coordinate row in the stopping test."""
+    coarse, fine = GridSpec(1, 6), GridSpec(factor, 6)
+    shared = np.r_[0 : fine.size : factor, fine.size]
+    for zeta, beta in DISSIPATIVE:
+        u_c, u_f = (FockUnit(constant(grid, zeta), constant(grid, beta)) for grid in (coarse, fine))
+        exps_c, exps_f = semigroups(u_c, u_c, SWEEP), semigroups(u_f, u_f, SWEEP)
+        for t in SWEEP:
+            assert squarings(u_c, u_c, t) == squarings(u_f, u_f, t)
+            values_c = exps_c[t].apply(constant(coarse, 1.0)).coordinates
+            assert_nested(values_c, exps_f[t].apply(constant(fine, 1.0)).coordinates[shared], same_count=True)

@@ -209,6 +209,12 @@ def test_load_csv_samples_match_the_per_row_parse_byte_for_byte(tmp_path_factory
         (["0.0,1,0", "", "0.5,1,0", "1.0,x,0"], "row 4 needs numbers in its first 3 columns, got ['1.0', 'x', '0']"),
         (["0.0,1,0", "0.7,1,0", "x,1,0"], "row 3 has s=0.7, expected grid point 0.5"),
         (["0.0,1,0", "nan,1,0", "1.0,1,0"], "row 3 has s=nan, expected grid point 0.5"),
+        (["0.0,inf,0", "0.7,1,0", "1.0,1,0"], "row 2 has re=inf, im=0.0, but samples must be finite"),
+        *(
+            (["0.0,1,0", f"0.5,{re},{im}", "1.0,1,0"], f"row 3 has re={float(re)}, im={float(im)}, but samples must be finite")
+            for cell in ("inf", "-inf", "nan", "1e400")
+            for re, im in ((cell, "0"), ("1", cell))
+        ),
     ],
 )
 def test_load_csv_names_the_first_bad_row(tmp_path, rows, message):
@@ -221,6 +227,15 @@ def test_load_csv_names_the_first_bad_row(tmp_path, rows, message):
     assert str(error.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("tail", ("nan", "inf"))
+def test_load_csv_rejects_a_tail_that_is_not_finite(tmp_path, tail):
+    path = tmp_path / "bad.csv"
+    _write_csv(path, GridSpec(2, 1), np.ones(3, dtype=complex), tail=tail)
+    with pytest.raises(PresetError) as error:
+        load_csv(GridSpec(2, 1), path)
+    assert str(error.value) == f"{path}: header has tail={tail}, but tail must be finite"
+
+
 def faulty_row(data, fault, s):
     """The cells of a row at grid point s with one fault, and the message that names it after the row number."""
     cells = [repr(float(s)), "1.0", "0.0"]
@@ -230,6 +245,9 @@ def faulty_row(data, fault, s):
     if fault == "number":
         cells[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(["x", "", "1..2", "1e", "--1", "0x10", "j"]))
         return cells, f"needs numbers in its first 3 columns, got {cells!r}"
+    if fault == "non-finite cell":
+        cells[data.draw(st.integers(1, 2))] = data.draw(st.sampled_from(["inf", "-inf", "nan", "-nan", "1e400", "Infinity"]))
+        return cells, f"has re={float(cells[1])}, im={float(cells[2])}, but samples must be finite"
     cells[0] = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", repr(float(s) + 0.1), repr(float(s) - 1e-6), "1e9"]))
     return cells, f"has s={float(cells[0])}, expected grid point {s}"
 
@@ -248,7 +266,7 @@ def test_load_csv_names_the_lowest_faulty_row(tmp_path_factory, m, end, data):
             lines.append("")
         cells = [repr(float(s)), "1.0", "0.0"]
         if k in faulty:
-            cells, messages[k] = faulty_row(data, data.draw(st.sampled_from(["columns", "number", "grid"])), s)
+            cells, messages[k] = faulty_row(data, data.draw(st.sampled_from(["columns", "number", "non-finite cell", "grid"])), s)
         lines.append(",".join(cells))
     path = tmp_path_factory.getbasetemp() / "faulty.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -113,3 +113,13 @@ def test_the_readme_names_no_retired_name():
     ]
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert [pattern for pattern in patterns if re.search(pattern, readme)] == []
+
+
+def test_the_readme_names_only_live_private_helpers():
+    """Every backticked private name in README.md, as `_name` or `_name(...)`,
+    is an attribute of a package module or of a class one defines, so a
+    deleted helper cannot stay named."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`(_[A-Za-z]\w*)", readme))
+    modules = (vars(importlib.import_module(f"fockindex.{short}")) for short in MODULES)
+    assert named and named - live_attributes().union(*modules) == set()
