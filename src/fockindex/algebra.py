@@ -60,10 +60,13 @@ def _is_count(value) -> bool:
 
 
 def _require_tolerance(value, name: str) -> None:
-    """Raise DomainError unless the tolerance ``value`` is finite and
-    nonnegative; a NaN is neither, and a bool is no tolerance."""
-    if isinstance(value, (bool, np.bool_)) or not 0 <= value < math.inf:
-        raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
+    """Raise DomainError unless the tolerance ``value`` is a Python or
+    numpy int or float, finite and nonnegative; a NaN is neither, and a
+    bool, a complex number (numpy would order it by its real part), a
+    string or None is no tolerance."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not real or not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be a finite and nonnegative real number, got {value!r}")
 
 
 def judge(value: float, bound: float, floor: bool) -> tuple[bool, str]:

@@ -399,17 +399,19 @@ class WeightedShift(_Operator):
         return blocks
 
     def __matmul__(self, other):
-        """D_a (D_d + D_w T) scales rows: D_{ad} + D_{aw} T. (D_d + D_w T) D_a
-        scales columns (see :func:`_scale_input`). Any other product, of two
-        general shifts or with a chain operator, gives NotImplemented, so
-        Python raises TypeError."""
+        """(D_d + D_w T) D_a when ``other`` is a multiplication D_a, else
+        D_a (D_d + D_w T) when ``self`` is one, taken by :func:`_compose` on
+        a copy of the other operand. So a product of two multiplications
+        composes the right one on the input side. Any other product, of
+        two general shifts or with a chain operator, gives NotImplemented,
+        so Python raises TypeError."""
         if not isinstance(other, WeightedShift):
             return NotImplemented
         self._check(other)
         if not other.bands[1].any():
-            return WeightedShift._wrap(self.grid, _scale_input(np.array(self.bands[None]), *other.bands, self.grid)[0])
+            return WeightedShift._wrap(self.grid, _compose(np.array(self.bands), other.bands[0], True, self.grid))
         if not self.bands[1].any():
-            return WeightedShift._wrap(self.grid, self.bands[0] * other.bands)
+            return WeightedShift._wrap(self.grid, _compose(np.array(other.bands), self.bands[0], False, self.grid))
         return NotImplemented
 
     def apply(self, b: AlgebraElement) -> AlgebraElement:
@@ -432,25 +434,24 @@ def _next_index(grid: GridSpec) -> np.ndarray:
     return index
 
 
-def _scale_input(bands: np.ndarray, a: np.ndarray, zero: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(D_d + D_w T) D_a for each weighted shift of a stack ``bands``
-    (..., 2, dim), taken in place, and multiplications D_a given by their
-    coordinates ``a`` and their band 1 ``zero`` (zero, up to the signs of
-    its zeros), both broadcast against the stack: D_{da} + D_{w Ta} T,
-    band 1 taking a at the next coordinate. Both bands are scaled by one
-    product with the weights (a, a at the next coordinate), over the
-    contiguous bands. A shift whose band 1 is zero is itself a
-    multiplication D_d and scales the rows of D_a instead, its band 1
-    becoming d times ``zero``, as ``WeightedShift.__matmul__`` has always
-    taken it; the two differ in the signs of zeros and where d is
-    infinite."""
-    flat = ~bands[..., 1, :].view(float).any(axis=-1)
-    flat_shift = bands[flat, 0] * np.broadcast_to(zero, flat.shape + zero.shape[-1:])[flat]
-    weights = np.concatenate((a, a[..., _next_index(grid)], np.zeros(a.shape[:-1] + (1,))), axis=-1)
+def _compose(bands: np.ndarray, a: np.ndarray, inner: bool, grid: GridSpec) -> np.ndarray:
+    """D_a composed with each weighted shift of a stack ``bands`` (..., 2,
+    dim), taken in place, for multiplications D_a given by their
+    coordinates ``a`` broadcast against the stack. On the input side
+    (``inner``), (D_d + D_w T) D_a = D_{da} + D_{w Ta} T, with weights
+    (a, Ta), Ta being a at the next coordinate; on the output side,
+    D_a (D_d + D_w T) = D_{ad} + D_{aw} T, with weights (a, a). Either
+    side is one product over the contiguous bands, band times weight on
+    the input side and weight times band on the output side, as complex
+    products are not bitwise commutative. Band 1 is +0 at the tail."""
+    shifted = a[..., _next_index(grid)] if inner else a[..., :-1]
+    weights = np.concatenate((a, shifted, np.zeros(a.shape[:-1] + (1,))), axis=-1)
     joined = bands.reshape(bands.shape[:-2] + (-1,))
-    np.multiply(joined, weights, out=joined)
+    if inner:
+        np.multiply(joined, weights, out=joined)
+    else:
+        np.multiply(weights, joined, out=joined)
     bands[..., 1, -1] = 0.0
-    bands[flat, 1] = flat_shift
     return bands
 
 

@@ -208,11 +208,13 @@ def convexify(zeta: AlgebraElement, n: int, delta: float) -> tuple[float, Algebr
     _require_eventually_one(zeta, n, "convexify")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    values = zeta.samples.real
+    # Rounding is monotone and alpha > 0, so the least of alpha * value + (1 - alpha)
+    # over the samples is the one at the least sample, in the same float operations.
+    lowest = float(np.min(zeta.samples.real))
     denominator = 2**DYADIC_DEPTH
     for k in range(denominator - 1, 0, -1):
         alpha = k / denominator
-        if np.min(alpha * values + (1.0 - alpha)) >= delta:
+        if alpha * lowest + (1.0 - alpha) >= delta:
             return alpha, zeta * alpha + (1.0 - alpha)
     raise DomainError(f"no dyadic alpha in (0, 1) keeps the combination above {delta}")
 

@@ -7,8 +7,10 @@ writes down the (zeta, beta) pair the result must have. The two paths are
 kept side by side on the result so their agreement can be checked against
 a probe battery, rather than assumed. The formula path is taken over the
 whole battery at once: each operation composes and sums stacks of kernel
-bands, one row per probe, in the order and from the start that the sum of
-operators per probe took, so each row has that sum's bits.
+bands, one row per probe, in the order that the sum of operators per probe
+took, so each row has that sum's values to the bit. The signs of zeros are
+not kept: a formula-path band reaches a report only through its modulus.
+Each composition with a multiplication operator is ``fock._compose``.
 
 Scalar multiplication and subtraction are realized through the module
 operations themselves: alpha*x is left multiplication by the constant
@@ -23,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, constant
-from .fock import FockUnit, WeightedShift, _largest_row_sum, _scale_input, kernel, kernel_stack, multiplication_operator
+from .fock import FockUnit, WeightedShift, _compose, _largest_row_sum, kernel, kernel_stack, multiplication_operator
 from .presets import exp_approach, exp_decay
 
 __all__ = [
@@ -137,27 +139,13 @@ def coefficients_sum_to_one(coefficients: Sequence[AlgebraElement]) -> bool:
     return (sum(coefficients, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() <= COEFFICIENT_SUM_TOLERANCE
 
 
-def _act(coordinates: np.ndarray, kernels: np.ndarray, inner: bool, grid: GridSpec) -> np.ndarray:
-    """The bands of ``kernel @ multiplication_operator(c)`` (inner) or
-    ``multiplication_operator(c) @ kernel`` for each kernel of a stack
-    (k, 2, dim) that the caller owns, taken in place, with the coordinates
-    of the multipliers c given as (dim,) or (k, dim)."""
-    if inner:
-        return _scale_input(kernels, coordinates, np.zeros(grid.dim), grid)
-    return np.multiply(coordinates[..., None, :], kernels, out=kernels)
-
-
-def _accumulate(terms: np.ndarray, signs: Sequence[int] | None = None, from_zero: bool = False) -> np.ndarray:
+def _accumulate(terms: np.ndarray, signs: Sequence[int] | None = None) -> np.ndarray:
     """The terms of a stack that the caller owns summed in order along its
     first axis, in place in the first: a term whose sign in ``signs`` is
-    -1 is subtracted, and the first term's sign must be +1. ``from_zero``
-    takes 0 + terms[0] + ..., the sum of operators that started from
-    WeightedShift.zero; it differs from the sum from the first term only
-    where that term has a -0 entry, which the zero turns into +0, and
-    x + 0 has the bits of 0 + x."""
+    -1 is subtracted, and the first term's sign must be +1. It has the
+    nonzero bits of the sum of operators that started from zero; only the
+    signs of zeros may differ, where the first term has a -0 entry."""
     total = terms[0]
-    if from_zero:
-        total += 0.0
     for k in range(1, len(terms)):
         if signs is not None and signs[k] < 0:
             total -= terms[k]
@@ -192,13 +180,12 @@ def _combination(coefficients, units, reference: FockUnit, inner: bool) -> Refer
     stars = [c.star() for c in coefficients]
 
     def cross(probes: Sequence[FockUnit]) -> np.ndarray:
-        terms = _act(_coordinates(stars)[:, None], kernel_stack(units, probes), inner, grid)
-        return _accumulate(terms, from_zero=True)
+        return _accumulate(_compose(kernel_stack(units, probes), _coordinates(stars)[:, None], inner, grid))
 
     def diagonal() -> np.ndarray:
         products = _coordinates([si * cj for si in stars for cj in coefficients])
-        terms = _act(products, kernel_stack(units, units).reshape(len(products), 2, grid.dim), inner, grid)
-        return _accumulate(terms, from_zero=True)
+        kernels = kernel_stack(units, units).reshape(len(products), 2, grid.dim)
+        return _accumulate(_compose(kernels, products, inner, grid))
 
     return ReferencedUnit(candidate, reference, cross, diagonal)
 
@@ -270,13 +257,13 @@ def _module_mul(a: AlgebraElement, x: ReferencedUnit, inner: bool) -> Referenced
     units = (xu, omega)
 
     def cross(probes: Sequence[FockUnit]) -> np.ndarray:
-        return _accumulate(_act(multipliers[:, None], kernel_stack(units, probes), inner, a.grid))
+        return _accumulate(_compose(kernel_stack(units, probes), multipliers[:, None], inner, a.grid))
 
     def diagonal() -> np.ndarray:
         # Summed column by column, (i, j) = (0, 0), (1, 0), (0, 1), (1, 1), from the first term.
         products = _coordinates([si * cj for cj in (a, rest) for si in stars])
         kernels = kernel_stack(units, units).swapaxes(0, 1).reshape(len(products), 2, a.grid.dim)
-        return _accumulate(_act(products, kernels, inner, a.grid))
+        return _accumulate(_compose(kernels, products, inner, a.grid))
 
     return ReferencedUnit(candidate, omega, cross, diagonal)
 

@@ -47,6 +47,7 @@ DIP = piecewise_linear(GRID, [[0.0, -3000.0], [1.0, 1.0]])  # eventually one, ne
 ZERO_PIVOT = piecewise_linear(GRID, [[0.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
 NON_FINITE = (float("inf"), float("-inf"), float("nan"))
 BOOLS = (True, np.False_)
+NOT_REAL = (1j, "1e-9", None, np.complex128(1e-9))  # numpy orders a complex by its real part
 
 
 @pytest.mark.parametrize(
@@ -127,6 +128,12 @@ BOOLS = (True, np.False_)
         *(lambda flag=flag: semigroups(XI, XI, [1.0], rel_tol=flag) for flag in BOOLS),
         *(lambda flag=flag: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), flag) for flag in BOOLS),
         *(lambda flag=flag: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, [2], target_threshold=flag) for flag in BOOLS),
+        # nor is anything but a real number: a complex, a string or None
+        *(lambda tol=tol: membership(XI, tol) for tol in NOT_REAL),
+        *(lambda tol=tol: matrix_exponential(WeightedShift(GRID, np.zeros((2, GRID.dim))), tol) for tol in NOT_REAL),
+        *(lambda tol=tol: semigroups(XI, XI, [1.0], rel_tol=tol) for tol in NOT_REAL),
+        *(lambda tol=tol: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), tol) for tol in NOT_REAL),
+        *(lambda tol=tol: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, [2], target_threshold=tol) for tol in NOT_REAL),
     ],
 )
 def test_out_of_domain_inputs_raise_domain_error(call):

@@ -29,7 +29,8 @@ from fockindex.fock import (
 )
 from fockindex.presets import exp_approach, exp_decay
 from test_chain_operators import exponential_operator, identity_operator, zero_operator
-from test_mirror_pairs import reference_kernel
+from test_mirror_pairs import next_index, on_small_grids, random_element, reference_kernel
+from test_mirror_pairs import random_unit as signed_unit
 
 GRID = GridSpec(4, 25)
 
@@ -421,3 +422,51 @@ def test_unit_component_is_the_old_product(m, end, data):
         assert np.array_equal(got.value.coordinates, expected.value.coordinates), n
         if not negative_zero:
             assert got.value.coordinates.tobytes() == expected.value.coordinates.tobytes(), n
+
+
+def input_side(shift, a):
+    """The bands of (D_d + D_w T) D_a in closed form: (d a, w Ta), tail +0."""
+    d, w = shift.bands
+    bands = np.zeros_like(shift.bands)
+    bands[0] = d * a
+    bands[1, :-1] = w[:-1] * a[next_index(shift.grid)]
+    return bands
+
+
+def output_side(a, shift):
+    """The bands of D_a (D_d + D_w T) in closed form: (a d, a w), tail +0."""
+    d, w = shift.bands
+    bands = np.zeros_like(shift.bands)
+    bands[0] = a * d
+    bands[1, :-1] = a[:-1] * w[:-1]
+    return bands
+
+
+@on_small_grids
+def test_products_with_a_multiplication_are_one_composition_formula(grid, seed):
+    """S @ D_a composes D_a on the input side and D_a @ S on the output
+    side, each to the bytes of its closed form, also where band 1 of S is
+    all +0 or all -0. A product of two multiplications composes the right
+    one on the input side. K(huge, huge), band 0 inf and band 1 zero, gives
+    0 in band 1 of K @ D_a, not inf * 0 = NaN."""
+    rng = np.random.default_rng(seed)
+    huge = FockUnit(constant(grid, -0.0), constant(grid, complex(1e308, -1.0)))
+    signed = np.where(rng.random((2, grid.dim)) < 0.5, -0.0, 0.0) + np.array([[1.0], [0.0]])
+    mul = multiplication_operator(random_element(rng, grid))
+    a = mul.bands[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        shifts = [
+            kernel(signed_unit(rng, grid), signed_unit(rng, grid)),
+            kernel(FockUnit(constant(grid, -0.0), random_element(rng, grid)), signed_unit(rng, grid)),  # band 1 all +0
+            WeightedShift(grid, [signed[0], np.full(grid.dim, -0.0)]),  # band 1 all -0
+            WeightedShift(grid, signed),
+            multiplication_operator(random_element(rng, grid)),
+            kernel(huge, huge),
+        ]
+        for shift in shifts:
+            assert (shift @ mul).bands.tobytes() == input_side(shift, a).tobytes()
+            if shift.bands[1].any():
+                assert (mul @ shift).bands.tobytes() == output_side(a, shift).tobytes()
+            else:
+                assert (mul @ shift).bands.tobytes() == input_side(mul, shift.bands[0]).tobytes()
+        assert not (shifts[-1] @ mul).bands[1].any()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockindex.algebra import AlgebraElement, DomainError, GridSpec, constant
 from fockindex.fock import FockUnit, generator_unit
@@ -11,6 +13,7 @@ from fockindex.presets import exp_approach, exp_decay, inverse_decay, piecewise_
 from fockindex.unit_algebra import add, left_mul, right_mul, semi_inner, wrap
 from fockindex.subsystem import (
     CENTRALITY_TOLERANCE,
+    DYADIC_DEPTH,
     Step1Witness,
     WitnessKind,
     _centrality_probes,
@@ -396,3 +399,43 @@ def test_a_bool_is_not_a_particle_count(call):
     with pytest.raises(ValueError, match="integer"):
         call(True)
     call(np.int64(1))
+
+
+def reference_convexify(zeta, delta):
+    """convexify's search over the whole sample array, as it was written
+    before it read the least sample alone."""
+    values = zeta.samples.real
+    denominator = 2**DYADIC_DEPTH
+    for k in range(denominator - 1, 0, -1):
+        alpha = k / denominator
+        if np.min(alpha * values + (1.0 - alpha)) >= delta:
+            return alpha, zeta * alpha + (1.0 - alpha)
+    raise DomainError(f"no dyadic alpha in (0, 1) keeps the combination above {delta}")
+
+
+def convexify_outcome(call):
+    """The alpha and element bytes of a convexification, or its DomainError."""
+    try:
+        alpha, element = call()
+    except DomainError as error:
+        return ("DomainError", str(error))
+    return (np.float64(alpha).tobytes(), element.coordinates.tobytes())
+
+
+SAMPLE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324]), st.floats(-1e4, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.data())
+def test_convexify_reads_the_least_sample_as_the_whole_array(m, end, data):
+    """A real zeta, exactly 1 from n on: the alpha, the element bytes and
+    the DomainError when no alpha fits are those of the full-array rule."""
+    grid = GridSpec(m, end)
+    n = data.draw(st.integers(0, end))
+    below = data.draw(st.lists(SAMPLE_VALUES, min_size=n * m, max_size=n * m))
+    samples = np.ones(grid.size, dtype=complex)
+    samples[: n * m] = below
+    zeta = AlgebraElement(grid, samples, 1.0)
+    delta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    expected = convexify_outcome(lambda: reference_convexify(zeta, delta))
+    assert convexify_outcome(lambda: convexify(zeta, n, delta)) == expected
