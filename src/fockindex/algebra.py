@@ -59,13 +59,16 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy int or float; a bool, a complex
+    number (numpy would order it by its real part), a string or None is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _require_tolerance(value, name: str) -> None:
-    """Raise DomainError unless the tolerance ``value`` is a Python or
-    numpy int or float, finite and nonnegative; a NaN is neither, and a
-    bool, a complex number (numpy would order it by its real part), a
-    string or None is no tolerance."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not real or not 0 <= value < math.inf:
+    """Raise DomainError unless the tolerance ``value`` is a real number
+    (:func:`_is_real`), finite and nonnegative; a NaN is neither."""
+    if not _is_real(value) or not 0 <= value < math.inf:
         raise DomainError(f"{name} must be a finite and nonnegative real number, got {value!r}")
 
 
@@ -112,6 +115,8 @@ class GridSpec:
 
     def offset_of(self, t) -> int:
         """Sample offset of the grid-aligned time ``t`` >= 0."""
+        if not _is_real(t):
+            raise GridMismatchError(f"shift must be a real number, got {t!r}")
         try:
             k = float(t) * self.step_denominator
         except OverflowError:

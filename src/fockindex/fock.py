@@ -92,7 +92,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, _is_count, _require_tolerance, constant, judge
+from .algebra import AlgebraElement, DomainError, GridMismatchError, GridSpec, _is_count, _is_real, _require_tolerance, constant, judge
 
 __all__ = [
     "UnsupportedParameterError",
@@ -611,13 +611,23 @@ def blas_core() -> str:
     return "unknown"
 
 
+def _float_times(times) -> list[float]:
+    """Each time as a float; one that is not a Python or numpy int or
+    float, or is a bool, raises DomainError."""
+    times = list(times)
+    for t in times:
+        if not _is_real(t):
+            raise DomainError(f"time must be a real number, got {t!r}")
+    return [float(t) for t in times]
+
+
 def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANCE) -> dict:
     """exp(t * kernel(u, v)) for every t >= 0 in ``times``, taken block by
     block and keyed by float(t). A ``rel_tol`` that is NaN, negative or
-    +inf, or a time that is NaN or negative, raises DomainError before any
-    work; a time of +inf raises it after every finite time, so that a law
-    residual whose two huge times sum to +inf reports their overflow
-    (ValueError).
+    +inf, or a time that is not a real number, NaN or negative, raises
+    DomainError before any work; a time of +inf raises it after every
+    finite time, so that a law residual whose two huge times sum to +inf
+    reports their overflow (ValueError).
 
     The times are taken in ascending order, so the squaring count s(t)
     never falls. A time whose scaled stack (tL) 2^-s(t) equals that of an
@@ -631,7 +641,7 @@ def semigroups(u: FockUnit, v: FockUnit, times, rel_tol: float = TAYLOR_TOLERANC
     squaring one.
     """
     _require_tolerance(rel_tol, "Taylor tolerance rel_tol")
-    times = sorted({float(t) for t in times})
+    times = sorted(set(_float_times(times)))
     for t in times:
         if not t >= 0:  # a NaN too, which would leave the times unsorted
             raise DomainError(f"time must be finite and nonnegative, got {t}")
@@ -676,7 +686,7 @@ def semigroup_law_residual(u: FockUnit, v: FockUnit, times, rel_tol: float = TAY
     formed and measured, its difference and norm one chain block at a
     time.
     """
-    times = [float(t) for t in times]
+    times = _float_times(times)
     if not times:
         raise DomainError("times must hold at least one time; an empty one would check nothing")
     exps = semigroups(u, v, [*times, *(s + t for s in times for t in times), *extra_times], rel_tol=rel_tol)
@@ -699,7 +709,7 @@ def gram_matrices(units, times, bs) -> np.ndarray:
     u_j)) applied to bs[c]. Each pair's exponentials come from one
     :func:`semigroups` call and are applied to every b. Each b must be
     positive for the positivity check downstream to be meaningful."""
-    units, times, bs = list(units), [float(t) for t in times], list(bs)
+    units, times, bs = list(units), _float_times(times), list(bs)
     if not all(b.is_positive() for b in bs):
         raise DomainError("gram_matrices needs positive elements b")
     if not units:

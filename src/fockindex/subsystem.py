@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import RECIPROCAL_FLOOR, AlgebraElement, DomainError, _is_count, _require_tolerance, constant
+from .algebra import RECIPROCAL_FLOOR, AlgebraElement, DomainError, _is_count, _is_real, _require_tolerance, constant
 from .fock import FockUnit, generator_unit, kernel, semigroup, unit_component, left_action, vacuum_unit
 from .presets import exp_approach, exp_decay
 from .unit_algebra import (
@@ -206,8 +206,8 @@ def convexify(zeta: AlgebraElement, n: int, delta: float) -> tuple[float, Algebr
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     _require_real(zeta, "convexify")
     _require_eventually_one(zeta, n, "convexify")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    if not _is_real(delta) or not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must be a real number in (0, 1), got {delta!r}")
     # Rounding is monotone and alpha > 0, so the least of alpha * value + (1 - alpha)
     # over the samples is the one at the least sample, in the same float operations.
     lowest = float(np.min(zeta.samples.real))
@@ -319,11 +319,11 @@ def convergence_report(
     cross = kernel(eta, probe)
     rows = []
     for n in ns:
-        zeta_n = approximate(zeta, int(n))
+        zeta_n = approximate(zeta, n)
         eta_n = FockUnit(zeta_n, zero)
         rows.append(
             ConvergenceRow(
-                n=int(n),
+                n=n,
                 sup_dist=(zeta - zeta_n).sup_norm(),
                 index_dist=index_norm(subtract(eta_ref, wrap(eta_n, omega))),
                 kernel_dist=(kernel(eta_n, eta_n) - diag).operator_norm(),

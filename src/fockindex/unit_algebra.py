@@ -10,7 +10,9 @@ whole battery at once: each operation composes and sums stacks of kernel
 bands, one row per probe, in the order that the sum of operators per probe
 took, so each row has that sum's values to the bit. The signs of zeros are
 not kept: a formula-path band reaches a report only through its modulus.
-Each composition with a multiplication operator is ``fock._compose``.
+Each composition with a multiplication operator is ``fock._compose``, and
+each combination's formula path ``_formula``; the module actions are the
+combination (a, 1 - a) of (x, reference) there, summed in their own order.
 
 Scalar multiplication and subtraction are realized through the module
 operations themselves: alpha*x is left multiplication by the constant
@@ -139,10 +141,10 @@ def coefficients_sum_to_one(coefficients: Sequence[AlgebraElement]) -> bool:
     return (sum(coefficients, constant(grid, 0.0)) - constant(grid, 1.0)).sup_norm() <= COEFFICIENT_SUM_TOLERANCE
 
 
-def _accumulate(terms: np.ndarray, signs: Sequence[int] | None = None) -> np.ndarray:
-    """The terms of a stack that the caller owns summed in order along its
-    first axis, in place in the first: a term whose sign in ``signs`` is
-    -1 is subtracted, and the first term's sign must be +1. It has the
+def _accumulate(terms, signs: Sequence[int] | None = None) -> np.ndarray:
+    """The terms of a stack or a sequence of arrays that the caller owns,
+    summed in order in place in the first: a term whose sign in ``signs``
+    is -1 is subtracted, and the first term's sign must be +1. It has the
     nonzero bits of the sum of operators that started from zero; only the
     signs of zeros may differ, where the first term has a -0 entry."""
     total = terms[0]
@@ -159,11 +161,31 @@ def _coordinates(elements: Sequence[AlgebraElement]) -> np.ndarray:
     return np.array([e.coordinates for e in elements])
 
 
+def _formula(candidate: FockUnit, reference: FockUnit, units, coefficients, inner: bool, order) -> ReferencedUnit:
+    """The candidate with the formula path of the combination of ``units``
+    with ``coefficients`` c: against a probe, the sum over i of conj(c_i)
+    composed with K(u_i, probe); on the diagonal, of conj(c_i)*c_j composed
+    with K(u_i, u_j), summed from the first term over the pairs (i, j) in
+    ``order``. The order fixes the diagonal's bits."""
+    grid = candidate.grid
+    stars = [c.star() for c in coefficients]
+
+    def cross(probes: Sequence[FockUnit]) -> np.ndarray:
+        return _accumulate(_compose(kernel_stack(units, probes), _coordinates(stars)[:, None], inner, grid))
+
+    def diagonal() -> np.ndarray:
+        products = _coordinates([si * cj for si in stars for cj in coefficients]).reshape(len(stars), len(stars), grid.dim)
+        kernels = _compose(kernel_stack(units, units), products, inner, grid)
+        return _accumulate([kernels[pair] for pair in order])
+
+    return ReferencedUnit(candidate, reference, cross, diagonal)
+
+
 def _combination(coefficients, units, reference: FockUnit, inner: bool) -> ReferencedUnit:
-    """Formula path: against a probe, the sum over i of conj(c_i) composed
-    with K(u_i, probe); on the diagonal, of conj(c_i)*c_j composed with
-    K(u_i, u_j). Parameter path: (sum c_j zeta_j, sum c_j beta_j), with
-    c_j shifted by 1 in the zeta sum when it composes on the input side."""
+    """The combination of ``units`` with ``coefficients``, its diagonal
+    summed row by row. Parameter path: (sum c_j zeta_j, sum c_j beta_j),
+    with c_j shifted by 1 in the zeta sum when it composes on the input
+    side; formula path: :func:`_formula`."""
     coefficients = list(coefficients)
     units = list(units)
     if len(coefficients) != len(units) or not units:
@@ -177,17 +199,7 @@ def _combination(coefficients, units, reference: FockUnit, inner: bool) -> Refer
         zeta = zeta + c.shift(int(inner)) * u.zeta
         beta = beta + c * u.beta
     candidate = FockUnit(zeta, beta)
-    stars = [c.star() for c in coefficients]
-
-    def cross(probes: Sequence[FockUnit]) -> np.ndarray:
-        return _accumulate(_compose(kernel_stack(units, probes), _coordinates(stars)[:, None], inner, grid))
-
-    def diagonal() -> np.ndarray:
-        products = _coordinates([si * cj for si in stars for cj in coefficients])
-        kernels = kernel_stack(units, units).reshape(len(products), 2, grid.dim)
-        return _accumulate(_compose(kernels, products, inner, grid))
-
-    return ReferencedUnit(candidate, reference, cross, diagonal)
+    return _formula(candidate, reference, units, coefficients, inner, tuple(np.ndindex(len(units), len(units))))
 
 
 def boxplus_left(
@@ -236,9 +248,9 @@ def add(x: ReferencedUnit, y: ReferencedUnit) -> ReferencedUnit:
 
 
 def _module_mul(a: AlgebraElement, x: ReferencedUnit, inner: bool) -> ReferencedUnit:
-    """The action of a on x: a and 1 - a compose with the kernels of x and
-    the reference on the input side (inner) or the output side; on the
-    input side a takes the unit shift in the zeta parameter."""
+    """The action of a on x, on the input side (inner) or the output side: the
+    combination (a, 1 - a) of (x, reference), its diagonal summed column by
+    column; on the input side a takes the unit shift in the zeta parameter."""
     omega = x.reference
     xu = x.unit
     one = constant(a.grid, 1.0)
@@ -252,32 +264,19 @@ def _module_mul(a: AlgebraElement, x: ReferencedUnit, inner: bool) -> Referenced
         times(a_zeta, xu.zeta) + times(one - a_zeta, omega.zeta),
         times(a, xu.beta) + times(rest, omega.beta),
     )
-    stars = (a.star(), rest.star())
-    multipliers = _coordinates(stars)
-    units = (xu, omega)
-
-    def cross(probes: Sequence[FockUnit]) -> np.ndarray:
-        return _accumulate(_compose(kernel_stack(units, probes), multipliers[:, None], inner, a.grid))
-
-    def diagonal() -> np.ndarray:
-        # Summed column by column, (i, j) = (0, 0), (1, 0), (0, 1), (1, 1), from the first term.
-        products = _coordinates([si * cj for cj in (a, rest) for si in stars])
-        kernels = kernel_stack(units, units).swapaxes(0, 1).reshape(len(products), 2, a.grid.dim)
-        return _accumulate(_compose(kernels, products, inner, a.grid))
-
-    return ReferencedUnit(candidate, omega, cross, diagonal)
+    return _formula(candidate, omega, (xu, omega), (a, rest), inner, ((0, 0), (1, 0), (0, 1), (1, 1)))
 
 
 def left_mul(a: AlgebraElement, x: ReferencedUnit) -> ReferencedUnit:
-    """a . x, with the multiplications composed on the input side of the
-    kernels; the parameter path twists a by the unit shift:
+    """a . x, the combination (a, 1 - a) of (x, ref) on the input side of the
+    kernels (see ``boxplus_right``); the parameter path twists a by the unit shift:
     (shift(a,1) zeta_x + (1 - shift(a,1)) zeta_ref, a beta_x + (1-a) beta_ref)."""
     return _module_mul(a, x, inner=True)
 
 
 def right_mul(x: ReferencedUnit, a: AlgebraElement) -> ReferencedUnit:
-    """x . a, with the multiplications applied to the kernel output:
-    (zeta_x a + zeta_ref (1-a), beta_x a + beta_ref (1-a))."""
+    """x . a, the combination (a, 1 - a) of (x, ref) on the kernel output
+    (see ``boxplus_left``): (zeta_x a + zeta_ref (1-a), beta_x a + beta_ref (1-a))."""
     return _module_mul(a, x, inner=False)
 
 

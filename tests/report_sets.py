@@ -16,9 +16,11 @@ differently with more.
 
 The cases: the default config of every command at six grids, ``unitalg``
 with three cases at (8, 80) for seeds 1 to 12, ``selftest`` at (4, 40) for
-seeds 0 to 5, and ``semigroup`` with ``b`` read from a CSV file. This is
-no test: pytest does not collect it, and it uses only the standard
-library and the package.
+seeds 0 to 5, ``semigroup`` with ``b`` read from a CSV file, ``unitalg``
+at (4, 40) with a fixed ``kappa`` of 1, 2 and 4 presets, so that the
+combinations run with other than three units, and ``witness`` with a zeta
+that dips to -0.5. This is no test: pytest does not collect it, and it
+uses only the standard library and the package.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ("kernel", "semigroup", "gram", "inner", "unitalg", "membership", "witness", "approx", "index", "selftest")
 GRIDS = ((4, 40), (8, 80), (16, 100), (1, 40), (2, 40), (3, 30))
 CSV_GRID = (4, 40)
+KAPPAS = (
+    [{"kind": "constant", "value": 1.0}],
+    [{"kind": "exp_approach", "c": -0.5, "a": 1.0}, {"kind": "exp_decay", "c": 0.5, "a": 1.0}],
+    [
+        {"kind": "exp_decay", "c": [0.25, 0.5], "a": 1.0, "d": 0.5},
+        {"kind": "exp_decay", "c": [-0.25, -0.5], "a": 1.0},
+        {"kind": "constant", "value": 0.25},
+        {"kind": "constant", "value": 0.25},
+    ],
+)
 
 
 def cases():
@@ -47,6 +59,10 @@ def cases():
         yield f"selftest-seed{seed}", "selftest", {"grid": {"m": 4, "S": 40}, "seed": seed}
     m, end = CSV_GRID
     yield "semigroup-csv-b", "semigroup", {"grid": {"m": m, "S": end}, "b": {"kind": "csv", "path": "b.csv"}}
+    for kappa in KAPPAS:
+        yield f"unitalg-kappa{len(kappa)}", "unitalg", {"grid": {"m": 4, "S": 40}, "kappa": kappa}
+    dip = {"kind": "piecewise_linear", "knots": [[0, -0.5], [1, 1]]}
+    yield "witness-dip", "witness", {"grid": {"m": 4, "S": 40}, "zeta": dip, "n": 1}
 
 
 def write_csv_b(path: Path) -> None:

@@ -26,6 +26,7 @@ from fockindex.algebra import GridSpec, UnresolvedTailWarning, judge
 from fockindex.cli import COMMANDS, main
 from fockindex.fock import TAYLOR_TOLERANCE_FLOOR, FockUnit, blas_core, kernel
 from fockindex.selftest import DEFAULT_TOLERANCES
+import report_sets
 
 SMALL_GRID = {"grid": {"m": 2, "S": 30}}
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -936,6 +937,16 @@ def test_random_csv_files_end_in_an_exit_status(file):
 def test_every_key_with_a_reader_is_read_by_a_command():
     """parse_config accepts the keys with a reader; each must be one that some command reads."""
     assert set(cli._READERS) == {key for defaults in cli._DEFAULTS.values() for key in defaults}
+
+
+def test_every_report_set_case_is_a_config_of_its_command(tmp_path):
+    """A mistyped case of ``tests/report_sets.py`` would exit 2 in both
+    trees it compares, and the two sets would compare equal."""
+    for name, command, config in report_sets.cases():
+        if config.get("b", {}).get("kind") == "csv":
+            report_sets.write_csv_b(tmp_path / config["b"]["path"])
+        assert set(config) <= set(cli._command_keys(command)), name
+        cli.parse_config(config, tmp_path)
 
 
 def readme_table(header):

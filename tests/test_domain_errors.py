@@ -1,6 +1,7 @@
 """Inputs outside an operation's domain raise DomainError, a ValueError;
 numerical failures and internal invariants do not."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from fockindex.fock import (
     left_action,
     matrix_exponential,
     module_inner,
+    semigroup,
     semigroup_law_residual,
     semigroups,
     unit_component,
@@ -134,6 +136,19 @@ NOT_REAL = (1j, "1e-9", None, np.complex128(1e-9))  # numpy orders a complex by 
         *(lambda tol=tol: semigroups(XI, XI, [1.0], rel_tol=tol) for tol in NOT_REAL),
         *(lambda tol=tol: gram_psd_check(GRID, np.ones((GRID.dim, 1, 1), dtype=complex), tol) for tol in NOT_REAL),
         *(lambda tol=tol: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, [2], target_threshold=tol) for tol in NOT_REAL),
+        # truncation points are counts as given, not truncated by int()
+        *(lambda ns=ns: convergence_report(exp_approach(GRID, 1.0, 1.0), 1.0, ns) for ns in ([2.7, 4], [2.2, 2.7], ["2", "4"], [True, 4])),
+        # a time, a shift, a point or a delta must be a real number: True would read as 1, "0.5" as 0.5
+        *(lambda t=t: semigroups(XI, XI, [t]) for t in (*BOOLS, *NOT_REAL)),
+        *(lambda t=t: semigroup(XI, XI, t) for t in (*BOOLS, *NOT_REAL)),
+        *(lambda t=t: semigroup_law_residual(XI, XI, [t]) for t in (*BOOLS, *NOT_REAL)),
+        *(lambda t=t: semigroup_law_residual(XI, XI, [0.5], extra_times=[t]) for t in (*BOOLS, *NOT_REAL)),
+        *(lambda t=t: gram_matrices([XI], [t], [ONE]) for t in (*BOOLS, *NOT_REAL)),
+        *(lambda t=t: convergence_report(exp_approach(GRID, 1.0, 1.0), t, [2]) for t in (*BOOLS, *NOT_REAL)),
+        *(lambda t=t: ONE.shift(t) for t in (*BOOLS, *NOT_REAL, "a")),
+        *(lambda t=t: ONE.value_at(t) for t in (*BOOLS, *NOT_REAL, "a")),
+        *(lambda delta=delta: convexify(ONE, 1, delta) for delta in (*BOOLS, *NOT_REAL, 0.5j, "0.5")),
+        *(lambda delta=delta: theta_check(ONE, 1, delta=delta) for delta in (*BOOLS, *NOT_REAL, 0.5j, "0.5")),
     ],
 )
 def test_out_of_domain_inputs_raise_domain_error(call):
@@ -146,6 +161,13 @@ def test_a_huge_shift_is_named_without_its_digits():
     with pytest.raises(GridMismatchError) as error:
         ONE.shift(10**400)
     assert len(str(error.value)) < 80
+
+
+@pytest.mark.parametrize("t", [*BOOLS, *NOT_REAL, "a", "0.5"])
+def test_a_shift_that_is_not_a_real_number_is_a_grid_mismatch_naming_it(t):
+    for call in (ONE.shift, ONE.value_at):
+        with pytest.raises(GridMismatchError, match=f"got {re.escape(repr(t))}$"):
+            call(t)
 
 
 def test_a_unit_and_its_reference_on_two_grids_are_a_grid_mismatch():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fockindex.algebra import GridSpec, constant
-from fockindex.fock import FockUnit, WeightedShift, generator_unit, kernel, vacuum_unit
+from fockindex.fock import FockUnit, WeightedShift, generator_unit, kernel, kernel_stack, vacuum_unit
 from fockindex.presets import exp_approach, exp_decay
 from fockindex.unit_algebra import (
     add,
@@ -21,8 +23,10 @@ from fockindex.unit_algebra import (
     subtract,
     wrap,
 )
+from test_mirror_pairs import random_element, random_unit
 
 GRID = GridSpec(4, 25)
+EPS = np.finfo(float).eps
 OMEGA = vacuum_unit(GRID)
 XI = generator_unit(GRID)
 
@@ -167,6 +171,40 @@ class TestModuleActions:
         expected = (x.unit.zeta - constant(GRID, 1)) * a + constant(GRID, 1)
         assert (built.unit.zeta - expected).sup_norm() < 1e-15
         assert dual_path_residual(built, probes()) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(GridSpec, st.integers(1, 4), st.integers(1, 12)), st.integers(0, 2**32 - 1))
+@example(GridSpec(1, 1), 0)
+@example(GridSpec(1, 12), 0)
+def test_module_actions_are_the_two_term_combinations(grid, seed):
+    """The paper's definition: a . x is the combination of (x, ref) with
+    coefficients (a, 1 - a) on the input side, and x . a on the output
+    side. The probe stacks are the same to the byte. The diagonals sum the
+    same four terms in two orders, so they differ by at most about 6 eps
+    times the sum of the terms' moduli, which A^2 max|K| bounds, for
+    A = sup|a| + sup|1 - a|. The left candidate is the combination's up to
+    the signs of zeros; the right one multiplies in the other operand
+    order, so each sum of two products agrees within a few eps."""
+    rng = np.random.default_rng(seed)
+    omega = random_unit(rng, grid)
+    battery = [random_unit(rng, grid) for _ in range(3)] + [omega]
+    one = constant(grid, 1.0)
+    for a in (random_element(rng, grid), constant(grid, -1.0), constant(grid, -0.0), constant(grid, 2.5)):
+        x = wrap(random_unit(rng, grid), omega)
+        rest = one - a
+        bound = 8 * EPS * (a.sup_norm() + rest.sup_norm()) ** 2 * np.abs(kernel_stack((x.unit, omega), (x.unit, omega))).max()
+        left, left_combination = left_mul(a, x), boxplus_right([x.unit, omega], [a, rest], omega)
+        right, right_combination = right_mul(x, a), boxplus_left([a, rest], [x.unit, omega], omega)
+        for action, combination in ((left, left_combination), (right, right_combination)):
+            assert action.cross_kernels(battery).tobytes() == combination.cross_kernels(battery).tobytes()
+            assert np.abs(action.self_kernel().bands - combination.self_kernel().bands).max() <= bound
+        for name in ("zeta", "beta"):
+            got, expected = getattr(left.unit, name).coordinates, getattr(left_combination.unit, name).coordinates
+            assert (got + 0.0).tobytes() == (expected + 0.0).tobytes()
+            x_part, omega_part = getattr(x.unit, name).sup_norm(), getattr(omega, name).sup_norm()
+            got, expected = getattr(right.unit, name).coordinates, getattr(right_combination.unit, name).coordinates
+            assert np.abs(got - expected).max() <= 4 * EPS * (a.sup_norm() * x_part + rest.sup_norm() * omega_part)
 
 
 class TestSemiInner:
